@@ -372,7 +372,7 @@ def run_single(config: RunConfig, zero_forcing: bool = False):
         paths.append(energy_path)
     for c in config.checkpoints:
         cp_path = out / f"checkpoint_{c:06d}.csv"
-        _write_checkpoint(cp_path, history.states[c])
+        _write_checkpoint(cp_path, history.state(c))
         paths.append(cp_path)
     return record, paths
 

@@ -33,26 +33,23 @@ __all__ = [
 #: fixed formatting for all emitted floating-point values
 FLOAT_FMT = "%.17g"
 
+#: entries per block when the series sweep the history (1 MiB of float64)
+_BLOCK_VALUES = 1 << 17
+
 
 def discrete_energy(history: SimulationHistory, ops: DiscreteOperators, n: int) -> float:
     """Energy 0.5*||velocity||^2 + 0.5*||gradient||^2 at step n.
 
     The velocity is the centered difference for 1 <= n <= last-1 and the
-    discrete initial velocity for n = 0.
+    discrete initial velocity for n = 0.  Both norms are read from the modal
+    coefficients: ||v||_M^2 = sum(v^2) and ||u||_A^2 = sum(eigenvalues * u^2).
     """
-    states = history.states
     last = history.n_last
-    if n == 0:
-        vel = history.u1h
-        state = states[0]
-    elif 1 <= n <= last - 1:
-        vel = (states[n + 1] - states[n - 1]) / (2.0 * history.tau)
-        state = states[n]
-    else:
+    if not 0 <= n <= last - 1:
         raise IndexError(f"energy needs step n+1; n = {n} with last = {last}")
-    kinetic = 0.5 * float(vel @ (ops.mass @ vel))
-    elastic = 0.5 * float(state @ (ops.stiffness @ state))
-    return kinetic + elastic
+    vel = history.velocity_diffs[n]
+    state = history.coefficients[n]
+    return 0.5 * float(vel @ vel) + 0.5 * float((ops.basis.eigenvalues * state) @ state)
 
 
 def a_norm(history: SimulationHistory, ops: DiscreteOperators, m: int) -> float:
@@ -60,18 +57,19 @@ def a_norm(history: SimulationHistory, ops: DiscreteOperators, m: int) -> float:
 
         sqrt( ||dU^{m+1}/tau||^2 + (mu0/2)(||grad U^{m+1}||^2 + ||grad U^m||^2) )
     """
-    states = history.states
+    coeffs = history.coefficients
     if not 0 <= m <= history.n_last - 1:
         raise IndexError(f"a_norm needs step m+1; m = {m} with last = {history.n_last}")
-    dt = (states[m + 1] - states[m]) / history.tau
-    val = float(dt @ (ops.mass @ dt))
-    val += 0.5 * history.mu0 * float(states[m + 1] @ (ops.stiffness @ states[m + 1]))
-    val += 0.5 * history.mu0 * float(states[m] @ (ops.stiffness @ states[m]))
+    lam = ops.basis.eigenvalues
+    dt = (coeffs[m + 1] - coeffs[m]) / history.tau
+    val = float(dt @ dt)
+    val += 0.5 * history.mu0 * float((lam * coeffs[m + 1]) @ coeffs[m + 1])
+    val += 0.5 * history.mu0 * float((lam * coeffs[m]) @ coeffs[m])
     return math.sqrt(val)
 
 
 def _terminal_gradients(history: SimulationHistory) -> np.ndarray:
-    return gradient_array(history.mesh, history.states[history.n_last])
+    return gradient_array(history.mesh, history.state(history.n_last))
 
 
 def self_error_time(run_coarse: SimulationHistory, run_fine: SimulationHistory) -> float:
@@ -134,12 +132,32 @@ class DiagnosticsRecord:
             raise ValueError("recorded norms must be nonnegative")
 
 
+def _series(history: SimulationHistory, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """discrete_energy and a_norm for every step that has a successor.
+
+    The history is swept in blocks of about _BLOCK_VALUES entries so that
+    no temporary grows with the number of steps.
+    """
+    count = history.n_last
+    coeffs, diffs = history.coefficients, history.velocity_diffs
+    energy, norms = np.empty(count), np.empty(count)
+    rows = max(1, _BLOCK_VALUES // lam.size)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        c = coeffs[start:stop + 1]
+        elastic = (c * c) @ lam  # ||U^k||_A^2 for k = start..stop
+        vel = diffs[start:stop]
+        dt = (c[1:] - c[:-1]) / history.tau
+        energy[start:stop] = 0.5 * np.einsum("ij,ij->i", vel, vel) + 0.5 * elastic[:-1]
+        norms[start:stop] = (np.einsum("ij,ij->i", dt, dt)
+                             + 0.5 * history.mu0 * (elastic[1:] + elastic[:-1]))
+    return energy, np.sqrt(norms)
+
+
 def collect_diagnostics(history: SimulationHistory, ops: DiscreteOperators,
                         run_id: str, **meta) -> DiagnosticsRecord:
     """Evaluate the full energy and stability series of a finished run."""
-    count = history.n_last  # both series need the state one step ahead
-    energy = np.array([discrete_energy(history, ops, n) for n in range(count)])
-    norms = np.array([a_norm(history, ops, m) for m in range(count)])
+    energy, norms = _series(history, ops.basis.eigenvalues)
     meta.setdefault("tau", history.tau)
     meta.setdefault("dim", history.mesh.dim)
     meta.setdefault("m", history.mesh.m)

@@ -4,19 +4,24 @@ Linear elements in 1d, bilinear tensor-product elements in 2d, homogeneous
 Dirichlet boundary everywhere: boundary nodes carry no unknowns, so vectors
 hold interior nodal values only.  2d interior nodes (i, j), 1 <= i, j <= M-1,
 are flattened row-major with i slow, which makes the mass and stiffness
-matrices Kronecker products of their 1d counterparts.
+matrices Kronecker products of their 1d counterparts.  The generalized
+eigenvectors of the 1d pair therefore diagonalize both operators, per axis
+(`ModalBasis`); the time stepper works in that basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
     "DiscreteOperators",
+    "ModalBasis",
     "assemble",
     "interpolate",
     "load_vector",
@@ -56,12 +61,62 @@ class Mesh:
 
 
 @dataclass(frozen=True, eq=False)
+class ModalBasis:
+    """Generalized eigenbasis of the 1d pair (A1, M1), applied along each axis.
+
+    The columns of `vectors` (V) satisfy V'M1V = I and V'A1V = diag(lam).
+    `eigenvalues` holds lam in 1d; in 2d the modes are the products
+    V[:, i] V[:, j] with eigenvalues lam[i] + lam[j], flattened like the
+    nodes, i slow.  A state with coefficients c has ||u||_M^2 = sum(c^2) and
+    ||u||_A^2 = sum(eigenvalues * c^2), so M is the identity and A is
+    diag(eigenvalues) in this basis.
+    """
+
+    dim: int
+    vectors: np.ndarray
+    inverse: np.ndarray  # V^{-1} = V'M1
+    eigenvalues: np.ndarray
+
+    @classmethod
+    def of_pencil(cls, dim: int, stiffness1: sp.spmatrix, mass1: sp.spmatrix) -> "ModalBasis":
+        """Basis of the dense generalized eigenproblem A1 v = lam M1 v."""
+        mass = mass1.toarray()
+        values, vectors = scipy.linalg.eigh(stiffness1.toarray(), mass)
+        if dim == 2:
+            values = (values[:, None] + values[None, :]).ravel()
+        return cls(dim, vectors, vectors.T @ mass, values)
+
+    def _apply(self, left: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        if self.dim == 1:
+            return left @ vec
+        k = left.shape[1]
+        return (left @ vec.reshape(k, k) @ left.T).ravel()
+
+    def to_modal(self, u: np.ndarray) -> np.ndarray:
+        """Coefficients of the nodal vector u."""
+        return self._apply(self.inverse, u)
+
+    def to_nodal(self, c: np.ndarray) -> np.ndarray:
+        """Nodal values of the state with coefficients c."""
+        return self._apply(self.vectors, c)
+
+    def project(self, b: np.ndarray) -> np.ndarray:
+        """Modal components of a load vector b, i.e. its values on the modes."""
+        return self._apply(self.vectors.T, b)
+
+
+@dataclass(frozen=True, eq=False)
 class DiscreteOperators:
-    """Assembled mass and stiffness matrices on the interior nodes."""
+    """Assembled mass and stiffness matrices on the interior nodes.
+
+    `basis` diagonalizes both matrices; it is None for the 2d lumped mass,
+    which has no such per-axis basis.
+    """
 
     dim: int
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
+    basis: Optional[ModalBasis] = None
 
 
 def _mass_1d(m: int) -> sp.csr_matrix:
@@ -80,24 +135,36 @@ def _stiffness_1d(m: int) -> sp.csr_matrix:
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
 
+def _lump(mass: sp.csr_matrix) -> sp.csr_matrix:
+    return sp.diags(np.asarray(mass.sum(axis=1)).ravel(), 0, format="csr")
+
+
 def assemble(mesh: Mesh, lumped_mass: bool = False) -> DiscreteOperators:
     """Exact element integrals for linear (1d) / bilinear (2d) elements.
 
-    With `lumped_mass` the mass matrix is replaced by its row-sum diagonal,
-    which turns the scheme into its classical finite-difference counterpart;
-    the 1d reference benchmarks are reproduced with lumping, so the 1d
+    With `lumped_mass` the mass matrix is replaced by its row-sum diagonal.
+    In 1d that is diag(5/6, 1, ..., 1, 5/6) * h: the rows next to the
+    boundary keep their missing neighbour's share, so the lumped scheme is
+    not the classical finite-difference scheme, whose mass is h * I.  The
+    1d reference benchmarks are reproduced with lumping, so the 1d
     benchmark preset enables it.
+
+    The modal basis is built from the 1d pair (stiffness, mass) with the
+    1d mass lumped or not.  The 2d lumped mass, kron(L1, L1), is paired
+    with a stiffness built on the consistent 1d mass, so no per-axis basis
+    diagonalizes both and `basis` is None.
     """
     mass1 = _mass_1d(mesh.m)
     stiff1 = _stiffness_1d(mesh.m)
     if mesh.dim == 1:
-        mass, stiff = mass1, stiff1
-    else:
-        mass = sp.kron(mass1, mass1, format="csr")
-        stiff = (sp.kron(stiff1, mass1) + sp.kron(mass1, stiff1)).tocsr()
+        if lumped_mass:
+            mass1 = _lump(mass1)
+        return DiscreteOperators(1, mass1, stiff1, ModalBasis.of_pencil(1, stiff1, mass1))
+    mass = sp.kron(mass1, mass1, format="csr")
+    stiff = (sp.kron(stiff1, mass1) + sp.kron(mass1, stiff1)).tocsr()
     if lumped_mass:
-        mass = sp.diags(np.asarray(mass.sum(axis=1)).ravel(), 0, format="csr")
-    return DiscreteOperators(mesh.dim, mass, stiff)
+        return DiscreteOperators(2, _lump(mass), stiff)
+    return DiscreteOperators(2, mass, stiff, ModalBasis.of_pencil(2, stiff1, mass1))
 
 
 def _broadcast_field(values, like: np.ndarray) -> np.ndarray:

@@ -6,6 +6,12 @@ memory terms are centered, and the accumulated memory enters through the
 precomputed quadrature weights.  A second-order Taylor expansion supplies
 the first step, with the initial acceleration recovered from the equation
 itself at t = 0.
+
+States are stepped as coefficients in the operators' modal basis
+(`fem.ModalBasis`), where the mass matrix is the identity and the stiffness
+matrix is diagonal, so each system is solved by one elementwise division.
+Nodal values appear only at the edges: initial data, forcing, and the
+states a caller reads back from the history.
 """
 
 from __future__ import annotations
@@ -15,11 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import LinAlgError, solveh_banded
-from scipy.sparse.linalg import LinearOperator, cg
 
-from .fem import DiscreteOperators, Mesh, assemble, interpolate, load_vector
+from .fem import DiscreteOperators, Mesh, ModalBasis, assemble, interpolate, load_vector
 from .kernel import KernelLike
 from .quadweights import WeightTable, build_weight_table
 
@@ -39,7 +42,7 @@ _DAMPING_KINDS = ("affine", "sqrt", "constant")
 
 
 class SolverError(RuntimeError):
-    """A linear solve failed or did not converge."""
+    """The linear system of a step has no admissible solution."""
 
 
 class StepError(RuntimeError):
@@ -107,61 +110,58 @@ class Problem:
     f: Optional[Callable] = None
 
 
-def damping_value(spec: DampingSpec, ops: DiscreteOperators, u: np.ndarray) -> float:
-    """q = G(mu1 * u'Mu + mu2 * u'Au) for the current state vector."""
-    z = spec.mu1 * float(u @ (ops.mass @ u)) + spec.mu2 * float(u @ (ops.stiffness @ u))
+def damping_value(spec: DampingSpec, ops: DiscreteOperators, u: np.ndarray,
+                  modal: bool = False) -> float:
+    """q = G(mu1 * ||u||_M^2 + mu2 * ||u||_A^2) for the current state.
+
+    `u` holds nodal values, or with `modal` the coefficients of the state in
+    ops.basis, where the two norms are sum(u^2) and sum(eigenvalues * u^2).
+    """
+    if modal:
+        z = spec.mu1 * float(u @ u) + spec.mu2 * float((ops.basis.eigenvalues * u) @ u)
+    else:
+        z = spec.mu1 * float(u @ (ops.mass @ u)) + spec.mu2 * float(u @ (ops.stiffness @ u))
     q = spec.value(z)
-    assert q >= spec.g0
+    if not q >= spec.g0:
+        raise StepError(
+            f"damping coefficient q = {q} at argument z = {z} is not >= g0 = {spec.g0}"
+        )
     return q
 
 
-def _solve_spd(dim: int, matrix: sp.csr_matrix, rhs: np.ndarray,
-               x0: Optional[np.ndarray] = None, rtol: float = 1.0e-11) -> np.ndarray:
-    """Direct banded Cholesky in 1d, Jacobi-preconditioned CG in 2d."""
-    if not rhs.any():
-        return np.zeros_like(rhs)
-    if dim == 1:
-        n = matrix.shape[0]
-        ab = np.zeros((2, n))
-        ab[0, 1:] = matrix.diagonal(1)
-        ab[1] = matrix.diagonal()
-        try:
-            return solveh_banded(ab, rhs, lower=False)
-        except LinAlgError as exc:
-            raise SolverError(f"banded Cholesky failed: {exc}") from exc
-    dinv = 1.0 / matrix.diagonal()
-    precond = LinearOperator(matrix.shape, matvec=lambda r: dinv * r)
-    x, info = cg(matrix, rhs, x0=x0, rtol=rtol, atol=0.0, maxiter=2000, M=precond)
-    if info != 0:
-        raise SolverError(f"conjugate gradient did not converge (info = {info})")
-    return x
+def _modal_basis(ops: DiscreteOperators) -> ModalBasis:
+    if ops.basis is None:
+        raise SolverError(
+            "the operators have no modal basis: the 2d lumped mass is not a Kronecker "
+            "product matching the stiffness, so the step systems cannot be diagonalized"
+        )
+    return ops.basis
 
 
 class SimulationHistory:
-    """Trajectory U^0..U^n plus the cached stiffness-applied velocity terms.
+    """Trajectory U^0..U^n as modal coefficients, plus the cached memory-sum rows.
 
-    stiffness_diffs[p] holds A applied to the centered difference
-    (U^{p+1} - U^{p-1}) / (2 tau) for p >= 1, and A applied to the discrete
-    initial velocity for p = 0; the memory sum consumes these directly so no
-    stiffness product is ever recomputed.
+    coefficients[k] holds U^k in the modal basis.  velocity_diffs[p] holds
+    the centered difference (U^{p+1} - U^{p-1}) / (2 tau) for p >= 1 and
+    the discrete initial velocity for p = 0, also as modal coefficients; the
+    memory sum weights these rows and scales the result by the eigenvalues.
+    The nodal initial data u0 and u1h are kept as given.  Both buffers are
+    allocated once, for n_steps steps.
     """
 
-    def __init__(self, mesh: Mesh, tau: float, mu0: float, u0_vec: np.ndarray,
-                 u1h: np.ndarray, u2h: np.ndarray, stiffness: sp.csr_matrix,
-                 capacity: int = 8):
+    def __init__(self, mesh: Mesh, basis: ModalBasis, tau: float, mu0: float,
+                 u0: np.ndarray, u1h: np.ndarray, n_steps: int):
         self.mesh = mesh
+        self.basis = basis
         self.tau = float(tau)
         self.mu0 = float(mu0)
+        self.u0 = np.asarray(u0, dtype=float)
         self.u1h = np.asarray(u1h, dtype=float)
-        self.u2h = np.asarray(u2h, dtype=float)
-        ndof = u0_vec.size
-        cap = max(int(capacity), 1)
-        self._stiff = stiffness
-        self._states = np.zeros((cap + 1, ndof))
-        self._adiffs = np.zeros((cap + 1, ndof))
-        self._states[0] = u0_vec
-        self._adiffs[0] = stiffness @ self.u1h
-        self.stiff_u0 = stiffness @ np.asarray(u0_vec, dtype=float)
+        rows = int(n_steps) + 1
+        self._coeffs = np.zeros((rows, self.u0.size))
+        self._diffs = np.zeros((rows, self.u0.size))
+        self._coeffs[0] = basis.to_modal(self.u0)
+        self._diffs[0] = basis.to_modal(self.u1h)
         self._count = 1
 
     @property
@@ -170,62 +170,71 @@ class SimulationHistory:
         return self._count - 1
 
     @property
-    def states(self) -> np.ndarray:
-        """View of U^0..U^n, shape (n+1, ndof)."""
-        return self._states[: self._count]
+    def coefficients(self) -> np.ndarray:
+        """View of the modal coefficients of U^0..U^n, shape (n+1, ndof)."""
+        return self._coeffs[: self._count]
 
     @property
-    def stiffness_diffs(self) -> np.ndarray:
-        """View of the cached memory-sum vectors for p = 0..n-1."""
-        return self._adiffs[: max(self._count - 1, 0)]
+    def velocity_diffs(self) -> np.ndarray:
+        """View of the cached memory-sum rows for p = 0..n-1."""
+        return self._diffs[: self._count - 1]
 
-    def _grow(self) -> None:
-        cap = 2 * (self._states.shape[0] - 1)
-        states = np.zeros((cap + 1, self._states.shape[1]))
-        adiffs = np.zeros((cap + 1, self._adiffs.shape[1]))
-        states[: self._count] = self._states[: self._count]
-        adiffs[: self._count] = self._adiffs[: self._count]
-        self._states, self._adiffs = states, adiffs
+    def state(self, n: int) -> np.ndarray:
+        """Nodal values of U^n."""
+        if not 0 <= n <= self.n_last:
+            raise IndexError(f"step {n} outside [0, {self.n_last}]")
+        if n == 0:
+            return self.u0.copy()
+        return self.basis.to_nodal(self._coeffs[n])
 
-    def push(self, state: np.ndarray) -> None:
-        """Append U^{n+1} and cache its contribution to the memory sum."""
-        if self._count >= self._states.shape[0]:
-            self._grow()
+    @property
+    def states(self) -> np.ndarray:
+        """Nodal U^0..U^n, shape (n+1, ndof), formed anew on each access."""
+        return np.array([self.state(k) for k in range(self._count)])
+
+    def push(self, coeffs: np.ndarray) -> None:
+        """Append the modal coefficients of U^{n+1} and cache its memory-sum row."""
         k = self._count
-        self._states[k] = state
+        self._coeffs[k] = coeffs
         if k >= 2:
-            self._adiffs[k - 1] = self._stiff @ (
-                (self._states[k] - self._states[k - 2]) / (2.0 * self.tau)
-            )
+            self._diffs[k - 1] = (self._coeffs[k] - self._coeffs[k - 2]) / (2.0 * self.tau)
         self._count += 1
 
 
 def taylor_start(ops: DiscreteOperators, mesh: Mesh, problem: Problem,
-                 damping: DampingSpec, tau: float):
+                 damping: DampingSpec, tau: float, modal: bool = False):
     """Second-order start: U^1 = U^0 + tau*u1h + (tau^2/2)*u2h.
 
     The discrete initial acceleration u2h solves
     M u2h = -q(0) M u1h - A U^0 + F(0), i.e. the equation itself at t = 0
-    with the memory term empty.
+    with the memory term empty.  Returns (U^0, U^1, u1h, u2h): nodal values,
+    with U^0 and u1h the interpolated data as given, or with `modal` the
+    coefficients of all four in ops.basis.
     """
+    basis = _modal_basis(ops)
     u0_vec = interpolate(mesh, problem.u0)
     u1h = interpolate(mesh, problem.u1)
-    q0 = damping_value(damping, ops, u0_vec)
-    rhs = -q0 * (ops.mass @ u1h) - ops.stiffness @ u0_vec + load_vector(mesh, problem.f, 0.0)
-    u2h = _solve_spd(ops.dim, ops.mass, rhs, rtol=1.0e-12)
-    u1_vec = u0_vec + tau * u1h + 0.5 * tau * tau * u2h
-    return u0_vec, u1_vec, u1h, u2h
+    c0, v1 = basis.to_modal(u0_vec), basis.to_modal(u1h)
+    q0 = damping_value(damping, ops, c0, modal=True)
+    a0 = -q0 * v1 - basis.eigenvalues * c0
+    if problem.f is not None:
+        a0 += basis.project(load_vector(mesh, problem.f, 0.0))
+    c1 = c0 + tau * v1 + 0.5 * tau * tau * a0
+    if modal:
+        return c0, c1, v1, a0
+    return u0_vec, basis.to_nodal(c1), u1h, basis.to_nodal(a0)
 
 
 def step(history: SimulationHistory, ops: DiscreteOperators, table: WeightTable,
          damping: DampingSpec, problem: Problem, n: int) -> np.ndarray:
-    """Advance from U^0..U^n to U^{n+1}; mutates and returns through history.
+    """Advance from U^0..U^n to U^{n+1}; returns its modal coefficients,
+    which are also pushed onto the history.
 
     The system matrix is
         S = (1/tau^2 + q_n/(2 tau)) M + (mu0/2 + w(n,n)/(2 tau)) A
     and the right-hand side collects the two known levels, the accumulated
     memory sum, the forcing, and the elastic contribution of the initial
-    state carried by K(t_n).
+    state carried by K(t_n).  In the modal basis S is diagonal.
     """
     if n != history.n_last:
         raise ValueError(f"history holds steps up to {history.n_last}, cannot step at n = {n}")
@@ -234,12 +243,14 @@ def step(history: SimulationHistory, ops: DiscreteOperators, table: WeightTable,
     if n > table.n_max:
         raise ValueError(f"weight table covers n <= {table.n_max}, got {n}")
 
+    basis = _modal_basis(ops)
+    lam = basis.eigenvalues
     tau = history.tau
     mu0 = table.mu0
-    states = history.states
-    u_n, u_nm1 = states[n], states[n - 1]
+    coeffs = history.coefficients
+    c_n, c_nm1 = coeffs[n], coeffs[n - 1]
 
-    q_n = damping_value(damping, ops, u_n)
+    q_n = damping_value(damping, ops, c_n, modal=True)
     w_nn = float(table.edge_right[n])
     elastic_coeff = 0.5 * mu0 + w_nn / (2.0 * tau)
     if elastic_coeff <= 0.0:
@@ -248,21 +259,25 @@ def step(history: SimulationHistory, ops: DiscreteOperators, table: WeightTable,
             f"at step {n}; the scheme is outside its admissible regime"
         )
 
-    matrix = (1.0 / tau**2 + q_n / (2.0 * tau)) * ops.mass + elastic_coeff * ops.stiffness
+    diagonal = (1.0 / tau**2 + q_n / (2.0 * tau)) + elastic_coeff * lam
+    smallest = float(diagonal.min())
+    if not (smallest > 0.0 and np.isfinite(diagonal).all()):
+        raise SolverError(
+            f"system diagonal at step {n} is not positive and finite: smallest entry {smallest}"
+        )
 
     coeff = table.coefficients(n)
-    memory = coeff[:n] @ history.stiffness_diffs
-    rhs = (
-        (2.0 / tau**2) * (ops.mass @ u_n)
-        - (1.0 / tau**2 - q_n / (2.0 * tau)) * (ops.mass @ u_nm1)
-        - (0.5 * mu0 - w_nn / (2.0 * tau)) * (ops.stiffness @ u_nm1)
-        - memory
-        + load_vector(mesh=history.mesh, f=problem.f, t=n * tau)
-        - float(table.k_values[n]) * history.stiff_u0
+    stiffness_terms = (
+        (0.5 * mu0 - w_nn / (2.0 * tau)) * c_nm1
+        + coeff[:n] @ history.velocity_diffs
+        + float(table.k_values[n]) * coeffs[0]
     )
-    u_next = _solve_spd(ops.dim, matrix.tocsr(), rhs, x0=u_n.copy())
-    history.push(u_next)
-    return u_next
+    rhs = (2.0 / tau**2) * c_n - (1.0 / tau**2 - q_n / (2.0 * tau)) * c_nm1 - lam * stiffness_terms
+    if problem.f is not None:
+        rhs += basis.project(load_vector(history.mesh, problem.f, n * tau))
+    c_next = rhs / diagonal
+    history.push(c_next)
+    return c_next
 
 
 def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
@@ -281,6 +296,7 @@ def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
         raise ValueError("a damping spec is required")
     if ops is None:
         ops = assemble(mesh)
+    basis = _modal_basis(ops)
     if table is None:
         if kernel is None:
             raise ValueError("either a kernel or a prebuilt weight table is required")
@@ -292,11 +308,12 @@ def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
     if abs(table.tau - tau) > 1.0e-14 * max(1.0, tau):
         raise ValueError(f"table step {table.tau} does not match tau = {tau}")
 
-    u0_vec, u1_vec, u1h, u2h = taylor_start(ops, mesh, problem, damping, tau)
+    _, c1, _, _ = taylor_start(ops, mesh, problem, damping, tau, modal=True)
     history = SimulationHistory(
-        mesh, tau, table.mu0, u0_vec, u1h, u2h, ops.stiffness, capacity=n_steps
+        mesh, basis, tau, table.mu0, interpolate(mesh, problem.u0),
+        interpolate(mesh, problem.u1), n_steps,
     )
-    history.push(u1_vec)
+    history.push(c1)
     for n in range(1, n_steps):
         step(history, ops, table, damping, problem, n)
     return history

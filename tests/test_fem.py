@@ -99,6 +99,46 @@ class TestAssembly:
         assert lam == pytest.approx(dim * np.pi**2, rel=0.05)
 
 
+class TestModalBasis:
+    @pytest.mark.parametrize("lumped", [False, True])
+    def test_1d_pencil_is_diagonalized(self, lumped):
+        ops = assemble(Mesh(1, 16), lumped_mass=lumped)
+        basis = ops.basis
+        v, lam = basis.vectors, basis.eigenvalues
+        mass_modal = v.T @ ops.mass.toarray() @ v
+        stiff_modal = v.T @ ops.stiffness.toarray() @ v
+        assert np.abs(mass_modal - np.eye(15)).max() <= 1e-12
+        assert np.abs(stiff_modal - np.diag(lam)).max() <= 1e-12 * lam.max()
+        assert np.abs(basis.inverse @ v - np.eye(15)).max() <= 1e-12
+
+    def test_2d_modes_are_products_of_1d_modes(self):
+        mesh = Mesh(2, 6)
+        ops = assemble(mesh)
+        v = np.kron(ops.basis.vectors, ops.basis.vectors)
+        lam = ops.basis.eigenvalues
+        assert np.abs(v.T @ ops.mass.toarray() @ v - np.eye(25)).max() <= 1e-12
+        assert np.abs(v.T @ ops.stiffness.toarray() @ v - np.diag(lam)).max() <= 1e-12 * lam.max()
+
+    def test_2d_round_trip_and_projection(self):
+        mesh = Mesh(2, 8)
+        ops = assemble(mesh)
+        basis = ops.basis
+        u = interpolate(mesh, lambda x, y: x * (1.0 - x) * np.sin(3.0 * y))
+        coeffs = basis.to_modal(u)
+        assert np.abs(basis.to_nodal(coeffs) - u).max() <= 1e-14
+        # the modal components of M u are the coefficients of u
+        assert np.abs(basis.project(ops.mass @ u) - coeffs).max() <= 1e-14
+        # and the squared norms become plain and eigenvalue-weighted sums
+        assert float(coeffs @ coeffs) == pytest.approx(float(u @ (ops.mass @ u)), rel=1e-13)
+        assert float((basis.eigenvalues * coeffs) @ coeffs) == pytest.approx(
+            float(u @ (ops.stiffness @ u)), rel=1e-13
+        )
+
+    def test_2d_lumped_mass_has_no_basis(self):
+        assert assemble(Mesh(2, 6), lumped_mass=True).basis is None
+        assert assemble(Mesh(1, 6), lumped_mass=True).basis is not None
+
+
 class TestInterpolate:
     def test_zero_field(self):
         assert np.all(interpolate(Mesh(1, 8), lambda x: 0.0 * x) == 0.0)

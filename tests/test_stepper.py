@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from memwave.cli import RunConfig, preset_problem
 from memwave.fem import Mesh, assemble, interpolate, load_vector
 from memwave.kernel import KernelSpec, constant_transform
 from memwave.quadweights import build_weight_table
@@ -12,6 +13,7 @@ from memwave.stepper import (
     DampingSpec,
     Problem,
     SimulationHistory,
+    SolverError,
     StepError,
     damping_value,
     run,
@@ -67,6 +69,25 @@ class TestDampingValue:
         ops = assemble(Mesh(1, 8))
         rng = np.random.default_rng(0)
         assert damping_value(DampingSpec("constant", constant=2.5), ops, rng.standard_normal(7)) == 2.5
+
+    def test_nan_state_raises_step_error(self):
+        ops = assemble(Mesh(1, 8))
+        u = np.ones(7)
+        u[3] = np.nan
+        for kind in ("sqrt", "affine"):
+            with pytest.raises(StepError, match="q = nan at argument z = nan"):
+                damping_value(DampingSpec(kind), ops, u)
+            with pytest.raises(StepError):
+                damping_value(DampingSpec(kind), ops, ops.basis.to_modal(u), modal=True)
+
+    def test_modal_norms_match_nodal(self):
+        mesh = Mesh(2, 8)
+        ops = assemble(mesh)
+        u = np.random.default_rng(3).standard_normal(mesh.n_interior)
+        nodal = damping_value(DampingSpec("affine", mu1=0.3, mu2=0.7), ops, u)
+        modal = damping_value(DampingSpec("affine", mu1=0.3, mu2=0.7), ops,
+                              ops.basis.to_modal(u), modal=True)
+        assert modal == pytest.approx(nodal, rel=1e-13)
 
     def test_sine_state_matches_continuous_norms(self):
         # ||sin(pi x)||^2 = 1/2 and ||pi cos(pi x)||^2 = pi^2/2
@@ -136,12 +157,20 @@ class TestStepping:
         tau = 0.05
         hist = run(SINE_PROBLEM, mesh, tau, 6, kernel=KernelSpec(1.0, 2.0, 1.0),
                    damping=DampingSpec("affine"), ops=ops)
+        coeffs = hist.coefficients
         assert len(hist.states) == 7
-        assert len(hist.stiffness_diffs) == 6
-        assert hist.stiffness_diffs[0] == pytest.approx(ops.stiffness @ hist.u1h, abs=0.0)
+        assert len(coeffs) == 7
+        assert len(hist.velocity_diffs) == 6
+        v1 = ops.basis.to_modal(interpolate(mesh, SINE_PROBLEM.u1))
+        assert np.array_equal(hist.velocity_diffs[0], v1)
         for p in range(1, 6):
-            expected = ops.stiffness @ ((hist.states[p + 1] - hist.states[p - 1]) / (2 * tau))
-            assert hist.stiffness_diffs[p] == pytest.approx(expected, abs=1e-14)
+            expected = (coeffs[p + 1] - coeffs[p - 1]) / (2 * tau)
+            assert np.array_equal(hist.velocity_diffs[p], expected)
+        for k in range(1, 7):
+            assert np.array_equal(hist.states[k], ops.basis.to_nodal(coeffs[k]))
+        # the buffers are sized once, for the requested steps
+        with pytest.raises(IndexError):
+            hist.push(coeffs[-1].copy())
 
     def test_step_order_enforced(self):
         mesh = Mesh(1, 8)
@@ -159,6 +188,27 @@ class TestStepping:
         hook = lambda t: -(16.0 / tau) * np.asarray(t, dtype=float)
         with pytest.raises(StepError):
             run(SINE_PROBLEM, mesh, tau, 5, kernel=hook, damping=DampingSpec("sqrt"))
+
+    def test_non_finite_system_diagonal_raises_solver_error(self):
+        # |u|^2 overflows, so q_n and the modal diagonal are infinite
+        mesh = Mesh(1, 8)
+        ops = assemble(mesh)
+        table = build_weight_table(KernelSpec(1.0, 2.0, 1.0), 0.1, 4)
+        hist = SimulationHistory(mesh, ops.basis, 0.1, table.mu0, np.full(7, 1e200),
+                                 np.zeros(7), 4)
+        hist.push(hist.coefficients[0].copy())
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match="step 1 .* smallest entry inf"):
+            step(hist, ops, table, DampingSpec("sqrt"), SINE_PROBLEM, 1)
+
+    def test_2d_lumped_mass_rejected(self):
+        mesh = Mesh(2, 4)
+        ops = assemble(mesh, lumped_mass=True)
+        assert ops.basis is None
+        prob = Problem(u0=lambda x, y: x * y, u1=lambda x, y: 0.0 * x, f=None)
+        with pytest.raises(SolverError, match="no modal basis"):
+            run(prob, mesh, 0.1, 2, kernel=ZERO_KERNEL, damping=DampingSpec("sqrt"), ops=ops)
+        with pytest.raises(SolverError):
+            taylor_start(ops, mesh, prob, DampingSpec("sqrt"), 0.1)
 
     def test_run_validation(self):
         mesh = Mesh(1, 8)
@@ -221,6 +271,74 @@ def _reference_damped_wave(mesh, tau, n_steps, c, forcing):
         )
         states.append(np.linalg.solve(lhs, rhs))
     return states
+
+
+def _dense_direct(ops, mesh, problem, damping, table, tau, n_steps):
+    """The scheme on the assembled matrices: one dense solve with S per step,
+    the memory sum built from table.coefficients(n) and A applied to the
+    stored centered differences."""
+    mass, stiff = ops.mass.toarray(), ops.stiffness.toarray()
+
+    def q(u):
+        return damping.value(damping.mu1 * (u @ mass @ u) + damping.mu2 * (u @ stiff @ u))
+
+    u0 = interpolate(mesh, problem.u0)
+    vel = [interpolate(mesh, problem.u1)]
+    acc = np.linalg.solve(
+        mass, -q(u0) * (mass @ vel[0]) - stiff @ u0 + load_vector(mesh, problem.f, 0.0)
+    )
+    states = [u0, u0 + tau * vel[0] + 0.5 * tau * tau * acc]
+    mu0 = table.mu0
+    for n in range(1, n_steps):
+        if n >= 2:
+            vel.append((states[n] - states[n - 2]) / (2.0 * tau))
+        q_n = q(states[n])
+        w_nn = table.edge_right[n]
+        lhs = (1.0 / tau**2 + q_n / (2.0 * tau)) * mass + (0.5 * mu0 + w_nn / (2.0 * tau)) * stiff
+        memory = stiff @ (table.coefficients(n)[:n] @ np.array(vel))
+        rhs = (
+            (2.0 / tau**2) * (mass @ states[n])
+            - (1.0 / tau**2 - q_n / (2.0 * tau)) * (mass @ states[n - 1])
+            - (0.5 * mu0 - w_nn / (2.0 * tau)) * (stiff @ states[n - 1])
+            - memory
+            + load_vector(mesh, problem.f, n * tau)
+            - table.k_values[n] * (stiff @ u0)
+        )
+        states.append(np.linalg.solve(lhs, rhs))
+    return np.array(states)
+
+
+class TestModalStepping:
+    """Whole trajectories of the modal stepper against the dense direct one."""
+
+    @staticmethod
+    def _bench(dim, alpha):
+        """Initial data, forcing and damping of the benchmark preset."""
+        config = RunConfig(
+            preset="benchmark_1d" if dim == 1 else "benchmark_2d", dim=dim, m=16, n=1,
+            t_final=1.0, kernel=KernelSpec(alpha, 3.0, 3.0 * math.sqrt(3.0)), damping=None,
+        )
+        return preset_problem(config)
+
+    @pytest.mark.parametrize("case", ["1d_lumped_forced_half", "1d_consistent_one",
+                                      "2d_consistent_half"])
+    def test_matches_dense_direct_stepper(self, case):
+        if case == "1d_lumped_forced_half":
+            mesh, lumped, tau, n_steps = Mesh(1, 16), True, 1.0 / 64, 64
+            problem, kernel, damping = self._bench(1, 0.5)
+            assert problem.f is not None
+        elif case == "1d_consistent_one":
+            mesh, lumped, tau, n_steps = Mesh(1, 16), False, 2.0 / 64, 64
+            problem, kernel, damping = SINE_PROBLEM, KernelSpec(1.0, 2.0, 2.0), DampingSpec("affine")
+        else:
+            mesh, lumped, tau, n_steps = Mesh(2, 16), False, 0.5 / 32, 32
+            problem, kernel, damping = self._bench(2, 0.5)
+        ops = assemble(mesh, lumped_mass=lumped)
+        table = build_weight_table(kernel, tau, n_steps - 1)
+        hist = run(problem, mesh, tau, n_steps, damping=damping, ops=ops, table=table)
+        oracle = _dense_direct(ops, mesh, problem, damping, table, tau, n_steps)
+        worst = np.abs(hist.states - oracle).max()
+        assert worst <= 1e-10 * np.abs(oracle).max()
 
 
 class TestReductionToDampedWave:

@@ -87,17 +87,20 @@ class ModalBasis:
         return cls(dim, vectors, vectors.T @ mass, values)
 
     def _apply(self, left: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """`left` applied along each axis of one vector, or of each row of a
+        stack of vectors (shape (rows, ndof))."""
         if self.dim == 1:
-            return left @ vec
+            return left @ vec if vec.ndim == 1 else vec @ left.T
         k = left.shape[1]
-        return (left @ vec.reshape(k, k) @ left.T).ravel()
+        grid = vec.reshape(vec.shape[:-1] + (k, k))
+        return (left @ grid @ left.T).reshape(vec.shape)
 
     def to_modal(self, u: np.ndarray) -> np.ndarray:
         """Coefficients of the nodal vector u."""
         return self._apply(self.inverse, u)
 
     def to_nodal(self, c: np.ndarray) -> np.ndarray:
-        """Nodal values of the state with coefficients c."""
+        """Nodal values of the state with coefficients c, or of each row of a stack."""
         return self._apply(self.vectors, c)
 
     def project(self, b: np.ndarray) -> np.ndarray:

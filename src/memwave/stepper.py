@@ -110,17 +110,14 @@ class Problem:
     f: Optional[Callable] = None
 
 
-def damping_value(spec: DampingSpec, ops: DiscreteOperators, u: np.ndarray,
-                  modal: bool = False) -> float:
+def damping_value(spec: DampingSpec, ops: DiscreteOperators, coeffs: np.ndarray) -> float:
     """q = G(mu1 * ||u||_M^2 + mu2 * ||u||_A^2) for the current state.
 
-    `u` holds nodal values, or with `modal` the coefficients of the state in
-    ops.basis, where the two norms are sum(u^2) and sum(eigenvalues * u^2).
+    `coeffs` holds the state in ops.basis, where the two norms are
+    sum(coeffs^2) and sum(eigenvalues * coeffs^2).
     """
-    if modal:
-        z = spec.mu1 * float(u @ u) + spec.mu2 * float((ops.basis.eigenvalues * u) @ u)
-    else:
-        z = spec.mu1 * float(u @ (ops.mass @ u)) + spec.mu2 * float(u @ (ops.stiffness @ u))
+    lam = _modal_basis(ops).eigenvalues
+    z = spec.mu1 * float(coeffs @ coeffs) + spec.mu2 * float((lam * coeffs) @ coeffs)
     q = spec.value(z)
     if not q >= spec.g0:
         raise StepError(
@@ -175,6 +172,11 @@ class SimulationHistory:
         return self._coeffs[: self._count]
 
     @property
+    def initial_velocity(self) -> np.ndarray:
+        """Modal coefficients of the discrete initial velocity u1h."""
+        return self._diffs[0]
+
+    @property
     def velocity_diffs(self) -> np.ndarray:
         """View of the cached memory-sum rows for p = 0..n-1."""
         return self._diffs[: self._count - 1]
@@ -189,8 +191,12 @@ class SimulationHistory:
 
     @property
     def states(self) -> np.ndarray:
-        """Nodal U^0..U^n, shape (n+1, ndof), formed anew on each access."""
-        return np.array([self.state(k) for k in range(self._count)])
+        """Nodal U^0..U^n, shape (n+1, ndof), formed anew on each access by
+        one batched map of all coefficients; bind it once rather than index
+        it in a loop."""
+        nodal = self.basis.to_nodal(self.coefficients)
+        nodal[0] = self.u0
+        return nodal
 
     def push(self, coeffs: np.ndarray) -> None:
         """Append the modal coefficients of U^{n+1} and cache its memory-sum row."""
@@ -201,28 +207,30 @@ class SimulationHistory:
         self._count += 1
 
 
-def taylor_start(ops: DiscreteOperators, mesh: Mesh, problem: Problem,
-                 damping: DampingSpec, tau: float, modal: bool = False):
+def taylor_start(history: SimulationHistory, ops: DiscreteOperators,
+                 damping: DampingSpec, problem: Problem) -> tuple[np.ndarray, np.ndarray]:
     """Second-order start: U^1 = U^0 + tau*u1h + (tau^2/2)*u2h.
 
     The discrete initial acceleration u2h solves
     M u2h = -q(0) M u1h - A U^0 + F(0), i.e. the equation itself at t = 0
-    with the memory term empty.  Returns (U^0, U^1, u1h, u2h): nodal values,
-    with U^0 and u1h the interpolated data as given, or with `modal` the
-    coefficients of all four in ops.basis.
+    with the memory term empty.  U^0 and u1h are read from the history,
+    which must hold U^0 only.  Returns the modal coefficients of U^1,
+    which are also pushed onto the history, and of u2h.
     """
+    if history.n_last != 0:
+        raise ValueError(
+            f"the Taylor start needs a history holding U^0 only, not U^0..U^{history.n_last}"
+        )
     basis = _modal_basis(ops)
-    u0_vec = interpolate(mesh, problem.u0)
-    u1h = interpolate(mesh, problem.u1)
-    c0, v1 = basis.to_modal(u0_vec), basis.to_modal(u1h)
-    q0 = damping_value(damping, ops, c0, modal=True)
+    tau = history.tau
+    c0, v1 = history.coefficients[0], history.initial_velocity
+    q0 = damping_value(damping, ops, c0)
     a0 = -q0 * v1 - basis.eigenvalues * c0
     if problem.f is not None:
-        a0 += basis.project(load_vector(mesh, problem.f, 0.0))
+        a0 += basis.project(load_vector(history.mesh, problem.f, 0.0))
     c1 = c0 + tau * v1 + 0.5 * tau * tau * a0
-    if modal:
-        return c0, c1, v1, a0
-    return u0_vec, basis.to_nodal(c1), u1h, basis.to_nodal(a0)
+    history.push(c1)
+    return c1, a0
 
 
 def step(history: SimulationHistory, ops: DiscreteOperators, table: WeightTable,
@@ -250,7 +258,7 @@ def step(history: SimulationHistory, ops: DiscreteOperators, table: WeightTable,
     coeffs = history.coefficients
     c_n, c_nm1 = coeffs[n], coeffs[n - 1]
 
-    q_n = damping_value(damping, ops, c_n, modal=True)
+    q_n = damping_value(damping, ops, c_n)
     w_nn = float(table.edge_right[n])
     elastic_coeff = 0.5 * mu0 + w_nn / (2.0 * tau)
     if elastic_coeff <= 0.0:
@@ -308,12 +316,11 @@ def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
     if abs(table.tau - tau) > 1.0e-14 * max(1.0, tau):
         raise ValueError(f"table step {table.tau} does not match tau = {tau}")
 
-    _, c1, _, _ = taylor_start(ops, mesh, problem, damping, tau, modal=True)
     history = SimulationHistory(
         mesh, basis, tau, table.mu0, interpolate(mesh, problem.u0),
         interpolate(mesh, problem.u1), n_steps,
     )
-    history.push(c1)
+    taylor_start(history, ops, damping, problem)
     for n in range(1, n_steps):
         step(history, ops, table, damping, problem, n)
     return history

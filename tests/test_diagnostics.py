@@ -153,11 +153,14 @@ class TestSelfErrors:
         hist_c2 = _stationary_history(mesh_c, ops_c, interpolate(mesh_c, linear), steps=0)
         hist_f2 = _stationary_history(mesh_f, ops_f, interpolate(mesh_f, linear), steps=0)
         # a linear profile through the origin has identical gradient samples
-        # on both meshes, so the injected-field error vanishes exactly; the
-        # fields are injected as initial data, which a history keeps as given,
-        # because later states are stored as modal coefficients and map back
-        # to nodal values only to rounding
+        # on both meshes, so the injected-field error vanishes exactly when
+        # the fields are the initial data, which a history keeps as given
         assert self_error_space(hist_c2, hist_f2) == 0.0
+        # pushed states are stored as modal coefficients and map back to
+        # nodal values only to rounding (the gradients are O(1), divided by h)
+        hist_c3 = _stationary_history(mesh_c, ops_c, interpolate(mesh_c, linear), steps=2)
+        hist_f3 = _stationary_history(mesh_f, ops_f, interpolate(mesh_f, linear), steps=2)
+        assert self_error_space(hist_c3, hist_f3) <= 1e-13
 
 
 class TestRate:

@@ -28,6 +28,12 @@ def _zero_field(x, t=None):
     return np.zeros(np.shape(x))
 
 
+def _start_history(ops, mesh, problem, tau):
+    """A history holding only the interpolated initial data, for taylor_start."""
+    return SimulationHistory(mesh, ops.basis, tau, 0.0, interpolate(mesh, problem.u0),
+                             interpolate(mesh, problem.u1), 1)
+
+
 SINE_PROBLEM = Problem(
     u0=lambda x: np.sin(np.pi * x),
     u1=lambda x: np.sin(2.0 * np.pi * x),
@@ -72,21 +78,19 @@ class TestDampingValue:
 
     def test_nan_state_raises_step_error(self):
         ops = assemble(Mesh(1, 8))
-        u = np.ones(7)
-        u[3] = np.nan
+        coeffs = np.ones(7)
+        coeffs[3] = np.nan
         for kind in ("sqrt", "affine"):
             with pytest.raises(StepError, match="q = nan at argument z = nan"):
-                damping_value(DampingSpec(kind), ops, u)
-            with pytest.raises(StepError):
-                damping_value(DampingSpec(kind), ops, ops.basis.to_modal(u), modal=True)
+                damping_value(DampingSpec(kind), ops, coeffs)
 
     def test_modal_norms_match_nodal(self):
         mesh = Mesh(2, 8)
         ops = assemble(mesh)
         u = np.random.default_rng(3).standard_normal(mesh.n_interior)
-        nodal = damping_value(DampingSpec("affine", mu1=0.3, mu2=0.7), ops, u)
-        modal = damping_value(DampingSpec("affine", mu1=0.3, mu2=0.7), ops,
-                              ops.basis.to_modal(u), modal=True)
+        spec = DampingSpec("affine", mu1=0.3, mu2=0.7)
+        nodal = spec.value(0.3 * float(u @ (ops.mass @ u)) + 0.7 * float(u @ (ops.stiffness @ u)))
+        modal = damping_value(spec, ops, ops.basis.to_modal(u))
         assert modal == pytest.approx(nodal, rel=1e-13)
 
     def test_sine_state_matches_continuous_norms(self):
@@ -95,7 +99,8 @@ class TestDampingValue:
         ops = assemble(mesh)
         u = interpolate(mesh, lambda x: np.sin(np.pi * x))
         expected = math.sqrt(1.0 + 0.5 + np.pi**2 / 2.0)
-        assert damping_value(DampingSpec("sqrt"), ops, u) == pytest.approx(expected, abs=1e-3)
+        coeffs = ops.basis.to_modal(u)
+        assert damping_value(DampingSpec("sqrt"), ops, coeffs) == pytest.approx(expected, abs=1e-3)
 
 
 class TestTaylorStart:
@@ -103,8 +108,9 @@ class TestTaylorStart:
         mesh = Mesh(1, 8)
         ops = assemble(mesh)
         prob = Problem(u0=_zero_field, u1=_zero_field, f=None)
-        u0v, u1v, u1h, u2h = taylor_start(ops, mesh, prob, DampingSpec("sqrt"), 0.1)
-        for vec in (u0v, u1v, u1h, u2h):
+        hist = _start_history(ops, mesh, prob, 0.1)
+        c1, a0 = taylor_start(hist, ops, DampingSpec("sqrt"), prob)
+        for vec in (c1, a0, hist.states[0], hist.states[1], hist.u1h):
             assert np.all(vec == 0.0)
 
     def test_pure_velocity_start(self):
@@ -114,19 +120,23 @@ class TestTaylorStart:
         prob = Problem(u0=_zero_field, u1=lambda x: np.sin(2 * np.pi * x), f=None)
         tau = 0.05
         damping = DampingSpec("sqrt")
-        u0v, u1v, u1h, u2h = taylor_start(ops, mesh, prob, damping, tau)
-        q0 = damping_value(damping, ops, u0v)
+        hist = _start_history(ops, mesh, prob, tau)
+        _, a0 = taylor_start(hist, ops, damping, prob)
+        q0 = damping_value(damping, ops, hist.coefficients[0])
         assert q0 == 1.0
+        u1h, u2h = hist.u1h, ops.basis.to_nodal(a0)
         assert u2h == pytest.approx(-q0 * u1h, abs=1e-12)
-        assert u1v == pytest.approx(tau * u1h * (1.0 - tau * q0 / 2.0), abs=1e-12)
+        assert hist.states[1] == pytest.approx(tau * u1h * (1.0 - tau * q0 / 2.0), abs=1e-12)
 
     def test_acceleration_matches_analytic_field(self):
         # u2 = -q(0) sin(2 pi x) - pi^2 sin(pi x) for the sine data with f = 0
         mesh = Mesh(1, 64)
         ops = assemble(mesh)
         damping = DampingSpec("sqrt")
-        u0v, _, u1h, u2h = taylor_start(ops, mesh, SINE_PROBLEM, damping, 0.01)
-        q0 = damping_value(damping, ops, u0v)
+        hist = _start_history(ops, mesh, SINE_PROBLEM, 0.01)
+        _, a0 = taylor_start(hist, ops, damping, SINE_PROBLEM)
+        q0 = damping_value(damping, ops, hist.coefficients[0])
+        u2h = ops.basis.to_nodal(a0)
         expected = interpolate(
             mesh, lambda x: -q0 * np.sin(2 * np.pi * x) - np.pi**2 * np.sin(np.pi * x)
         )
@@ -148,8 +158,10 @@ class TestStepping:
         hist = run(SINE_PROBLEM, mesh, 0.1, 1, kernel=ZERO_KERNEL,
                    damping=DampingSpec("sqrt"), ops=ops)
         assert hist.n_last == 1
-        _, u1v, _, _ = taylor_start(ops, mesh, SINE_PROBLEM, DampingSpec("sqrt"), 0.1)
-        assert hist.states[1] == pytest.approx(u1v, abs=0.0)
+        start = _start_history(ops, mesh, SINE_PROBLEM, 0.1)
+        c1, _ = taylor_start(start, ops, DampingSpec("sqrt"), SINE_PROBLEM)
+        assert np.array_equal(hist.coefficients[1], c1)
+        assert hist.states[1] == pytest.approx(start.states[1], abs=0.0)
 
     def test_history_bookkeeping(self):
         mesh = Mesh(1, 8)
@@ -166,8 +178,13 @@ class TestStepping:
         for p in range(1, 6):
             expected = (coeffs[p + 1] - coeffs[p - 1]) / (2 * tau)
             assert np.array_equal(hist.velocity_diffs[p], expected)
+        # the nodal states are the initial data as given, then the map of
+        # each row of coefficients
+        states = hist.states
+        assert np.array_equal(states[0], interpolate(mesh, SINE_PROBLEM.u0))
+        assert np.array_equal(states[1:], ops.basis.to_nodal(coeffs)[1:])
         for k in range(1, 7):
-            assert np.array_equal(hist.states[k], ops.basis.to_nodal(coeffs[k]))
+            assert np.abs(hist.state(k) - states[k]).max() <= 1e-15
         # the buffers are sized once, for the requested steps
         with pytest.raises(IndexError):
             hist.push(coeffs[-1].copy())
@@ -180,6 +197,8 @@ class TestStepping:
                    damping=DampingSpec("sqrt"), ops=ops)
         with pytest.raises(ValueError):
             step(hist, ops, table, DampingSpec("sqrt"), SINE_PROBLEM, 1)
+        with pytest.raises(ValueError):
+            taylor_start(hist, ops, DampingSpec("sqrt"), SINE_PROBLEM)
 
     def test_degenerate_elastic_coefficient_rejected(self):
         # a strongly negative hook kernel drives the diagonal weight negative
@@ -207,8 +226,8 @@ class TestStepping:
         prob = Problem(u0=lambda x, y: x * y, u1=lambda x, y: 0.0 * x, f=None)
         with pytest.raises(SolverError, match="no modal basis"):
             run(prob, mesh, 0.1, 2, kernel=ZERO_KERNEL, damping=DampingSpec("sqrt"), ops=ops)
-        with pytest.raises(SolverError):
-            taylor_start(ops, mesh, prob, DampingSpec("sqrt"), 0.1)
+        with pytest.raises(SolverError, match="no modal basis"):
+            damping_value(DampingSpec("sqrt"), ops, np.zeros(mesh.n_interior))
 
     def test_run_validation(self):
         mesh = Mesh(1, 8)
@@ -351,9 +370,8 @@ class TestReductionToDampedWave:
         hist = run(prob, mesh, tau, n_steps, kernel=ZERO_KERNEL,
                    damping=DampingSpec("constant", constant=c))
         reference = _reference_damped_wave(mesh, tau, n_steps, c, forcing)
-        worst = max(
-            np.abs(hist.states[k] - reference[k]).max() for k in range(n_steps + 1)
-        )
+        states = hist.states
+        worst = max(np.abs(states[k] - reference[k]).max() for k in range(n_steps + 1))
         assert worst < 1e-10
 
 

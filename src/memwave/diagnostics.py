@@ -128,8 +128,8 @@ class DiagnosticsRecord:
     def __post_init__(self) -> None:
         if self.energy.shape != self.a_norms.shape:
             raise ValueError("energy and stability series must align")
-        if np.any(self.energy < 0.0) or np.any(self.a_norms < 0.0):
-            raise ValueError("recorded norms must be nonnegative")
+        if not (np.all(self.energy >= 0.0) and np.all(self.a_norms >= 0.0)):
+            raise ValueError("recorded norms must be nonnegative numbers")
 
 
 def _series(history: SimulationHistory, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

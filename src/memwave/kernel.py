@@ -53,6 +53,10 @@ _KNEE = 1.0
 
 _BOUND_SLACK = 1.0 + 1.0e-9
 
+# increments integrated per batch on a refined grid; bounds the batch's
+# (increments x Gauss points) temporaries to a few MB
+_INCREMENT_CHUNK = 1 << 14
+
 
 class QuadratureError(RuntimeError):
     """An adaptive quadrature failed to reach its accuracy target."""
@@ -367,7 +371,11 @@ def transform_grid(kernel: KernelLike, times) -> np.ndarray:
         return np.asarray(_closed_form_smooth(kernel.sigma, kernel.gamma, arr), dtype=float)
 
     grid, index = _refine_ascending(arr, max_gap=0.25)
-    incs = _beta_increments(kernel, grid[:-1], grid[1:])
+    lo, hi = grid[:-1], grid[1:]
+    incs = np.empty(lo.size)
+    for k in range(0, lo.size, _INCREMENT_CHUNK):
+        chunk = slice(k, k + _INCREMENT_CHUNK)
+        incs[chunk] = _beta_increments(kernel, lo[chunk], hi[chunk])
     top = transform_by_quadrature(kernel, float(grid[-1]))
     acc = np.empty(grid.size, dtype=np.longdouble)
     acc[-1] = top

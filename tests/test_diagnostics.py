@@ -196,6 +196,11 @@ class TestRecordAndCsv:
                               np.zeros(3), {"tau": 0.1})
         with pytest.raises(ValueError):
             DiagnosticsRecord("r", np.zeros(3), np.zeros(2), np.zeros(3), {})
+        nan = np.array([1.0, np.nan])
+        with pytest.raises(ValueError, match="nonnegative numbers"):
+            DiagnosticsRecord("r", nan, np.zeros(2), np.zeros(3), {})
+        with pytest.raises(ValueError, match="nonnegative numbers"):
+            DiagnosticsRecord("r", np.zeros(2), nan, np.zeros(3), {})
 
     def test_series_match_per_step_and_nodal_forms(self, monkeypatch):
         # blocks of three rows, so the sweep crosses several block edges

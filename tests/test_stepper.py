@@ -10,6 +10,7 @@ from memwave.fem import Mesh, assemble, interpolate, load_vector
 from memwave.kernel import KernelSpec, constant_transform
 from memwave.quadweights import build_weight_table
 from memwave.stepper import (
+    _MEMORY_BLOCK,
     DampingSpec,
     Problem,
     SimulationHistory,
@@ -219,6 +220,26 @@ class TestStepping:
         with np.errstate(over="ignore"), pytest.raises(SolverError, match="step 1 .* smallest entry inf"):
             step(hist, ops, table, DampingSpec("sqrt"), SINE_PROBLEM, 1)
 
+    def test_non_finite_state_raises_step_error(self):
+        # constant damping never looks at the state, so only the finiteness
+        # check on the new state stops the NaN
+        mesh = Mesh(1, 8)
+        ops = assemble(mesh)
+        damping = DampingSpec("constant", constant=1.0)
+        nan_data = Problem(u0=lambda x: np.where(x > 0.5, np.nan, x), u1=_zero_field, f=None)
+        with pytest.raises(StepError, match=r"state U\^1 computed at step 0 is not finite"):
+            run(nan_data, mesh, 0.1, 4, kernel=KernelSpec(1.0, 2.0, 1.0), damping=damping, ops=ops)
+
+        nan_forcing = Problem(u0=SINE_PROBLEM.u0, u1=SINE_PROBLEM.u1,
+                              f=lambda x, t: np.full(np.shape(x), np.nan if t > 0.0 else 0.0))
+        table = build_weight_table(KernelSpec(1.0, 2.0, 1.0), 0.1, 3)
+        hist = SimulationHistory(mesh, ops.basis, 0.1, table.mu0, interpolate(mesh, nan_forcing.u0),
+                                 interpolate(mesh, nan_forcing.u1), 4)
+        taylor_start(hist, ops, damping, nan_forcing)
+        with pytest.raises(StepError, match=r"state U\^2 computed at step 1 is not finite"):
+            step(hist, ops, table, damping, nan_forcing, 1)
+        assert hist.n_last == 1
+
     def test_2d_lumped_mass_rejected(self):
         mesh = Mesh(2, 4)
         ops = assemble(mesh, lumped_mass=True)
@@ -358,6 +379,79 @@ class TestModalStepping:
         oracle = _dense_direct(ops, mesh, problem, damping, table, tau, n_steps)
         worst = np.abs(hist.states - oracle).max()
         assert worst <= 1e-10 * np.abs(oracle).max()
+
+
+class TestBlockedMemorySum:
+    """memory_sum against the direct sum table.coefficients(n)[:n] @ velocity_diffs
+    at every step, entrywise within 1e-13 * (|weights| @ |diffs|)."""
+
+    @staticmethod
+    def _step_and_compare(mesh, problem, damping, tau, n_steps, table_of_step):
+        ops = assemble(mesh)
+        hist = SimulationHistory(mesh, ops.basis, tau, table_of_step(1).mu0,
+                                 interpolate(mesh, problem.u0), interpolate(mesh, problem.u1),
+                                 n_steps)
+        taylor_start(hist, ops, damping, problem)
+        for n in range(1, n_steps):
+            table = table_of_step(n)
+            weights = table.coefficients(n)[:n]
+            diffs = hist.velocity_diffs
+            direct = weights @ diffs
+            blocked = hist.memory_sum(table, n)
+            bound = 1e-13 * (np.abs(weights) @ np.abs(diffs))
+            assert np.all(np.abs(blocked - direct) <= bound), n
+            step(hist, ops, table, damping, problem, n)
+        return hist
+
+    def test_1d_clipped_last_block(self):
+        # the step count is no multiple of the block, and the table ends at
+        # the last step, so the table clips the last block
+        n_steps = 2 * _MEMORY_BLOCK + 22
+        tau = 2.0 / n_steps
+        table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
+        assert table.n_max == n_steps - 1
+        self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"), tau, n_steps,
+                               lambda n: table)
+
+    def test_2d(self):
+        # the table reaches past the run, so the history's rows clip the last block
+        n_steps = _MEMORY_BLOCK + 13
+        tau = 1.0 / n_steps
+        table = build_weight_table(KernelSpec(0.5, 3.0, 3.0), tau, n_steps + 40)
+        problem = Problem(u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
+                          u1=lambda x, y: np.sin(2 * np.pi * x) * y * (1.0 - y), f=None)
+        self._step_and_compare(Mesh(2, 8), problem, DampingSpec("affine"), tau, n_steps,
+                               lambda n: table)
+
+    def test_two_tables_on_one_history(self):
+        # switching tables every five steps, back and forth inside one block:
+        # a far block formed with the other table must never be reused
+        n_steps = _MEMORY_BLOCK + 30
+        tau = 1.0 / n_steps
+        tables = (build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps),
+                  build_weight_table(KernelSpec(1.0, 2.0, 1.0), tau, n_steps))
+        self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"), tau, n_steps,
+                               lambda n: tables[(n // 5) % 2])
+
+    def test_decay_over_twenty_orders(self):
+        # the bound is relative to each step's own terms, so it stays sharp
+        # while the states fall from 1 to below 1e-20
+        n_steps, tau = 400, 50.0 / 400
+        table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
+        hist = self._step_and_compare(Mesh(1, 8), SINE_PROBLEM,
+                                      DampingSpec("constant", constant=3.0), tau, n_steps,
+                                      lambda n: table)
+        coeffs = hist.coefficients
+        assert np.abs(coeffs[-1]).max() < 1e-20 * np.abs(coeffs[0]).max()
+
+    def test_only_the_next_step(self):
+        mesh = Mesh(1, 8)
+        table = build_weight_table(KernelSpec(1.0, 2.0, 1.0), 0.1, 2)
+        hist = run(SINE_PROBLEM, mesh, 0.1, 3, table=table, damping=DampingSpec("sqrt"))
+        with pytest.raises(ValueError):
+            hist.memory_sum(table, 2)
+        with pytest.raises(ValueError):
+            hist.memory_sum(table, 3)
 
 
 class TestReductionToDampedWave:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
+from memwave import kernel
 from memwave.kernel import KernelSpec, constant_transform, kernel_transform
 from memwave.quadweights import WeightTable, build_weight_table, convolve
 
@@ -89,6 +90,16 @@ class TestConstruction:
                 kernel_transform(spec, n * tau), abs=1e-12
             )
         assert table.mu0 == pytest.approx(1.0 - table.k0, abs=0.0)
+
+    def test_chunked_increments_leave_the_table_unchanged(self, monkeypatch):
+        # the long 1d benchmark run's table: its refined grid spans many
+        # chunks, and one chunk larger than the grid is the unchunked path
+        spec, tau, n_max = KernelSpec(0.5, 3.0, 3.0 * ROOT3), 100.0 / 16384, 16383
+        chunked = build_weight_table(spec, tau, n_max)
+        monkeypatch.setattr(kernel, "_INCREMENT_CHUNK", 1 << 21)
+        whole = build_weight_table(spec, tau, n_max)
+        for name in ("body", "edge_left", "edge_right", "k_values"):
+            assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
 
 
 class TestToeplitz:

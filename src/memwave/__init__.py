@@ -9,9 +9,7 @@ from .kernel import (
     k_zero,
     kernel_transform,
     mu_zero,
-    transform_by_erfc,
     transform_by_quadrature,
-    transform_grid,
 )
 from .quadweights import WeightTable, build_weight_table, convolve
 from .fem import (

@@ -11,11 +11,11 @@ consumes is the tail integral
     K(t) = int_t^inf beta(s) ds,
 
 which is of positive type, satisfies 0 < K(0) < 1, and decays like
-exp(-sigma*t).  For alpha = 1 the tail integral has a closed form.  For
-alpha = 1/2 the primary evaluation is composite Gauss quadrature with the
-square-root singularity removed by the substitution s = r**2, and an
-identity in terms of the complex-argument complementary error function
-serves as an independent cross-check.
+exp(-sigma*t).  Both exponents have closed forms, which `kernel_transform`
+evaluates: an exponential for alpha = 1, and for alpha = 1/2 an identity in
+terms of the complex-argument complementary error function.  Adaptive
+composite Gauss quadrature, with the square-root singularity removed by the
+substitution s = r**2, is kept as the independent oracle for both.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ __all__ = [
     "beta",
     "kernel_transform",
     "transform_by_quadrature",
-    "transform_by_erfc",
-    "transform_grid",
     "k_zero",
     "mu_zero",
     "constant_transform",
@@ -52,10 +50,6 @@ _TAIL_TOL = 1.0e-14
 _KNEE = 1.0
 
 _BOUND_SLACK = 1.0 + 1.0e-9
-
-# increments integrated per batch on a refined grid; bounds the batch's
-# (increments x Gauss points) temporaries to a few MB
-_INCREMENT_CHUNK = 1 << 14
 
 
 class QuadratureError(RuntimeError):
@@ -84,6 +78,9 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.alpha not in (1.0, 0.5):
             raise ValueError(f"alpha must be 1 or 0.5, got {self.alpha}")
+        for name in ("sigma", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.sigma > 1.0:
             raise ValueError(f"sigma must exceed 1, got {self.sigma}")
         if self.gamma < 0.0:
@@ -165,19 +162,11 @@ def _tail_cut(sigma: float, t: float) -> float:
     return t + (-math.log(_TAIL_TOL)) / sigma + 1.0
 
 
-def _closed_form_smooth(sigma: float, gamma: float, t):
-    return (
-        np.exp(-sigma * t)
-        * (sigma * np.cos(gamma * t) - gamma * np.sin(gamma * t))
-        / (sigma**2 + gamma**2)
-    )
-
-
 def transform_by_quadrature(spec: KernelSpec, t: float) -> float:
     """Tail integral K(t) by adaptive composite Gauss quadrature.
 
-    This is the primary evaluation path for alpha = 1/2 and the independent
-    cross-check of the closed form for alpha = 1.  The integration range is
+    The independent oracle for both closed forms in `kernel_transform`; it
+    shares nothing with them but the kernel itself.  The integration range is
     truncated where the exponential tail drops below the accuracy target;
     for alpha = 1/2 the portion below t = 1 is integrated in r = sqrt(s) so
     the integrand is analytic all the way to t = 0.
@@ -215,49 +204,41 @@ def transform_by_quadrature(spec: KernelSpec, t: float) -> float:
     return total
 
 
-def transform_by_erfc(spec: KernelSpec, t):
-    """Tail integral for alpha = 1/2 via the complementary error function.
+def kernel_transform(kernel: KernelLike, t):
+    """Tail integral K(t) = int_t^inf beta(s) ds for t >= 0, in closed form.
 
-    Writing cos as the real part of a complex exponential gives
+        alpha = 1   : K(t) = exp(-sigma*t) * (sigma*cos(gamma*t) - gamma*sin(gamma*t))
+                             / (sigma**2 + gamma**2)
+        alpha = 1/2 : K(t) = Re[ z**(-1/2) * erfc(sqrt(z*t)) ],   z = sigma - i*gamma
 
-        K(t) = Re[ z**(-1/2) * erfc(sqrt(z*t)) ],   z = sigma - i*gamma.
-
-    Entirely independent of the quadrature path; used as its oracle.
+    the second from writing cos as the real part of a complex exponential.
+    Accepts a scalar or an ndarray of any shape and order; each entry is
+    evaluated on its own, so scalar and array calls agree bit for bit.  A bare
+    callable test hook is evaluated as given.
     """
-    if spec.alpha != 0.5:
-        raise ValueError("the erfc identity applies to alpha = 1/2 only")
-    from scipy.special import erfc
-
-    z = complex(spec.sigma, -spec.gamma)
     arr = np.asarray(t, dtype=float)
+    if callable(kernel):
+        out = np.asarray(kernel(arr), dtype=float)
+        return out if arr.ndim else float(out)
     if np.any(arr < 0.0):
         raise ValueError("transform requires t >= 0")
-    val = np.sqrt(1.0 / z) * erfc(np.sqrt(z * arr.astype(complex)))
-    out = val.real
+    sigma, gamma = kernel.sigma, kernel.gamma
+    if kernel.alpha == 1.0:
+        out = (
+            np.exp(-sigma * arr)
+            * (sigma * np.cos(gamma * arr) - gamma * np.sin(gamma * arr))
+            / (sigma**2 + gamma**2)
+        )
+    else:
+        # imported here: scipy.special costs ~80 ms at CLI start-up
+        from scipy.special import erfc
+
+        z = complex(sigma, -gamma)
+        # a scalar goes through the same 1-d array loops: numpy rounds a
+        # complex product of two scalars differently
+        flat = arr.ravel().astype(complex)
+        out = (np.sqrt(1.0 / z) * erfc(np.sqrt(z * flat))).real.reshape(arr.shape)
     return out if arr.ndim else float(out)
-
-
-def kernel_transform(spec: KernelSpec, t):
-    """Tail integral K(t) = int_t^inf beta(s) ds for t >= 0.
-
-    Closed form for alpha = 1; adaptive quadrature for alpha = 1/2.  Accepts
-    scalars or ndarrays (arrays are evaluated through `transform_grid`).
-    """
-    if spec.alpha == 1.0:
-        arr = np.asarray(t, dtype=float)
-        if np.any(arr < 0.0):
-            raise ValueError("transform requires t >= 0")
-        out = _closed_form_smooth(spec.sigma, spec.gamma, arr)
-        return out if arr.ndim else float(out)
-    if np.ndim(t) == 0:
-        return transform_by_quadrature(spec, float(t))
-    arr = np.asarray(t, dtype=float)
-    flat = arr.ravel()
-    order = np.argsort(flat, kind="stable")
-    vals = transform_grid(spec, flat[order])
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out.reshape(arr.shape)
 
 
 def k_zero(spec: KernelSpec) -> float:
@@ -265,7 +246,7 @@ def k_zero(spec: KernelSpec) -> float:
     k0 = float(kernel_transform(spec, 0.0))
     if not 0.0 < k0 < 1.0:
         raise ArithmeticError(
-            f"K(0) = {k0} is outside (0, 1); kernel spec or quadrature bug"
+            f"K(0) = {k0} is outside (0, 1); kernel spec or transform bug"
         )
     return k0
 
@@ -287,97 +268,3 @@ def constant_transform(value: float) -> Callable[[np.ndarray], np.ndarray]:
         return np.full_like(np.asarray(t, dtype=float), value)
 
     return k
-
-
-# ---------------------------------------------------------------------------
-# batch evaluation on ascending grids
-# ---------------------------------------------------------------------------
-
-
-def _beta_increments(spec: KernelSpec, lo: np.ndarray, hi: np.ndarray, order: int = 24) -> np.ndarray:
-    """Elementwise int_lo^hi beta(s) ds for short increments.
-
-    Pieces below the knee are integrated in r = sqrt(s) where the integrand
-    is analytic; pieces above stay in s.  Increments straddling the knee get
-    both contributions.
-    """
-    x, w = _gauss_rule(order)
-    out = np.zeros(lo.shape)
-    sigma, gamma = spec.sigma, spec.gamma
-
-    a_r = np.sqrt(lo)
-    b_r = np.sqrt(np.minimum(hi, _KNEE))
-    mask = b_r > a_r
-    if np.any(mask):
-        mid = 0.5 * (a_r[mask] + b_r[mask])[:, None]
-        half = 0.5 * (b_r[mask] - a_r[mask])[:, None]
-        r = mid + half * x[None, :]
-        rr = r * r
-        vals = 2.0 * np.exp(-sigma * rr) * np.cos(gamma * rr) / math.sqrt(math.pi)
-        out[mask] = np.sum(half * w[None, :] * vals, axis=1)
-
-    a_s = np.maximum(lo, _KNEE)
-    mask = hi > a_s
-    if np.any(mask):
-        mid = 0.5 * (a_s[mask] + hi[mask])[:, None]
-        half = 0.5 * (hi[mask] - a_s[mask])[:, None]
-        s = mid + half * x[None, :]
-        vals = np.exp(-sigma * s) * np.cos(gamma * s) / np.sqrt(np.pi * s)
-        out[mask] += np.sum(half * w[None, :] * vals, axis=1)
-    return out
-
-
-def _refine_ascending(times: np.ndarray, max_gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Insert points so adjacent gaps stay below max_gap.
-
-    Returns the refined grid and the positions of the original entries.
-    """
-    gaps = np.diff(times)
-    counts = np.maximum(1, np.ceil(gaps / max_gap).astype(int))
-    if np.all(counts == 1):
-        return times, np.arange(times.size)
-    pieces = []
-    index = np.empty(times.size, dtype=int)
-    pos = 0
-    for k in range(times.size - 1):
-        index[k] = pos
-        seg = np.linspace(times[k], times[k + 1], counts[k] + 1)[:-1]
-        pieces.append(seg)
-        pos += seg.size
-    index[-1] = pos
-    pieces.append(times[-1:])
-    return np.concatenate(pieces), index
-
-
-def transform_grid(kernel: KernelLike, times) -> np.ndarray:
-    """Evaluate the tail transform on an ascending grid of times.
-
-    For the weakly singular exponent this walks the grid downward from its
-    largest entry, accumulating short between-node integrals of beta, so the
-    cost is a single adaptive evaluation plus O(len(times)) vectorized work.
-    The accumulation runs in extended precision to keep the result within
-    the module accuracy target on grids with tens of thousands of nodes.
-    """
-    arr = np.asarray(times, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("times must be a nonempty 1-d array")
-    if np.any(np.diff(arr) < 0.0):
-        raise ValueError("times must be ascending")
-    if callable(kernel):
-        return np.asarray(kernel(arr), dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("transform requires t >= 0")
-    if kernel.alpha == 1.0:
-        return np.asarray(_closed_form_smooth(kernel.sigma, kernel.gamma, arr), dtype=float)
-
-    grid, index = _refine_ascending(arr, max_gap=0.25)
-    lo, hi = grid[:-1], grid[1:]
-    incs = np.empty(lo.size)
-    for k in range(0, lo.size, _INCREMENT_CHUNK):
-        chunk = slice(k, k + _INCREMENT_CHUNK)
-        incs[chunk] = _beta_increments(kernel, lo[chunk], hi[chunk])
-    top = transform_by_quadrature(kernel, float(grid[-1]))
-    acc = np.empty(grid.size, dtype=np.longdouble)
-    acc[-1] = top
-    acc[:-1] = top + np.cumsum(incs[::-1].astype(np.longdouble))[::-1]
-    return acc[index].astype(float)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelLike, KernelSpec, QuadratureError, transform_grid
+from .kernel import KernelLike, KernelSpec, QuadratureError, kernel_transform
 
 __all__ = ["WeightTable", "build_weight_table", "convolve", "QuadratureError"]
 
@@ -99,7 +99,7 @@ def _interval_moments(kernel: KernelLike, tau: float, n_intervals: int, order: i
         aweights = aweights.copy()
         aweights[0] = np.sqrt(tau) * 0.5 * w * 2.0 * wroot
 
-    kvals = transform_grid(kernel, nodes.ravel()).reshape(nodes.shape)
+    kvals = kernel_transform(kernel, nodes)
     flat = np.zeros(n_intervals + 1)
     rise = np.zeros(n_intervals + 1)
     flat[1:] = np.sum(aweights * kvals, axis=1)
@@ -155,7 +155,7 @@ def build_weight_table(kernel: KernelLike, tau: float, n_max: int) -> WeightTabl
         )
 
     body, edge_left, edge_right = result
-    k_values = transform_grid(kernel, tau * np.arange(n_max + 1, dtype=float))
+    k_values = kernel_transform(kernel, tau * np.arange(n_max + 1, dtype=float))
     k0 = float(k_values[0])
 
     if isinstance(kernel, KernelSpec):

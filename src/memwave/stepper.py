@@ -83,6 +83,9 @@ class DampingSpec:
     def __post_init__(self) -> None:
         if self.kind not in _DAMPING_KINDS:
             raise ValueError(f"kind must be one of {_DAMPING_KINDS}, got {self.kind!r}")
+        for name in ("mu1", "mu2", "constant"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu1 < 0.0 or self.mu2 < 0.0:
             raise ValueError("damping weights must be nonnegative")
         if self.mu1 == 0.0 and self.mu2 == 0.0:

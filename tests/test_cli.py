@@ -97,6 +97,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="run.m"):
             parse_config(BENCH_1D.replace("m = 16", "m = sixteen"))
 
+    @pytest.mark.parametrize("key", ["sigma", "gamma"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_kernel_parameters_name_the_field(self, key, bad):
+        text = BENCH_1D.replace(f"{key} = 2.0", f"{key} = {bad}")
+        with pytest.raises(ConfigError, match=f"kernel: {key} must be finite"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("key", ["mu1", "mu2", "constant"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_damping_parameters_name_the_field(self, key, bad):
+        text = ZERO_CFG + f"\n[damping]\nkind = constant\n{key} = {bad}\n"
+        with pytest.raises(ConfigError, match=f"damping: {key} must be finite"):
+            parse_config(text)
+
     def test_checkpoint_bounds(self):
         with pytest.raises(ConfigError, match="checkpoints"):
             parse_config(ZERO_CFG.replace("checkpoints = 0, 8", "checkpoints = 9"))
@@ -262,6 +276,11 @@ class TestMainEntry:
         path = self._write(tmp_path, BENCH_1D + "\nbogus = 1\n")
         assert main(["run", "--config", path]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_non_finite_kernel_exit_code(self, tmp_path, capsys):
+        path = self._write(tmp_path, BENCH_1D.replace("gamma = 2.0", "gamma = nan"))
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "gamma must be finite" in capsys.readouterr().err
 
     def test_bad_ladder_exit_code(self, tmp_path, capsys):
         path = self._write(tmp_path, BENCH_1D)

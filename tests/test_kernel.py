@@ -12,9 +12,7 @@ from memwave.kernel import (
     k_zero,
     kernel_transform,
     mu_zero,
-    transform_by_erfc,
     transform_by_quadrature,
-    transform_grid,
 )
 
 ROOT3 = math.sqrt(3.0)
@@ -47,6 +45,13 @@ class TestValidation:
     def test_gamma_bound(self):
         with pytest.raises(ValueError, match="gamma"):
             KernelSpec(0.5, 2.0, 2.0 * ROOT3 + 0.01)
+
+    @pytest.mark.parametrize("field", ["sigma", "gamma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        args = {"alpha": 0.5, "sigma": 3.0, "gamma": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            KernelSpec(**args)
 
     def test_boundary_gamma_accepted(self):
         KernelSpec(0.5, 3.0, 3.0 * ROOT3)
@@ -104,13 +109,21 @@ class TestTransform:
     @pytest.mark.parametrize("spec", SINGULAR_SPECS)
     @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 10.0])
     def test_quadrature_vs_erfc_identity(self, spec, t):
+        # for alpha = 1/2 kernel_transform is the erfc identity
         assert kernel_transform(spec, t) == pytest.approx(
-            transform_by_erfc(spec, t), abs=1e-10
+            transform_by_quadrature(spec, t), abs=1e-12
         )
 
-    def test_erfc_identity_rejects_smooth(self):
-        with pytest.raises(ValueError):
-            transform_by_erfc(KernelSpec(1.0, 2.0, 0.0), 1.0)
+    @pytest.mark.parametrize(
+        "sigma,gamma",
+        [(3.0, 3.0 * ROOT3), (2.0, 1.0), (1.01, 1.01 * ROOT3), (50.0, 50.0 * ROOT3), (1.5, 0.0)],
+    )
+    def test_erfc_identity_matches_quadrature_oracle(self, sigma, gamma):
+        spec = KernelSpec(0.5, sigma, gamma)
+        times = np.concatenate(([0.0], np.geomspace(1e-4, 40.0, 60)))
+        vals = kernel_transform(spec, times)
+        ref = np.array([transform_by_quadrature(spec, t) for t in times])
+        assert np.abs(vals - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("spec", SMOOTH_SPECS + SINGULAR_SPECS)
     def test_magnitude_bound(self, spec):
@@ -125,8 +138,11 @@ class TestTransform:
         assert abs(kernel_transform(spec, 200.0 / spec.sigma)) < 1e-6
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_transform(KernelSpec(1.0, 2.0, 0.0), -0.5)
+        for spec in (SMOOTH_SPECS[1], SINGULAR_SPECS[1]):
+            with pytest.raises(ValueError):
+                kernel_transform(spec, -0.5)
+            with pytest.raises(ValueError):
+                kernel_transform(spec, np.array([0.0, 1.0, -1e-9]))
 
 
 class TestKZero:
@@ -147,39 +163,37 @@ class TestKZero:
 
     def test_singular_k_zero_against_oracle(self):
         spec = KernelSpec(0.5, 3.0, 3.0 * ROOT3)
-        assert k_zero(spec) == pytest.approx(transform_by_erfc(spec, 0.0), abs=1e-12)
+        assert k_zero(spec) == pytest.approx(transform_by_quadrature(spec, 0.0), abs=1e-12)
 
 
 class TestGridEvaluation:
+    """Arrays of times: any shape and order, each entry evaluated on its own."""
+
     @pytest.mark.parametrize("spec", [SMOOTH_SPECS[1], SINGULAR_SPECS[0], SINGULAR_SPECS[2]])
     def test_grid_matches_scalar_path(self, spec):
         rng = np.random.default_rng(7)
         times = np.sort(np.concatenate(([0.0], rng.uniform(0.0, 5.0, 40))))
-        grid_vals = transform_grid(spec, times)
-        scalar_vals = np.array([transform_by_quadrature(spec, t) for t in times])
-        assert np.abs(grid_vals - scalar_vals).max() < 1e-12
-
-    def test_grid_handles_wide_gaps(self):
-        spec = KernelSpec(0.5, 2.0, 1.0)
-        times = np.array([0.0, 0.01, 3.0, 12.0])
-        vals = transform_grid(spec, times)
-        ref = np.array([transform_by_quadrature(spec, t) for t in times])
-        assert np.abs(vals - ref).max() < 1e-12
-
-    def test_grid_requires_ascending(self):
-        with pytest.raises(ValueError):
-            transform_grid(KernelSpec(1.0, 2.0, 0.0), np.array([1.0, 0.5]))
+        grid_vals = kernel_transform(spec, times)
+        scalar_vals = np.array([kernel_transform(spec, t) for t in times])
+        assert np.array_equal(grid_vals, scalar_vals)
 
     def test_callable_hook_passthrough(self):
-        vals = transform_grid(constant_transform(1.0), np.array([0.0, 1.0, 2.0]))
-        assert np.all(vals == 1.0)
+        def hook(t):
+            return 2.0 * t + 1.0
+
+        times = np.array([[0.0, 1.0], [2.0, 0.5]])
+        assert np.array_equal(kernel_transform(hook, times), hook(times))
+        assert kernel_transform(constant_transform(1.0), 3.0) == 1.0
 
     def test_array_transform_unsorted_input(self):
-        spec = KernelSpec(0.5, 2.0, 1.0)
-        ts = np.array([2.0, 0.0, 0.7])
-        vals = kernel_transform(spec, ts)
-        ref = np.array([transform_by_quadrature(spec, t) for t in ts])
-        assert np.abs(vals - ref).max() < 1e-12
+        times = np.linspace(0.0, 6.0, 24).reshape(4, 6)
+        reversed_2d = times[::-1, ::-1]
+        for spec in (SMOOTH_SPECS[0], SINGULAR_SPECS[0]):
+            vals = kernel_transform(spec, reversed_2d)
+            assert vals.shape == (4, 6)
+            scalar_vals = [[kernel_transform(spec, t) for t in row] for row in reversed_2d]
+            assert np.array_equal(vals, scalar_vals)
+            assert np.array_equal(vals[::-1, ::-1], kernel_transform(spec, times))
 
 
 class TestPositiveType:

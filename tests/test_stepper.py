@@ -60,6 +60,11 @@ class TestDampingSpec:
             DampingSpec("sqrt", mu1=0.0, mu2=0.0)
         with pytest.raises(ValueError):
             DampingSpec("constant", constant=0.0)
+        for kind in ("sqrt", "constant"):
+            for name in ("mu1", "mu2", "constant"):
+                for bad in (math.nan, math.inf):
+                    with pytest.raises(ValueError, match=f"{name} must be finite"):
+                        DampingSpec(kind, **{name: bad})
 
     def test_value_forms(self):
         assert DampingSpec("affine").value(2.0) == 3.0

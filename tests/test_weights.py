@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
-from memwave import kernel
 from memwave.kernel import KernelSpec, constant_transform, kernel_transform
 from memwave.quadweights import WeightTable, build_weight_table, convolve
 
@@ -91,15 +90,26 @@ class TestConstruction:
             )
         assert table.mu0 == pytest.approx(1.0 - table.k0, abs=0.0)
 
-    def test_chunked_increments_leave_the_table_unchanged(self, monkeypatch):
-        # the long 1d benchmark run's table: its refined grid spans many
-        # chunks, and one chunk larger than the grid is the unchunked path
-        spec, tau, n_max = KernelSpec(0.5, 3.0, 3.0 * ROOT3), 100.0 / 16384, 16383
-        chunked = build_weight_table(spec, tau, n_max)
-        monkeypatch.setattr(kernel, "_INCREMENT_CHUNK", 1 << 21)
-        whole = build_weight_table(spec, tau, n_max)
-        for name in ("body", "edge_left", "edge_right", "k_values"):
-            assert np.array_equal(getattr(chunked, name), getattr(whole, name)), name
+    def test_far_lag_weights_keep_relative_accuracy(self):
+        # the long 1d benchmark run's table: its weights fall by 130 orders
+        # over the lags, so each is checked relative to its own size
+        sigma, gamma, tau = 3.0, 3.0 * ROOT3, 100.0 / 16384
+        table = build_weight_table(KernelSpec(0.5, sigma, gamma), tau, 16384)
+        x, w = np.polynomial.legendre.leggauss(40)
+
+        def half_hat(j, rising):
+            # int of K(u) against the half hat on [(j-1)*tau, j*tau] (rising)
+            # or [j*tau, (j+1)*tau] (falling), with peak 1 at u = j*tau
+            lo = (j - 1 if rising else j) * tau
+            u = lo + 0.5 * tau * (x + 1.0)
+            hat = (u - lo) / tau if rising else 1.0 - (u - lo) / tau
+            return 0.5 * tau * np.sum(w * _k_singular(sigma, gamma, u) * hat)
+
+        for j in (2, 30, 800, 8000, 16000):
+            body = half_hat(j, True) + half_hat(j, False)
+            edge_left = half_hat(j, True)
+            assert table.body[j] == pytest.approx(body, rel=1e-12, abs=0.0), j
+            assert table.edge_left[j] == pytest.approx(edge_left, rel=1e-12, abs=0.0), j
 
 
 class TestToeplitz:

@@ -15,7 +15,6 @@ from .quadweights import WeightTable, build_weight_table, convolve
 from .fem import (
     DiscreteOperators,
     Mesh,
-    ModalBasis,
     assemble,
     gradient_array,
     gradient_samples,

@@ -150,8 +150,8 @@ def parse_config(source) -> RunConfig:
         raise ConfigError(f"run.m must be at least 2, got {m}")
     if n < 1:
         raise ConfigError(f"run.n must be at least 1, got {n}")
-    if not t_final > 0.0:
-        raise ConfigError(f"run.t must be positive, got {t_final}")
+    if not (math.isfinite(t_final) and t_final > 0.0):
+        raise ConfigError(f"run.t must be finite and positive, got {t_final}")
     expected_dim = {"benchmark_1d": 1, "benchmark_2d": 2, "manufactured": 1}.get(preset)
     if expected_dim is not None and dim != expected_dim:
         raise ConfigError(f"run.dim: preset {preset} requires dim = {expected_dim}")
@@ -377,14 +377,20 @@ def run_single(config: RunConfig, zero_forcing: bool = False):
     return record, paths
 
 
-def _validate_ladder(ladder) -> tuple[int, ...]:
+def _validate_ladder(ladder, mode: str) -> tuple[int, ...]:
+    """Rungs of a refinement ladder: step counts (time) or cells per axis (space)."""
     entries = tuple(int(v) for v in ladder)
     if len(entries) < 1:
-        raise ConfigError("ladder must contain at least one entry")
+        raise ConfigError("--ladder must contain at least one entry")
+    smallest = 1 if mode == "time" else 2
+    if min(entries) < smallest:
+        raise ConfigError(
+            f"--ladder: {mode} entries must be at least {smallest}, got {min(entries)}"
+        )
     for prev, cur in zip(entries, entries[1:]):
         if cur != 2 * prev:
             raise ConfigError(
-                f"ladder entries must increase by factors of 2, got {prev} -> {cur}"
+                f"--ladder entries must increase by factors of 2, got {prev} -> {cur}"
             )
     return entries
 
@@ -398,7 +404,7 @@ def run_convergence(config: RunConfig, mode: str, ladder) -> list[tuple]:
     """
     if mode not in ("time", "space"):
         raise ConfigError(f"mode must be 'time' or 'space', got {mode!r}")
-    entries = _validate_ladder(ladder)
+    entries = _validate_ladder(ladder, mode)
     problem, kernel, damping = preset_problem(config)
     needed = entries + (2 * entries[-1],)
     lumped = preset_uses_lumped_mass(config.preset)

@@ -49,7 +49,7 @@ def discrete_energy(history: SimulationHistory, ops: DiscreteOperators, n: int) 
         raise IndexError(f"energy needs step n+1; n = {n} with last = {last}")
     vel = history.velocity_diffs[n]
     state = history.coefficients[n]
-    return 0.5 * float(vel @ vel) + 0.5 * float((ops.basis.eigenvalues * state) @ state)
+    return 0.5 * float(vel @ vel) + 0.5 * float((ops.eigenvalues * state) @ state)
 
 
 def a_norm(history: SimulationHistory, ops: DiscreteOperators, m: int) -> float:
@@ -60,7 +60,7 @@ def a_norm(history: SimulationHistory, ops: DiscreteOperators, m: int) -> float:
     coeffs = history.coefficients
     if not 0 <= m <= history.n_last - 1:
         raise IndexError(f"a_norm needs step m+1; m = {m} with last = {history.n_last}")
-    lam = ops.basis.eigenvalues
+    lam = ops.eigenvalues
     dt = (coeffs[m + 1] - coeffs[m]) / history.tau
     val = float(dt @ dt)
     val += 0.5 * history.mu0 * float((lam * coeffs[m + 1]) @ coeffs[m + 1])
@@ -157,7 +157,7 @@ def _series(history: SimulationHistory, lam: np.ndarray) -> tuple[np.ndarray, np
 def collect_diagnostics(history: SimulationHistory, ops: DiscreteOperators,
                         run_id: str, **meta) -> DiagnosticsRecord:
     """Evaluate the full energy and stability series of a finished run."""
-    energy, norms = _series(history, ops.basis.eigenvalues)
+    energy, norms = _series(history, ops.eigenvalues)
     meta.setdefault("tau", history.tau)
     meta.setdefault("dim", history.mesh.dim)
     meta.setdefault("m", history.mesh.m)

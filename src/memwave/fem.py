@@ -5,23 +5,21 @@ Dirichlet boundary everywhere: boundary nodes carry no unknowns, so vectors
 hold interior nodal values only.  2d interior nodes (i, j), 1 <= i, j <= M-1,
 are flattened row-major with i slow, which makes the mass and stiffness
 matrices Kronecker products of their 1d counterparts.  The generalized
-eigenvectors of the 1d pair therefore diagonalize both operators, per axis
-(`ModalBasis`); the time stepper works in that basis.
+eigenvectors of the 1d pair therefore diagonalize both operators, per axis,
+so `DiscreteOperators` holds only the 1d pair and that basis; the time
+stepper works in the basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
     "DiscreteOperators",
-    "ModalBasis",
     "assemble",
     "interpolate",
     "load_vector",
@@ -61,30 +59,39 @@ class Mesh:
 
 
 @dataclass(frozen=True, eq=False)
-class ModalBasis:
-    """Generalized eigenbasis of the 1d pair (A1, M1), applied along each axis.
+class DiscreteOperators:
+    """The 1d pencil (A1, M1) and its generalized eigenbasis, applied along each axis.
 
-    The columns of `vectors` (V) satisfy V'M1V = I and V'A1V = diag(lam).
-    `eigenvalues` holds lam in 1d; in 2d the modes are the products
-    V[:, i] V[:, j] with eigenvalues lam[i] + lam[j], flattened like the
-    nodes, i slow.  A state with coefficients c has ||u||_M^2 = sum(c^2) and
-    ||u||_A^2 = sum(eigenvalues * c^2), so M is the identity and A is
-    diag(eigenvalues) in this basis.
+    `stiffness1` (A1) and `mass1` (M1) are the dense tridiagonal 1d
+    matrices; the 2d operators are A = kron(A1, M1) + kron(M1, A1) and
+    M = kron(M1, M1).  The columns of `vectors` (V) satisfy V'M1V = I and
+    V'A1V = diag(lam).  `eigenvalues` holds lam in 1d; in 2d the modes are
+    the products V[:, i] V[:, j] with eigenvalues lam[i] + lam[j], flattened
+    like the nodes, i slow.  A state with coefficients c has
+    ||u||_M^2 = sum(c^2) and ||u||_A^2 = sum(eigenvalues * c^2), so M is the
+    identity and A is diag(eigenvalues) in this basis.
     """
 
     dim: int
+    mass1: np.ndarray
+    stiffness1: np.ndarray
     vectors: np.ndarray
     inverse: np.ndarray  # V^{-1} = V'M1
     eigenvalues: np.ndarray
 
-    @classmethod
-    def of_pencil(cls, dim: int, stiffness1: sp.spmatrix, mass1: sp.spmatrix) -> "ModalBasis":
-        """Basis of the dense generalized eigenproblem A1 v = lam M1 v."""
-        mass = mass1.toarray()
-        values, vectors = scipy.linalg.eigh(stiffness1.toarray(), mass)
-        if dim == 2:
-            values = (values[:, None] + values[None, :]).ravel()
-        return cls(dim, vectors, vectors.T @ mass, values)
+    @property
+    def mass(self) -> np.ndarray:
+        """Dense mass matrix M, formed on each access: a reference for small meshes."""
+        if self.dim == 1:
+            return self.mass1
+        return np.kron(self.mass1, self.mass1)
+
+    @property
+    def stiffness(self) -> np.ndarray:
+        """Dense stiffness matrix A, formed on each access: a reference for small meshes."""
+        if self.dim == 1:
+            return self.stiffness1
+        return np.kron(self.stiffness1, self.mass1) + np.kron(self.mass1, self.stiffness1)
 
     def _apply(self, left: np.ndarray, vec: np.ndarray) -> np.ndarray:
         """`left` applied along each axis of one vector, or of each row of a
@@ -108,66 +115,35 @@ class ModalBasis:
         return self._apply(self.vectors.T, b)
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteOperators:
-    """Assembled mass and stiffness matrices on the interior nodes.
-
-    `basis` diagonalizes both matrices; it is None for the 2d lumped mass,
-    which has no such per-axis basis.
-    """
-
-    dim: int
-    mass: sp.csr_matrix
-    stiffness: sp.csr_matrix
-    basis: Optional[ModalBasis] = None
-
-
-def _mass_1d(m: int) -> sp.csr_matrix:
-    h = 1.0 / m
-    n = m - 1
-    main = np.full(n, 4.0 * h / 6.0)
-    off = np.full(n - 1, h / 6.0)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def _stiffness_1d(m: int) -> sp.csr_matrix:
-    h = 1.0 / m
-    n = m - 1
-    main = np.full(n, 2.0 / h)
-    off = np.full(n - 1, -1.0 / h)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
-def _lump(mass: sp.csr_matrix) -> sp.csr_matrix:
-    return sp.diags(np.asarray(mass.sum(axis=1)).ravel(), 0, format="csr")
+def _tridiagonal(n: int, main: float, off: float) -> np.ndarray:
+    return (np.diag(np.full(n, main)) + np.diag(np.full(n - 1, off), 1)
+            + np.diag(np.full(n - 1, off), -1))
 
 
 def assemble(mesh: Mesh, lumped_mass: bool = False) -> DiscreteOperators:
     """Exact element integrals for linear (1d) / bilinear (2d) elements.
 
-    With `lumped_mass` the mass matrix is replaced by its row-sum diagonal.
-    In 1d that is diag(5/6, 1, ..., 1, 5/6) * h: the rows next to the
-    boundary keep their missing neighbour's share, so the lumped scheme is
-    not the classical finite-difference scheme, whose mass is h * I.  The
-    1d reference benchmarks are reproduced with lumping, so the 1d
-    benchmark preset enables it.
-
-    The modal basis is built from the 1d pair (stiffness, mass) with the
-    1d mass lumped or not.  The 2d lumped mass, kron(L1, L1), is paired
-    with a stiffness built on the consistent 1d mass, so no per-axis basis
-    diagonalizes both and `basis` is None.
+    With `lumped_mass` the 1d mass matrix is replaced by its row-sum
+    diagonal, diag(5/6, 1, ..., 1, 5/6) * h: the rows next to the boundary
+    keep their missing neighbour's share, so the lumped scheme is not the
+    classical finite-difference scheme, whose mass is h * I.  The 1d
+    reference benchmarks are reproduced with lumping, so the 1d benchmark
+    preset enables it.  The 2d lumped mass, kron(L1, L1), would pair with a
+    stiffness built on the consistent 1d mass, so no per-axis basis
+    diagonalizes both; it is rejected.
     """
-    mass1 = _mass_1d(mesh.m)
-    stiff1 = _stiffness_1d(mesh.m)
-    if mesh.dim == 1:
-        if lumped_mass:
-            mass1 = _lump(mass1)
-        return DiscreteOperators(1, mass1, stiff1, ModalBasis.of_pencil(1, stiff1, mass1))
-    mass = sp.kron(mass1, mass1, format="csr")
-    stiff = (sp.kron(stiff1, mass1) + sp.kron(mass1, stiff1)).tocsr()
+    if lumped_mass and mesh.dim == 2:
+        raise ValueError("the lumped mass is 1d only: in 2d no per-axis basis "
+                         "diagonalizes it together with the stiffness")
+    h, n = mesh.h, mesh.m - 1
+    mass1 = _tridiagonal(n, 4.0 * h / 6.0, h / 6.0)
+    stiff1 = _tridiagonal(n, 2.0 / h, -1.0 / h)
     if lumped_mass:
-        return DiscreteOperators(2, _lump(mass), stiff)
-    return DiscreteOperators(2, mass, stiff, ModalBasis.of_pencil(2, stiff1, mass1))
+        mass1 = np.diag(mass1.sum(axis=1))
+    values, vectors = scipy.linalg.eigh(stiff1, mass1)
+    if mesh.dim == 2:
+        values = (values[:, None] + values[None, :]).ravel()
+    return DiscreteOperators(mesh.dim, mass1, stiff1, vectors, vectors.T @ mass1, values)
 
 
 def _broadcast_field(values, like: np.ndarray) -> np.ndarray:

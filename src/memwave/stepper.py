@@ -7,9 +7,10 @@ precomputed quadrature weights.  A second-order Taylor expansion supplies
 the first step, with the initial acceleration recovered from the equation
 itself at t = 0.
 
-States are stepped as coefficients in the operators' modal basis
-(`fem.ModalBasis`), where the mass matrix is the identity and the stiffness
-matrix is diagonal, so each system is solved by one elementwise division.
+States are stepped as coefficients in the modal basis that
+`fem.DiscreteOperators` holds, where the mass matrix is the identity and the
+stiffness matrix is diagonal, so each system is solved by one elementwise
+division.
 Nodal values appear only at the edges: initial data, forcing, and the
 states a caller reads back from the history.
 
@@ -31,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fem import DiscreteOperators, Mesh, ModalBasis, assemble, interpolate, load_vector
+from .fem import DiscreteOperators, Mesh, assemble, interpolate, load_vector
 from .kernel import KernelLike
 from .quadweights import WeightTable, build_weight_table
 
@@ -128,10 +129,10 @@ class Problem:
 def damping_value(spec: DampingSpec, ops: DiscreteOperators, coeffs: np.ndarray) -> float:
     """q = G(mu1 * ||u||_M^2 + mu2 * ||u||_A^2) for the current state.
 
-    `coeffs` holds the state in ops.basis, where the two norms are
-    sum(coeffs^2) and sum(eigenvalues * coeffs^2).
+    `coeffs` holds the state in the modal basis of ops, where the two norms
+    are sum(coeffs^2) and sum(eigenvalues * coeffs^2).
     """
-    lam = _modal_basis(ops).eigenvalues
+    lam = ops.eigenvalues
     z = spec.mu1 * float(coeffs @ coeffs) + spec.mu2 * float((lam * coeffs) @ coeffs)
     q = spec.value(z)
     if not q >= spec.g0:
@@ -139,15 +140,6 @@ def damping_value(spec: DampingSpec, ops: DiscreteOperators, coeffs: np.ndarray)
             f"damping coefficient q = {q} at argument z = {z} is not >= g0 = {spec.g0}"
         )
     return q
-
-
-def _modal_basis(ops: DiscreteOperators) -> ModalBasis:
-    if ops.basis is None:
-        raise SolverError(
-            "the operators have no modal basis: the 2d lumped mass is not a Kronecker "
-            "product matching the stiffness, so the step systems cannot be diagonalized"
-        )
-    return ops.basis
 
 
 class SimulationHistory:
@@ -162,10 +154,10 @@ class SimulationHistory:
     may hold the partial memory sums that `memory_sum` parks there.
     """
 
-    def __init__(self, mesh: Mesh, basis: ModalBasis, tau: float, mu0: float,
+    def __init__(self, mesh: Mesh, ops: DiscreteOperators, tau: float, mu0: float,
                  u0: np.ndarray, u1h: np.ndarray, n_steps: int):
         self.mesh = mesh
-        self.basis = basis
+        self.ops = ops
         self.tau = float(tau)
         self.mu0 = float(mu0)
         self.u0 = np.asarray(u0, dtype=float)
@@ -173,8 +165,8 @@ class SimulationHistory:
         rows = int(n_steps) + 1
         self._coeffs = np.zeros((rows, self.u0.size))
         self._diffs = np.zeros((rows, self.u0.size))
-        self._coeffs[0] = basis.to_modal(self.u0)
-        self._diffs[0] = basis.to_modal(self.u1h)
+        self._coeffs[0] = ops.to_modal(self.u0)
+        self._diffs[0] = ops.to_modal(self.u1h)
         self._count = 1
         self._block: tuple[Optional[WeightTable], int, int] = (None, 0, 0)
 
@@ -204,14 +196,14 @@ class SimulationHistory:
             raise IndexError(f"step {n} outside [0, {self.n_last}]")
         if n == 0:
             return self.u0.copy()
-        return self.basis.to_nodal(self._coeffs[n])
+        return self.ops.to_nodal(self._coeffs[n])
 
     @property
     def states(self) -> np.ndarray:
         """Nodal U^0..U^n, shape (n+1, ndof), formed anew on each access by
         one batched map of all coefficients; bind it once rather than index
         it in a loop."""
-        nodal = self.basis.to_nodal(self.coefficients)
+        nodal = self.ops.to_nodal(self.coefficients)
         nodal[0] = self.u0
         return nodal
 
@@ -270,13 +262,12 @@ def taylor_start(history: SimulationHistory, ops: DiscreteOperators,
         raise ValueError(
             f"the Taylor start needs a history holding U^0 only, not U^0..U^{history.n_last}"
         )
-    basis = _modal_basis(ops)
     tau = history.tau
     c0, v1 = history.coefficients[0], history.initial_velocity
     q0 = damping_value(damping, ops, c0)
-    a0 = -q0 * v1 - basis.eigenvalues * c0
+    a0 = -q0 * v1 - ops.eigenvalues * c0
     if problem.f is not None:
-        a0 += basis.project(load_vector(history.mesh, problem.f, 0.0))
+        a0 += ops.project(load_vector(history.mesh, problem.f, 0.0))
     c1 = c0 + tau * v1 + 0.5 * tau * tau * a0
     _push_finite(history, c1, 0)
     return c1, a0
@@ -300,8 +291,7 @@ def step(history: SimulationHistory, ops: DiscreteOperators, table: WeightTable,
     if n > table.n_max:
         raise ValueError(f"weight table covers n <= {table.n_max}, got {n}")
 
-    basis = _modal_basis(ops)
-    lam = basis.eigenvalues
+    lam = ops.eigenvalues
     tau = history.tau
     mu0 = table.mu0
     coeffs = history.coefficients
@@ -330,7 +320,7 @@ def step(history: SimulationHistory, ops: DiscreteOperators, table: WeightTable,
     )
     rhs = (2.0 / tau**2) * c_n - (1.0 / tau**2 - q_n / (2.0 * tau)) * c_nm1 - lam * stiffness_terms
     if problem.f is not None:
-        rhs += basis.project(load_vector(history.mesh, problem.f, n * tau))
+        rhs += ops.project(load_vector(history.mesh, problem.f, n * tau))
     c_next = rhs / diagonal
     _push_finite(history, c_next, n)
     return c_next
@@ -359,7 +349,6 @@ def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
         raise ValueError("a damping spec is required")
     if ops is None:
         ops = assemble(mesh)
-    basis = _modal_basis(ops)
     if table is None:
         if kernel is None:
             raise ValueError("either a kernel or a prebuilt weight table is required")
@@ -372,7 +361,7 @@ def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
         raise ValueError(f"table step {table.tau} does not match tau = {tau}")
 
     history = SimulationHistory(
-        mesh, basis, tau, table.mu0, interpolate(mesh, problem.u0),
+        mesh, ops, tau, table.mu0, interpolate(mesh, problem.u0),
         interpolate(mesh, problem.u1), n_steps,
     )
     taylor_start(history, ops, damping, problem)

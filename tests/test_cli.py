@@ -111,6 +111,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"damping: {key} must be finite"):
             parse_config(text)
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_final_time_names_the_field(self, bad):
+        with pytest.raises(ConfigError, match="run.t must be finite"):
+            parse_config(BENCH_1D.replace("t = 1.0", f"t = {bad}"))
+
     def test_checkpoint_bounds(self):
         with pytest.raises(ConfigError, match="checkpoints"):
             parse_config(ZERO_CFG.replace("checkpoints = 0, 8", "checkpoints = 9"))
@@ -286,3 +291,19 @@ class TestMainEntry:
         path = self._write(tmp_path, BENCH_1D)
         assert main(["convergence", "--config", path, "--mode", "time",
                      "--ladder", "8,24"]) == 2
+
+    @pytest.mark.parametrize("mode, ladder, message", [
+        ("time", "0", "time entries must be at least 1, got 0"),
+        ("time", "-4,-8", "time entries must be at least 1, got -8"),
+        ("space", "1,2", "space entries must be at least 2, got 1"),
+    ])
+    def test_ladder_entry_too_small_exit_code(self, tmp_path, capsys, mode, ladder, message):
+        path = self._write(tmp_path, BENCH_1D)
+        assert main(["convergence", "--config", path, "--mode", mode, f"--ladder={ladder}",
+                     "--out", str(tmp_path / "conv")]) == 2
+        assert f"--ladder: {message}" in capsys.readouterr().err
+
+    def test_infinite_final_time_exit_code(self, tmp_path, capsys):
+        path = self._write(tmp_path, BENCH_1D.replace("t = 1.0", "t = inf"))
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "run.t must be finite" in capsys.readouterr().err

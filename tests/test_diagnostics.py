@@ -32,7 +32,7 @@ SINE_PROBLEM = Problem(
 
 
 def _stationary_history(mesh, ops, state, tau=0.1, mu0=0.75, steps=3):
-    hist = SimulationHistory(mesh, ops.basis, tau, mu0, state, np.zeros_like(state), steps)
+    hist = SimulationHistory(mesh, ops, tau, mu0, state, np.zeros_like(state), steps)
     for _ in range(steps):
         hist.push(hist.coefficients[0].copy())
     return hist

@@ -1,5 +1,10 @@
 """Assembly, interpolation, load vectors, gradient sampling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +19,7 @@ from memwave.fem import (
 )
 
 GAUSS5_X, GAUSS5_W = np.polynomial.legendre.leggauss(5)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _hat_eval_1d(mesh, coeffs, x):
@@ -30,8 +36,8 @@ class TestAssembly:
         mesh = Mesh(1, 8)
         ops = assemble(mesh)
         h = mesh.h
-        mass = ops.mass.toarray()
-        stiff = ops.stiffness.toarray()
+        mass = ops.mass
+        stiff = ops.stiffness
         assert np.allclose(np.diag(mass), 4.0 * h / 6.0)
         assert np.allclose(np.diag(mass, 1), h / 6.0)
         assert np.allclose(np.diag(stiff), 2.0 / h)
@@ -40,19 +46,18 @@ class TestAssembly:
     def test_single_unknown(self):
         ops = assemble(Mesh(1, 2))
         h = 0.5
-        assert float(ops.mass.toarray()[0, 0]) == pytest.approx(2.0 * h / 3.0)
-        assert float(ops.stiffness.toarray()[0, 0]) == pytest.approx(2.0 / h)
+        assert float(ops.mass[0, 0]) == pytest.approx(2.0 * h / 3.0)
+        assert float(ops.stiffness[0, 0]) == pytest.approx(2.0 / h)
 
     def test_2d_interior_row_sums_vanish(self):
         ops = assemble(Mesh(2, 8))
-        sums = np.asarray(ops.stiffness.sum(axis=1)).ravel().reshape(7, 7)
+        sums = ops.stiffness.sum(axis=1).reshape(7, 7)
         assert np.abs(sums[1:-1, 1:-1]).max() < 1e-14
 
     @pytest.mark.parametrize("mesh", [Mesh(1, 9), Mesh(2, 5)])
     def test_symmetry_and_definiteness(self, mesh):
         ops = assemble(mesh)
-        for mat in (ops.mass, ops.stiffness):
-            dense = mat.toarray()
+        for dense in (ops.mass, ops.stiffness):
             assert np.abs(dense - dense.T).max() == 0.0
             eigs = np.linalg.eigvalsh(dense)
             assert eigs.min() > 0.0
@@ -61,7 +66,7 @@ class TestAssembly:
         mesh = Mesh(1, 8)
         full = assemble(mesh).mass
         lumped = assemble(mesh, lumped_mass=True).mass
-        assert np.allclose(lumped.toarray(), np.diag(np.asarray(full.sum(axis=1)).ravel()))
+        assert np.allclose(lumped, np.diag(full.sum(axis=1)))
 
     def test_mass_realizes_l2_norm(self):
         # coefficient quadratic form equals the integral of the hat expansion
@@ -93,7 +98,7 @@ class TestAssembly:
         mesh = Mesh(dim, 32)
         ops = assemble(mesh)
         lam = scipy.linalg.eigh(
-            ops.stiffness.toarray(), ops.mass.toarray(),
+            ops.stiffness, ops.mass,
             subset_by_index=[0, 0], eigvals_only=True,
         )[0]
         assert lam == pytest.approx(dim * np.pi**2, rel=0.05)
@@ -103,40 +108,49 @@ class TestModalBasis:
     @pytest.mark.parametrize("lumped", [False, True])
     def test_1d_pencil_is_diagonalized(self, lumped):
         ops = assemble(Mesh(1, 16), lumped_mass=lumped)
-        basis = ops.basis
-        v, lam = basis.vectors, basis.eigenvalues
-        mass_modal = v.T @ ops.mass.toarray() @ v
-        stiff_modal = v.T @ ops.stiffness.toarray() @ v
+        v, lam = ops.vectors, ops.eigenvalues
+        mass_modal = v.T @ ops.mass @ v
+        stiff_modal = v.T @ ops.stiffness @ v
         assert np.abs(mass_modal - np.eye(15)).max() <= 1e-12
         assert np.abs(stiff_modal - np.diag(lam)).max() <= 1e-12 * lam.max()
-        assert np.abs(basis.inverse @ v - np.eye(15)).max() <= 1e-12
+        assert np.abs(ops.inverse @ v - np.eye(15)).max() <= 1e-12
 
     def test_2d_modes_are_products_of_1d_modes(self):
         mesh = Mesh(2, 6)
         ops = assemble(mesh)
-        v = np.kron(ops.basis.vectors, ops.basis.vectors)
-        lam = ops.basis.eigenvalues
-        assert np.abs(v.T @ ops.mass.toarray() @ v - np.eye(25)).max() <= 1e-12
-        assert np.abs(v.T @ ops.stiffness.toarray() @ v - np.diag(lam)).max() <= 1e-12 * lam.max()
+        v = np.kron(ops.vectors, ops.vectors)
+        lam = ops.eigenvalues
+        assert np.abs(v.T @ ops.mass @ v - np.eye(25)).max() <= 1e-12
+        assert np.abs(v.T @ ops.stiffness @ v - np.diag(lam)).max() <= 1e-12 * lam.max()
 
     def test_2d_round_trip_and_projection(self):
         mesh = Mesh(2, 8)
         ops = assemble(mesh)
-        basis = ops.basis
         u = interpolate(mesh, lambda x, y: x * (1.0 - x) * np.sin(3.0 * y))
-        coeffs = basis.to_modal(u)
-        assert np.abs(basis.to_nodal(coeffs) - u).max() <= 1e-14
+        coeffs = ops.to_modal(u)
+        assert np.abs(ops.to_nodal(coeffs) - u).max() <= 1e-14
         # the modal components of M u are the coefficients of u
-        assert np.abs(basis.project(ops.mass @ u) - coeffs).max() <= 1e-14
+        assert np.abs(ops.project(ops.mass @ u) - coeffs).max() <= 1e-14
         # and the squared norms become plain and eigenvalue-weighted sums
         assert float(coeffs @ coeffs) == pytest.approx(float(u @ (ops.mass @ u)), rel=1e-13)
-        assert float((basis.eigenvalues * coeffs) @ coeffs) == pytest.approx(
+        assert float((ops.eigenvalues * coeffs) @ coeffs) == pytest.approx(
             float(u @ (ops.stiffness @ u)), rel=1e-13
         )
 
-    def test_2d_lumped_mass_has_no_basis(self):
-        assert assemble(Mesh(2, 6), lumped_mass=True).basis is None
-        assert assemble(Mesh(1, 6), lumped_mass=True).basis is not None
+    def test_cli_import_leaves_scipy_sparse_unloaded(self):
+        # the operators are the dense 1d pair and its eigenbasis
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        probe = "import sys, memwave.cli; print('scipy.sparse' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_2d_lumped_mass_rejected(self):
+        # kron(L1, L1) shares no per-axis basis with the 2d stiffness
+        with pytest.raises(ValueError, match="lumped mass is 1d only"):
+            assemble(Mesh(2, 4), lumped_mass=True)
 
 
 class TestInterpolate:

@@ -31,7 +31,7 @@ def _zero_field(x, t=None):
 
 def _start_history(ops, mesh, problem, tau):
     """A history holding only the interpolated initial data, for taylor_start."""
-    return SimulationHistory(mesh, ops.basis, tau, 0.0, interpolate(mesh, problem.u0),
+    return SimulationHistory(mesh, ops, tau, 0.0, interpolate(mesh, problem.u0),
                              interpolate(mesh, problem.u1), 1)
 
 
@@ -96,7 +96,7 @@ class TestDampingValue:
         u = np.random.default_rng(3).standard_normal(mesh.n_interior)
         spec = DampingSpec("affine", mu1=0.3, mu2=0.7)
         nodal = spec.value(0.3 * float(u @ (ops.mass @ u)) + 0.7 * float(u @ (ops.stiffness @ u)))
-        modal = damping_value(spec, ops, ops.basis.to_modal(u))
+        modal = damping_value(spec, ops, ops.to_modal(u))
         assert modal == pytest.approx(nodal, rel=1e-13)
 
     def test_sine_state_matches_continuous_norms(self):
@@ -105,7 +105,7 @@ class TestDampingValue:
         ops = assemble(mesh)
         u = interpolate(mesh, lambda x: np.sin(np.pi * x))
         expected = math.sqrt(1.0 + 0.5 + np.pi**2 / 2.0)
-        coeffs = ops.basis.to_modal(u)
+        coeffs = ops.to_modal(u)
         assert damping_value(DampingSpec("sqrt"), ops, coeffs) == pytest.approx(expected, abs=1e-3)
 
 
@@ -130,7 +130,7 @@ class TestTaylorStart:
         _, a0 = taylor_start(hist, ops, damping, prob)
         q0 = damping_value(damping, ops, hist.coefficients[0])
         assert q0 == 1.0
-        u1h, u2h = hist.u1h, ops.basis.to_nodal(a0)
+        u1h, u2h = hist.u1h, ops.to_nodal(a0)
         assert u2h == pytest.approx(-q0 * u1h, abs=1e-12)
         assert hist.states[1] == pytest.approx(tau * u1h * (1.0 - tau * q0 / 2.0), abs=1e-12)
 
@@ -142,7 +142,7 @@ class TestTaylorStart:
         hist = _start_history(ops, mesh, SINE_PROBLEM, 0.01)
         _, a0 = taylor_start(hist, ops, damping, SINE_PROBLEM)
         q0 = damping_value(damping, ops, hist.coefficients[0])
-        u2h = ops.basis.to_nodal(a0)
+        u2h = ops.to_nodal(a0)
         expected = interpolate(
             mesh, lambda x: -q0 * np.sin(2 * np.pi * x) - np.pi**2 * np.sin(np.pi * x)
         )
@@ -179,7 +179,7 @@ class TestStepping:
         assert len(hist.states) == 7
         assert len(coeffs) == 7
         assert len(hist.velocity_diffs) == 6
-        v1 = ops.basis.to_modal(interpolate(mesh, SINE_PROBLEM.u1))
+        v1 = ops.to_modal(interpolate(mesh, SINE_PROBLEM.u1))
         assert np.array_equal(hist.velocity_diffs[0], v1)
         for p in range(1, 6):
             expected = (coeffs[p + 1] - coeffs[p - 1]) / (2 * tau)
@@ -188,7 +188,7 @@ class TestStepping:
         # each row of coefficients
         states = hist.states
         assert np.array_equal(states[0], interpolate(mesh, SINE_PROBLEM.u0))
-        assert np.array_equal(states[1:], ops.basis.to_nodal(coeffs)[1:])
+        assert np.array_equal(states[1:], ops.to_nodal(coeffs)[1:])
         for k in range(1, 7):
             assert np.abs(hist.state(k) - states[k]).max() <= 1e-15
         # the buffers are sized once, for the requested steps
@@ -219,7 +219,7 @@ class TestStepping:
         mesh = Mesh(1, 8)
         ops = assemble(mesh)
         table = build_weight_table(KernelSpec(1.0, 2.0, 1.0), 0.1, 4)
-        hist = SimulationHistory(mesh, ops.basis, 0.1, table.mu0, np.full(7, 1e200),
+        hist = SimulationHistory(mesh, ops, 0.1, table.mu0, np.full(7, 1e200),
                                  np.zeros(7), 4)
         hist.push(hist.coefficients[0].copy())
         with np.errstate(over="ignore"), pytest.raises(SolverError, match="step 1 .* smallest entry inf"):
@@ -238,22 +238,12 @@ class TestStepping:
         nan_forcing = Problem(u0=SINE_PROBLEM.u0, u1=SINE_PROBLEM.u1,
                               f=lambda x, t: np.full(np.shape(x), np.nan if t > 0.0 else 0.0))
         table = build_weight_table(KernelSpec(1.0, 2.0, 1.0), 0.1, 3)
-        hist = SimulationHistory(mesh, ops.basis, 0.1, table.mu0, interpolate(mesh, nan_forcing.u0),
+        hist = SimulationHistory(mesh, ops, 0.1, table.mu0, interpolate(mesh, nan_forcing.u0),
                                  interpolate(mesh, nan_forcing.u1), 4)
         taylor_start(hist, ops, damping, nan_forcing)
         with pytest.raises(StepError, match=r"state U\^2 computed at step 1 is not finite"):
             step(hist, ops, table, damping, nan_forcing, 1)
         assert hist.n_last == 1
-
-    def test_2d_lumped_mass_rejected(self):
-        mesh = Mesh(2, 4)
-        ops = assemble(mesh, lumped_mass=True)
-        assert ops.basis is None
-        prob = Problem(u0=lambda x, y: x * y, u1=lambda x, y: 0.0 * x, f=None)
-        with pytest.raises(SolverError, match="no modal basis"):
-            run(prob, mesh, 0.1, 2, kernel=ZERO_KERNEL, damping=DampingSpec("sqrt"), ops=ops)
-        with pytest.raises(SolverError, match="no modal basis"):
-            damping_value(DampingSpec("sqrt"), ops, np.zeros(mesh.n_interior))
 
     def test_run_validation(self):
         mesh = Mesh(1, 8)
@@ -322,7 +312,7 @@ def _dense_direct(ops, mesh, problem, damping, table, tau, n_steps):
     """The scheme on the assembled matrices: one dense solve with S per step,
     the memory sum built from table.coefficients(n) and A applied to the
     stored centered differences."""
-    mass, stiff = ops.mass.toarray(), ops.stiffness.toarray()
+    mass, stiff = ops.mass, ops.stiffness
 
     def q(u):
         return damping.value(damping.mu1 * (u @ mass @ u) + damping.mu2 * (u @ stiff @ u))
@@ -393,7 +383,7 @@ class TestBlockedMemorySum:
     @staticmethod
     def _step_and_compare(mesh, problem, damping, tau, n_steps, table_of_step):
         ops = assemble(mesh)
-        hist = SimulationHistory(mesh, ops.basis, tau, table_of_step(1).mu0,
+        hist = SimulationHistory(mesh, ops, tau, table_of_step(1).mu0,
                                  interpolate(mesh, problem.u0), interpolate(mesh, problem.u1),
                                  n_steps)
         taylor_start(hist, ops, damping, problem)

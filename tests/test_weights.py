@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from memwave.kernel import KernelSpec, constant_transform, kernel_transform
-from memwave.quadweights import WeightTable, build_weight_table, convolve
+from memwave.quadweights import WEIGHT_TOL, WeightTable, build_weight_table, convolve
 
 ROOT3 = math.sqrt(3.0)
 
@@ -30,11 +30,16 @@ def _k_singular(sigma, gamma, t):
     return val.real
 
 
-def _brute_weight(kfun, tau, n, p, points=200001):
-    """Flat trapezoid quadrature of K(t_n - s) * hat_p(s) over [0, t_n]."""
-    s = np.linspace(0.0, n * tau, points)
-    hat = np.maximum(1.0 - np.abs(s - p * tau) / tau, 0.0)
-    return np.trapezoid(kfun(n * tau - s) * hat, s)
+def _brute_weight(kfun, tau, n, p):
+    """Adaptive quadrature of K(t_n - s) * hat_p(s) over [0, t_n], one half hat
+    at a time, so the kink at t_p and the end point t_n are interval ends."""
+    t_n, t_p = n * tau, p * tau
+    total = 0.0
+    for lo, hi in ((max(t_p - tau, 0.0), t_p), (t_p, min(t_p + tau, t_n))):
+        if hi > lo:
+            integrand = lambda s: float(kfun(t_n - s)) * (1.0 - abs(s - t_p) / tau)
+            total += quad(integrand, lo, hi, epsabs=1e-14, epsrel=0.0)[0]
+    return total
 
 
 class TestUnitHook:
@@ -144,7 +149,7 @@ class TestBruteForce:
         for n in range(1, 9):
             for p in range(0, n + 1):
                 brute = _brute_weight(kfun, tau, n, p)
-                assert table.weight(n, p) == pytest.approx(brute, abs=1e-8)
+                assert table.weight(n, p) == pytest.approx(brute, abs=WEIGHT_TOL)
 
     @pytest.mark.parametrize("sigma,gamma", [(3.0, 3.0 * ROOT3), (2.0, 1.0)])
     def test_singular_weights_match_flat_quadrature(self, sigma, gamma):
@@ -155,7 +160,7 @@ class TestBruteForce:
         for n in range(1, 9):
             for p in range(0, n + 1):
                 brute = _brute_weight(kfun, tau, n, p)
-                assert table.weight(n, p) == pytest.approx(brute, abs=1e-8)
+                assert table.weight(n, p) == pytest.approx(brute, abs=WEIGHT_TOL)
 
 
 class TestConvolve:

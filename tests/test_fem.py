@@ -147,10 +147,12 @@ class TestModalBasis:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    def test_2d_lumped_mass_rejected(self):
+    def test_2d_lumped_mass_has_no_basis(self):
         # kron(L1, L1) shares no per-axis basis with the 2d stiffness
         with pytest.raises(ValueError, match="lumped mass is 1d only"):
-            assemble(Mesh(2, 4), lumped_mass=True)
+            assemble(Mesh(2, 6), lumped_mass=True)
+        ops = assemble(Mesh(1, 6), lumped_mass=True)
+        assert ops.vectors.shape == (5, 5) and ops.eigenvalues.shape == (5,)
 
 
 class TestInterpolate:

@@ -245,6 +245,14 @@ class TestStepping:
             step(hist, ops, table, damping, nan_forcing, 1)
         assert hist.n_last == 1
 
+    def test_2d_lumped_mass_rejected(self):
+        # the 2d lumped operators are refused before any run can use them
+        mesh = Mesh(2, 4)
+        prob = Problem(u0=lambda x, y: x * y, u1=lambda x, y: 0.0 * x, f=None)
+        with pytest.raises(ValueError, match="lumped mass is 1d only"):
+            run(prob, mesh, 0.1, 2, kernel=ZERO_KERNEL, damping=DampingSpec("sqrt"),
+                ops=assemble(mesh, lumped_mass=True))
+
     def test_run_validation(self):
         mesh = Mesh(1, 8)
         with pytest.raises(ValueError):

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from memwave import KernelSpec, Mesh, assemble, discrete_energy, run
+from memwave import KernelSpec, Mesh, RunDiagnostics, assemble, build_weight_table, run
 from memwave.cli import RunConfig, preset_problem
-from memwave.diagnostics import collect_diagnostics, write_energy_csv
+from memwave.diagnostics import write_energy_csv
 
 ROOT3 = np.sqrt(3.0)
 OUT = Path.cwd()
@@ -27,9 +27,13 @@ for alpha in (1.0, 0.5):
     problem, kernel, damping = preset_problem(config, zero_forcing=True)
     mesh = Mesh(1, M)
     ops = assemble(mesh, lumped_mass=True)
-    history = run(problem, mesh, 1.0 / N, N + 1, kernel=kernel, damping=damping, ops=ops)
+    # the observer forms the series as the steps arrive; no trajectory is kept
+    table = build_weight_table(kernel, 1.0 / N, N)
+    observer = RunDiagnostics(mesh, ops, problem, 1.0 / N, table.mu0, N + 1)
+    run(problem, mesh, 1.0 / N, N + 1, damping=damping, ops=ops, table=table, observe=observer)
+    record = observer.record(f"energy_alpha_{alpha}")
 
-    energies = np.array([discrete_energy(history, ops, n) for n in range(N + 1)])
+    energies = record.energy
     drops = np.diff(energies)
     print(f"alpha = {alpha}:")
     print(f"  energy at t=0 : {energies[0]:.6f}")
@@ -40,7 +44,6 @@ for alpha in (1.0, 0.5):
         print(f"  |{row}|")
     print(f"  +{'-' * len(energies)}+  (t from 0 to 1)\n")
 
-    record = collect_diagnostics(history, ops, run_id=f"energy_alpha_{alpha}")
     path = OUT / f"energy_alpha_{alpha:.1f}.csv"
     write_energy_csv(path, record)
     print(f"  wrote {path}\n")

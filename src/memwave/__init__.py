@@ -27,6 +27,7 @@ from .stepper import (
     SimulationHistory,
     SolverError,
     StepError,
+    Trajectory,
     damping_value,
     run,
     step,
@@ -34,8 +35,9 @@ from .stepper import (
 )
 from .diagnostics import (
     DiagnosticsRecord,
+    RunDiagnostics,
+    TerminalGradient,
     a_norm,
-    collect_diagnostics,
     discrete_energy,
     rate,
     self_error_space,

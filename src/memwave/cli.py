@@ -30,7 +30,8 @@ import numpy as np
 
 from .diagnostics import (
     FLOAT_FMT,
-    collect_diagnostics,
+    RunDiagnostics,
+    TerminalGradient,
     rate,
     self_error_space,
     self_error_time,
@@ -112,16 +113,22 @@ def _get_int(section, name: str, key: str) -> int:
 
 
 def parse_config(source) -> RunConfig:
-    """Read and validate a config from a path or from INI text."""
-    parser = configparser.ConfigParser()
+    """Read and validate a config from a path or from INI text.
+
+    Values are taken literally: '%' has no meaning.
+    """
+    parser = configparser.ConfigParser(interpolation=None)
     text = source if isinstance(source, str) and "\n" in source else None
-    if text is not None:
-        parser.read_string(text)
-    else:
-        path = Path(source)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        parser.read(path)
+    try:
+        if text is not None:
+            parser.read_string(text)
+        else:
+            path = Path(source)
+            if not path.exists():
+                raise ConfigError(f"config file not found: {path}")
+            parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
 
     for section in parser.sections():
         if section not in _SCHEMA:
@@ -220,7 +227,7 @@ def parse_config(source) -> RunConfig:
 
 def serialize_config(config: RunConfig) -> str:
     """Render a config back to INI text; parse(serialize(c)) == c."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["run"] = {
         "preset": config.preset,
         "dim": str(config.dim),
@@ -352,16 +359,21 @@ def run_single(config: RunConfig, zero_forcing: bool = False):
 
     When the energy series is requested the run is extended one step past
     the final time so the centered velocity exists at the terminal index.
+    The diagnostics are computed as the steps arrive, so the run keeps no
+    trajectory.
     """
     problem, kernel, damping = preset_problem(config, zero_forcing=zero_forcing)
     mesh = Mesh(config.dim, config.m)
     ops = assemble(mesh, lumped_mass=preset_uses_lumped_mass(config.preset))
     n_steps = config.n + 1 if config.energy else config.n
-    history = run(problem, mesh, config.tau, n_steps, kernel=kernel, damping=damping, ops=ops)
+    table = build_weight_table(kernel, config.tau, max(1, n_steps - 1))
+    diagnostics = RunDiagnostics(mesh, ops, problem, config.tau, table.mu0, n_steps,
+                                 config.checkpoints)
+    run(problem, mesh, config.tau, n_steps, damping=damping, ops=ops, table=table,
+        observe=diagnostics)
 
-    record = collect_diagnostics(
-        history, ops, run_id=config.preset,
-        preset=config.preset, t_final=config.t_final, n=config.n,
+    record = diagnostics.record(
+        config.preset, preset=config.preset, t_final=config.t_final, n=config.n,
     )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -372,7 +384,7 @@ def run_single(config: RunConfig, zero_forcing: bool = False):
         paths.append(energy_path)
     for c in config.checkpoints:
         cp_path = out / f"checkpoint_{c:06d}.csv"
-        _write_checkpoint(cp_path, history.state(c))
+        _write_checkpoint(cp_path, diagnostics.checkpoints[c])
         paths.append(cp_path)
     return record, paths
 
@@ -400,7 +412,8 @@ def run_convergence(config: RunConfig, mode: str, ladder) -> list[tuple]:
 
     Each rung's error compares the run at the rung with the run at twice the
     refinement, so one extra run beyond the ladder is executed and shared
-    operators/tables are reused across rungs.
+    operators/tables are reused across rungs.  Each run keeps only its
+    terminal gradient.
     """
     if mode not in ("time", "space"):
         raise ConfigError(f"mode must be 'time' or 'space', got {mode!r}")
@@ -409,28 +422,27 @@ def run_convergence(config: RunConfig, mode: str, ladder) -> list[tuple]:
     needed = entries + (2 * entries[-1],)
     lumped = preset_uses_lumped_mass(config.preset)
 
-    runs = {}
+    def terminal(mesh, ops, tau, n_steps, **given) -> TerminalGradient:
+        kept = TerminalGradient(mesh, ops, tau, n_steps)
+        run(problem, mesh, tau, n_steps, damping=damping, ops=ops, observe=kept, **given)
+        return kept
+
+    rungs = {}
     if mode == "time":
         mesh = Mesh(config.dim, config.m)
         ops = assemble(mesh, lumped_mass=lumped)
         for n_val in needed:
-            runs[n_val] = run(
-                problem, mesh, config.t_final / n_val, n_val,
-                kernel=kernel, damping=damping, ops=ops,
-            )
-        errors = [self_error_time(runs[nv], runs[2 * nv]) for nv in entries]
+            rungs[n_val] = terminal(mesh, ops, config.t_final / n_val, n_val, kernel=kernel)
+        errors = [self_error_time(rungs[nv], rungs[2 * nv]) for nv in entries]
         labels = [(config.m, nv) for nv in entries]
     else:
         tau = config.tau
         table = build_weight_table(kernel, tau, max(1, config.n - 1))
         for m_val in needed:
             mesh = Mesh(config.dim, m_val)
-            runs[m_val] = run(
-                problem, mesh, tau, config.n,
-                kernel=kernel, damping=damping, table=table,
-                ops=assemble(mesh, lumped_mass=lumped),
-            )
-        errors = [self_error_space(runs[mv], runs[2 * mv]) for mv in entries]
+            rungs[m_val] = terminal(mesh, assemble(mesh, lumped_mass=lumped), tau, config.n,
+                                    table=table)
+        errors = [self_error_space(rungs[mv], rungs[2 * mv]) for mv in entries]
         labels = [(mv, config.n) for mv in entries]
 
     rows = []

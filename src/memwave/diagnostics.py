@@ -1,10 +1,19 @@
 """Measured quantities: discrete energy, stability norm, self-convergence.
 
+A run's diagnostics are computed as its levels arrive.  `RunDiagnostics` is
+an observer for `stepper.run`: it reduces a block of levels at a time to the
+energy and stability series with vectorized formulas, maps checkpoints to
+nodal values when their step is reached and keeps the terminal gradient, so
+no state buffer outlives the run.  `discrete_energy` and `a_norm` evaluate
+one step of a recorded trajectory.
+
 The model problems have no closed-form solutions, so convergence is measured
 by comparing runs on successive refinements: `self_error_time` contrasts the
 terminal gradient fields of an N-step and a 2N-step run on one mesh, and
 `self_error_space` contrasts runs on meshes with M and 2M cells at matched
-nodes.  Rates are base-2 logarithms of successive error ratios.
+nodes.  A ladder keeps each rung's terminal gradient through the
+`TerminalGradient` observer.  Rates are base-2 logarithms of successive
+error ratios.
 """
 
 from __future__ import annotations
@@ -12,20 +21,22 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .fem import DiscreteOperators, gradient_array
-from .stepper import SimulationHistory
+from .fem import DiscreteOperators, Mesh, gradient_array, interpolate
+from .stepper import Problem, SimulationHistory
 
 __all__ = [
     "DiagnosticsRecord",
+    "RunDiagnostics",
+    "TerminalGradient",
     "discrete_energy",
     "a_norm",
     "self_error_time",
     "self_error_space",
     "rate",
-    "collect_diagnostics",
     "write_energy_csv",
     "write_convergence_csv",
 ]
@@ -33,7 +44,9 @@ __all__ = [
 #: fixed formatting for all emitted floating-point values
 FLOAT_FMT = "%.17g"
 
-#: entries per block when the series sweep the history (1 MiB of float64)
+#: entries per block of levels that RunDiagnostics reduces at once (1 MiB of float64);
+#: BLAS rounds a row by its place in the block, so the block edges set the last
+#: bits of the series and energy.csv
 _BLOCK_VALUES = 1 << 17
 
 
@@ -68,12 +81,36 @@ def a_norm(history: SimulationHistory, ops: DiscreteOperators, m: int) -> float:
     return math.sqrt(val)
 
 
-def _terminal_gradients(history: SimulationHistory) -> np.ndarray:
-    return gradient_array(history.mesh, history.state(history.n_last))
+class TerminalGradient:
+    """Observer that keeps the gradient field of a run's last level.
+
+    Beside it, it holds the mesh, step size and step count: all that
+    `self_error_time` and `self_error_space` compare.
+    """
+
+    def __init__(self, mesh: Mesh, ops: DiscreteOperators, tau: float, n_steps: int):
+        self.mesh = mesh
+        self.ops = ops
+        self.tau = float(tau)
+        self.n_last = int(n_steps)
+        self.gradient: Optional[np.ndarray] = None
+
+    def __call__(self, n: int, coeffs: np.ndarray) -> None:
+        if n == self.n_last:
+            self.gradient = gradient_array(self.mesh, self.ops.to_nodal(coeffs))
 
 
-def self_error_time(run_coarse: SimulationHistory, run_fine: SimulationHistory) -> float:
-    """Gradient difference at the shared final time of an N- and a 2N-step run."""
+def _terminal_gradients(run) -> np.ndarray:
+    if isinstance(run, TerminalGradient):
+        return run.gradient
+    return gradient_array(run.mesh, run.state(run.n_last))
+
+
+def self_error_time(run_coarse, run_fine) -> float:
+    """Gradient difference at the shared final time of an N- and a 2N-step run.
+
+    Each run is a SimulationHistory or a TerminalGradient observer.
+    """
     mc, mf = run_coarse.mesh, run_fine.mesh
     if mc != mf:
         raise ValueError("runs must share one mesh")
@@ -86,9 +123,10 @@ def self_error_time(run_coarse: SimulationHistory, run_fine: SimulationHistory) 
     return math.sqrt(mc.h**mc.dim * float(np.sum(diff * diff)))
 
 
-def self_error_space(run_coarse: SimulationHistory, run_fine: SimulationHistory) -> float:
+def self_error_space(run_coarse, run_fine) -> float:
     """Gradient difference of runs on M and 2M cells at the coarse nodes.
 
+    Each run is a SimulationHistory or a TerminalGradient observer.
     Coarse node j aligns with fine node 2j (both meshes cover the unit
     domain), so the fine gradient field is subsampled at the odd strides.
     """
@@ -132,43 +170,64 @@ class DiagnosticsRecord:
             raise ValueError("recorded norms must be nonnegative numbers")
 
 
-def _series(history: SimulationHistory, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """discrete_energy and a_norm for every step that has a successor.
+class RunDiagnostics(TerminalGradient):
+    """Observer that computes a run's energy and stability series, nodal
+    checkpoints and terminal gradient as the levels arrive.
 
-    The history is swept in blocks of about _BLOCK_VALUES entries so that
-    no temporary grows with the number of steps.
+    Step n of the series is `discrete_energy` and `a_norm` at n; it needs
+    U^{n-1}, U^n and U^{n+1}, so a run of n_steps steps gives n_steps
+    entries.  Levels are copied into a block of about _BLOCK_VALUES entries.
+    When the block is full, one vectorized pass forms the series for its
+    steps, and its two newest levels carry over into the next block.  The
+    initial data come from `problem`: the nodal u0 is checkpoint 0, and the
+    initial velocity enters the energy at n = 0.
     """
-    count = history.n_last
-    coeffs, diffs = history.coefficients, history.velocity_diffs
-    energy, norms = np.empty(count), np.empty(count)
-    rows = max(1, _BLOCK_VALUES // lam.size)
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        c = coeffs[start:stop + 1]
-        elastic = (c * c) @ lam  # ||U^k||_A^2 for k = start..stop
-        vel = diffs[start:stop]
-        dt = (c[1:] - c[:-1]) / history.tau
-        energy[start:stop] = 0.5 * np.einsum("ij,ij->i", vel, vel) + 0.5 * elastic[:-1]
-        norms[start:stop] = (np.einsum("ij,ij->i", dt, dt)
-                             + 0.5 * history.mu0 * (elastic[1:] + elastic[:-1]))
-    return energy, np.sqrt(norms)
 
+    def __init__(self, mesh: Mesh, ops: DiscreteOperators, problem: Problem, tau: float,
+                 mu0: float, n_steps: int, checkpoints=()):
+        super().__init__(mesh, ops, tau, n_steps)
+        self.mu0 = float(mu0)
+        self.energy = np.empty(self.n_last)
+        self.a_norms = np.empty(self.n_last)
+        self.checkpoints: dict[int, np.ndarray] = {}
+        self._wanted = frozenset(checkpoints)
+        self._u0 = interpolate(mesh, problem.u0)
+        self._v1 = ops.to_modal(interpolate(mesh, problem.u1))
+        self._rows = max(1, _BLOCK_VALUES // mesh.n_interior)
+        # row j holds U^{start - 1 + j} for the block of steps start..stop-1
+        self._levels = np.zeros((self._rows + 2, mesh.n_interior))
+        self._start, self._stop = 0, min(self._rows, self.n_last)
 
-def collect_diagnostics(history: SimulationHistory, ops: DiscreteOperators,
-                        run_id: str, **meta) -> DiagnosticsRecord:
-    """Evaluate the full energy and stability series of a finished run."""
-    energy, norms = _series(history, ops.eigenvalues)
-    meta.setdefault("tau", history.tau)
-    meta.setdefault("dim", history.mesh.dim)
-    meta.setdefault("m", history.mesh.m)
-    meta.setdefault("n_steps", history.n_last)
-    return DiagnosticsRecord(
-        run_id=run_id,
-        energy=energy,
-        a_norms=norms,
-        terminal_gradient=_terminal_gradients(history),
-        meta=meta,
-    )
+    def __call__(self, n: int, coeffs: np.ndarray) -> None:
+        self._levels[n - self._start + 1] = coeffs
+        if n in self._wanted:
+            self.checkpoints[n] = self._u0.copy() if n == 0 else self.ops.to_nodal(coeffs)
+        if n == self._stop:
+            self._reduce()
+        super().__call__(n, coeffs)
+
+    def _reduce(self) -> None:
+        start, stop = self._start, self._stop
+        rows, levels = stop - start, self._levels
+        c = levels[1:rows + 2]  # U^start..U^stop
+        elastic = (c * c) @ self.ops.eigenvalues  # ||U^k||_A^2
+        vel = (levels[2:rows + 2] - levels[:rows]) / (2.0 * self.tau)
+        if start == 0:
+            vel[0] = self._v1
+        dt = (c[1:] - c[:-1]) / self.tau
+        self.energy[start:stop] = 0.5 * np.einsum("ij,ij->i", vel, vel) + 0.5 * elastic[:-1]
+        self.a_norms[start:stop] = np.sqrt(np.einsum("ij,ij->i", dt, dt)
+                                           + 0.5 * self.mu0 * (elastic[1:] + elastic[:-1]))
+        levels[:2] = levels[rows:rows + 2]
+        self._start, self._stop = stop, min(stop + self._rows, self.n_last)
+
+    def record(self, run_id: str, **meta) -> DiagnosticsRecord:
+        """The measurement bundle of the finished run."""
+        if self.gradient is None:
+            raise ValueError(f"the run has not reached its last step {self.n_last}")
+        meta = {"tau": self.tau, "dim": self.mesh.dim, "m": self.mesh.m,
+                "n_steps": self.n_last, **meta}
+        return DiagnosticsRecord(run_id, self.energy, self.a_norms, self.gradient, meta)
 
 
 def write_energy_csv(path, record: DiagnosticsRecord) -> None:

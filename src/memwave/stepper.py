@@ -12,7 +12,12 @@ States are stepped as coefficients in the modal basis that
 stiffness matrix is diagonal, so each system is solved by one elementwise
 division.
 Nodal values appear only at the edges: initial data, forcing, and the
-states a caller reads back from the history.
+states a caller reads back.
+
+A run streams: a step reads U^0, U^{n-1}, U^n and the velocity differences
+that the memory sum weights, and the history keeps only those.  Every new
+level goes to an observer, a callable observe(n, coeffs); without one the
+history records the whole trajectory through the `Trajectory` observer.
 
 The memory sum of step n weights the whole velocity history, so it costs
 O(n * ndof).  `SimulationHistory.memory_sum` forms it a block of
@@ -42,6 +47,7 @@ __all__ = [
     "SimulationHistory",
     "SolverError",
     "StepError",
+    "Trajectory",
     "damping_value",
     "taylor_start",
     "step",
@@ -142,33 +148,56 @@ def damping_value(spec: DampingSpec, ops: DiscreteOperators, coeffs: np.ndarray)
     return q
 
 
-class SimulationHistory:
-    """Trajectory U^0..U^n as modal coefficients, plus the cached memory-sum rows.
+# observe(n, coeffs) receives the modal coefficients of U^n, which the
+# stepper goes on reading: an observer copies what it keeps and writes nothing
+Observer = Callable[[int, np.ndarray], None]
 
-    coefficients[k] holds U^k in the modal basis.  velocity_diffs[p] holds
-    the centered difference (U^{p+1} - U^{p-1}) / (2 tau) for p >= 1 and
-    the discrete initial velocity for p = 0, also as modal coefficients; the
-    memory sum weights these rows and scales the result by the eigenvalues.
-    The nodal initial data u0 and u1h are kept as given.  Both buffers are
-    allocated once, for n_steps steps; difference rows past the last step
-    may hold the partial memory sums that `memory_sum` parks there.
+
+class Trajectory:
+    """Observer that records every level U^0..U^{n_steps} as modal coefficients."""
+
+    def __init__(self, n_steps: int, ndof: int):
+        self.coefficients = np.zeros((int(n_steps) + 1, ndof))
+
+    def __call__(self, n: int, coeffs: np.ndarray) -> None:
+        self.coefficients[n] = coeffs
+
+
+class SimulationHistory:
+    """What the next step reads: U^0, U^{n-1}, U^n and the memory-sum rows.
+
+    initial, previous and current hold U^0, U^{n-1} and U^n as modal
+    coefficients.  velocity_diffs[p] holds the centered difference
+    (U^{p+1} - U^{p-1}) / (2 tau) for p >= 1 and the discrete initial
+    velocity for p = 0, also as modal coefficients; the memory sum weights
+    these rows and scales the result by the eigenvalues.  The row buffer is
+    allocated once, for n_steps steps; rows past the last step may hold the
+    partial memory sums that `memory_sum` parks there.  The nodal initial
+    data u0 and u1h are kept as given.
+
+    observe(n, coeffs) is called with U^0 here and with every pushed level.
+    Without an observer the history records the whole trajectory, which
+    `coefficients`, `states` and `state` then read.
     """
 
     def __init__(self, mesh: Mesh, ops: DiscreteOperators, tau: float, mu0: float,
-                 u0: np.ndarray, u1h: np.ndarray, n_steps: int):
+                 u0: np.ndarray, u1h: np.ndarray, n_steps: int,
+                 observe: Optional[Observer] = None):
         self.mesh = mesh
         self.ops = ops
         self.tau = float(tau)
         self.mu0 = float(mu0)
         self.u0 = np.asarray(u0, dtype=float)
         self.u1h = np.asarray(u1h, dtype=float)
-        rows = int(n_steps) + 1
-        self._coeffs = np.zeros((rows, self.u0.size))
-        self._diffs = np.zeros((rows, self.u0.size))
-        self._coeffs[0] = ops.to_modal(self.u0)
+        self._diffs = np.zeros((int(n_steps) + 1, self.u0.size))
         self._diffs[0] = ops.to_modal(self.u1h)
+        self.initial = ops.to_modal(self.u0)
+        self.previous = self.current = self.initial
         self._count = 1
         self._block: tuple[Optional[WeightTable], int, int] = (None, 0, 0)
+        self._trajectory = Trajectory(n_steps, self.u0.size) if observe is None else None
+        self._observe = self._trajectory if observe is None else observe
+        self._observe(0, self.initial)
 
     @property
     def n_last(self) -> int:
@@ -177,8 +206,10 @@ class SimulationHistory:
 
     @property
     def coefficients(self) -> np.ndarray:
-        """View of the modal coefficients of U^0..U^n, shape (n+1, ndof)."""
-        return self._coeffs[: self._count]
+        """View of the recorded modal coefficients of U^0..U^n, shape (n+1, ndof)."""
+        if self._trajectory is None:
+            raise ValueError("an observed history keeps only U^0, U^{n-1} and U^n")
+        return self._trajectory.coefficients[: self._count]
 
     @property
     def initial_velocity(self) -> np.ndarray:
@@ -191,18 +222,18 @@ class SimulationHistory:
         return self._diffs[: self._count - 1]
 
     def state(self, n: int) -> np.ndarray:
-        """Nodal values of U^n."""
+        """Nodal values of U^n; an observed history serves n = 0 and n = n_last."""
         if not 0 <= n <= self.n_last:
             raise IndexError(f"step {n} outside [0, {self.n_last}]")
         if n == 0:
             return self.u0.copy()
-        return self.ops.to_nodal(self._coeffs[n])
+        return self.ops.to_nodal(self.current if n == self.n_last else self.coefficients[n])
 
     @property
     def states(self) -> np.ndarray:
-        """Nodal U^0..U^n, shape (n+1, ndof), formed anew on each access by
-        one batched map of all coefficients; bind it once rather than index
-        it in a loop."""
+        """Recorded nodal U^0..U^n, shape (n+1, ndof), formed anew on each
+        access by one batched map of all coefficients; bind it once rather
+        than index it in a loop."""
         nodal = self.ops.to_nodal(self.coefficients)
         nodal[0] = self.u0
         return nodal
@@ -240,12 +271,17 @@ class SimulationHistory:
         return self._diffs[n] + near @ self._diffs[start:n]
 
     def push(self, coeffs: np.ndarray) -> None:
-        """Append the modal coefficients of U^{n+1} and cache its memory-sum row."""
+        """Append the modal coefficients of U^{n+1}, cache its memory-sum row
+        and pass it to the observer.  The history keeps `coeffs` itself as
+        U^{n+1}, not a copy."""
         k = self._count
-        self._coeffs[k] = coeffs
+        if k >= self._diffs.shape[0]:
+            raise IndexError(f"the history was sized for {self._diffs.shape[0] - 1} steps")
         if k >= 2:
-            self._diffs[k - 1] = (self._coeffs[k] - self._coeffs[k - 2]) / (2.0 * self.tau)
-        self._count += 1
+            self._diffs[k - 1] = (coeffs - self.previous) / (2.0 * self.tau)
+        self.previous, self.current = self.current, coeffs
+        self._count = k + 1
+        self._observe(k, coeffs)
 
 
 def taylor_start(history: SimulationHistory, ops: DiscreteOperators,
@@ -263,7 +299,7 @@ def taylor_start(history: SimulationHistory, ops: DiscreteOperators,
             f"the Taylor start needs a history holding U^0 only, not U^0..U^{history.n_last}"
         )
     tau = history.tau
-    c0, v1 = history.coefficients[0], history.initial_velocity
+    c0, v1 = history.initial, history.initial_velocity
     q0 = damping_value(damping, ops, c0)
     a0 = -q0 * v1 - ops.eigenvalues * c0
     if problem.f is not None:
@@ -294,8 +330,7 @@ def step(history: SimulationHistory, ops: DiscreteOperators, table: WeightTable,
     lam = ops.eigenvalues
     tau = history.tau
     mu0 = table.mu0
-    coeffs = history.coefficients
-    c_n, c_nm1 = coeffs[n], coeffs[n - 1]
+    c_n, c_nm1 = history.current, history.previous
 
     q_n = damping_value(damping, ops, c_n)
     w_nn = float(table.edge_right[n])
@@ -316,7 +351,7 @@ def step(history: SimulationHistory, ops: DiscreteOperators, table: WeightTable,
     stiffness_terms = (
         (0.5 * mu0 - w_nn / (2.0 * tau)) * c_nm1
         + history.memory_sum(table, n)
-        + float(table.k_values[n]) * coeffs[0]
+        + float(table.k_values[n]) * history.initial
     )
     rhs = (2.0 / tau**2) * c_n - (1.0 / tau**2 - q_n / (2.0 * tau)) * c_nm1 - lam * stiffness_terms
     if problem.f is not None:
@@ -336,9 +371,12 @@ def _push_finite(history: SimulationHistory, coeffs: np.ndarray, n: int) -> None
 def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
         kernel: Optional[KernelLike] = None, damping: Optional[DampingSpec] = None,
         ops: Optional[DiscreteOperators] = None,
-        table: Optional[WeightTable] = None) -> SimulationHistory:
-    """Full trajectory U^0..U^{n_steps}.
+        table: Optional[WeightTable] = None,
+        observe: Optional[Observer] = None) -> SimulationHistory:
+    """Step U^0..U^{n_steps}, passing each level to observe(n, coeffs).
 
+    observe sees the modal coefficients of U^n for n = 0..n_steps in order;
+    without it the returned history records the whole trajectory.
     Prebuilt operators and weight tables may be passed in so refinement
     ladders can share them; otherwise they are assembled here (the table
     then requires a kernel).
@@ -362,7 +400,7 @@ def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
 
     history = SimulationHistory(
         mesh, ops, tau, table.mu0, interpolate(mesh, problem.u0),
-        interpolate(mesh, problem.u1), n_steps,
+        interpolate(mesh, problem.u1), n_steps, observe,
     )
     taylor_start(history, ops, damping, problem)
     for n in range(1, n_steps):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,11 @@ from memwave.cli import (
     run_single,
     serialize_config,
 )
+from memwave import diagnostics
+from memwave.diagnostics import a_norm, discrete_energy, self_error_space, self_error_time
+from memwave.fem import Mesh, assemble
 from memwave.kernel import KernelSpec
+from memwave.stepper import run
 
 BENCH_1D = """
 [run]
@@ -131,6 +136,23 @@ class TestConfigParsing:
         assert again == cfg
         assert serialize_config(again) == text
 
+    def test_percent_is_literal(self):
+        cfg = parse_config(BENCH_1D + "directory = out%d\n")
+        assert cfg.out_dir == "out%d"
+
+    def test_roundtrip_keeps_percent(self):
+        cfg = replace(parse_config(BENCH_1D), out_dir="a%b")
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_missing_section_header_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="malformed config"):
+            parse_config("preset = zero\ndim = 1\n")
+
+    def test_duplicate_key_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="malformed config"):
+            parse_config(BENCH_1D.replace("preset = benchmark_1d",
+                                          "preset = benchmark_1d\npreset = zero"))
+
     def test_roundtrip_zero_preset(self):
         cfg = parse_config(ZERO_CFG + "\n[damping]\nkind = constant\nconstant = 2.0\n")
         assert serialize_config(parse_config(serialize_config(cfg))) == serialize_config(cfg)
@@ -194,6 +216,51 @@ class TestRunSingle:
         exact_grad = np.pi * math.exp(-1.0) * np.cos(np.pi * (xs - mesh_h / 2.0))
         err = math.sqrt(mesh_h * float(np.sum((record.terminal_gradient - exact_grad) ** 2)))
         assert err < 0.05
+
+
+class TestStreamedOutputs:
+    """The CLI computes its outputs as the steps arrive; they equal the values
+    read from a recorded trajectory of the same run."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_energy_and_checkpoints_match_recorded_run(self, tmp_path, monkeypatch, dim):
+        preset, m, n = ("benchmark_1d", 16, 41) if dim == 1 else ("benchmark_2d", 16, 23)
+        cfg = replace(parse_config(BENCH_1D), preset=preset, dim=dim, m=m, n=n,
+                      kernel=KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)),
+                      out_dir=str(tmp_path), checkpoints=(0, 1, 5, 6, n))
+        # blocks of six steps, so the series cross several block edges
+        monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", 6 * (m - 1) ** dim)
+        run_single(cfg)
+
+        problem, kernel, damping = preset_problem(cfg)
+        mesh = Mesh(dim, m)
+        ops = assemble(mesh, lumped_mass=dim == 1)
+        hist = run(problem, mesh, cfg.tau, n + 1, kernel=kernel, damping=damping, ops=ops)
+        with open(tmp_path / "energy.csv") as handle:
+            rows = np.array([[float(v) for v in row] for row in list(csv.reader(handle))[1:]])
+        assert np.array_equal(rows[:, 0], np.arange(n + 1))
+        energy = [discrete_energy(hist, ops, k) for k in range(n + 1)]
+        norms = [a_norm(hist, ops, k) for k in range(n + 1)]
+        assert rows[:, 2] == pytest.approx(energy, rel=1e-13, abs=0.0)
+        assert rows[:, 3] == pytest.approx(norms, rel=1e-13, abs=0.0)
+        for c in cfg.checkpoints:
+            with open(tmp_path / f"checkpoint_{c:06d}.csv") as handle:
+                values = [float(row[1]) for row in list(csv.reader(handle))[1:]]
+            assert np.array_equal(values, hist.state(c))
+
+    @pytest.mark.parametrize("mode, ladder", [("time", [8, 16]), ("space", [4, 8])])
+    def test_ladder_matches_recorded_runs(self, mode, ladder):
+        cfg = parse_config(BENCH_1D)
+        problem, kernel, damping = preset_problem(cfg)
+        runs = {}
+        for level in ladder + [2 * ladder[-1]]:
+            m, n = (cfg.m, level) if mode == "time" else (level, cfg.n)
+            mesh = Mesh(1, m)
+            runs[level] = run(problem, mesh, cfg.t_final / n, n, kernel=kernel,
+                              damping=damping, ops=assemble(mesh, lumped_mass=True))
+        error = self_error_time if mode == "time" else self_error_space
+        expected = [error(runs[v], runs[2 * v]) for v in ladder]
+        assert [row[2] for row in run_convergence(cfg, mode, ladder)] == expected
 
 
 class TestConvergence:
@@ -302,6 +369,16 @@ class TestMainEntry:
         assert main(["convergence", "--config", path, "--mode", mode, f"--ladder={ladder}",
                      "--out", str(tmp_path / "conv")]) == 2
         assert f"--ladder: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "preset = zero\ndim = 1\n",
+        BENCH_1D.replace("preset = benchmark_1d", "preset = benchmark_1d\npreset = zero"),
+        BENCH_1D + "\n[kernel]\nalpha = 1.0\n",
+    ], ids=["no_section_header", "duplicate_key", "duplicate_section"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, text):
+        path = self._write(tmp_path, text)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: malformed config" in capsys.readouterr().err
 
     def test_infinite_final_time_exit_code(self, tmp_path, capsys):
         path = self._write(tmp_path, BENCH_1D.replace("t = 1.0", "t = inf"))

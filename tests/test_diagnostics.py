@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from memwave import diagnostics
 from memwave.diagnostics import (
     DiagnosticsRecord,
+    RunDiagnostics,
+    TerminalGradient,
     a_norm,
-    collect_diagnostics,
     discrete_energy,
     rate,
     self_error_space,
@@ -20,8 +21,9 @@ from memwave.diagnostics import (
     write_convergence_csv,
     write_energy_csv,
 )
-from memwave.fem import Mesh, assemble, interpolate
+from memwave.fem import Mesh, assemble, gradient_array, interpolate
 from memwave.kernel import KernelSpec, constant_transform
+from memwave.quadweights import build_weight_table
 from memwave.stepper import DampingSpec, Problem, SimulationHistory, run
 
 SINE_PROBLEM = Problem(
@@ -36,6 +38,31 @@ def _stationary_history(mesh, ops, state, tau=0.1, mu0=0.75, steps=3):
     for _ in range(steps):
         hist.push(hist.coefficients[0].copy())
     return hist
+
+
+def _observed_and_recorded(problem, mesh, ops, kernel, damping, tau, steps, checkpoints=()):
+    """A RunDiagnostics observer fed by one run, and the recorded history of the same run."""
+    table = build_weight_table(kernel, tau, max(1, steps - 1))
+    observer = RunDiagnostics(mesh, ops, problem, tau, table.mu0, steps, checkpoints)
+    run(problem, mesh, tau, steps, damping=damping, ops=ops, table=table, observe=observer)
+    return observer, run(problem, mesh, tau, steps, damping=damping, ops=ops, table=table)
+
+
+def _swept_series(hist, lam, rows):
+    """The series as a sweep of the recorded history forms them, `rows` steps per block."""
+    count = hist.n_last
+    coeffs, diffs = hist.coefficients, hist.velocity_diffs
+    energy, norms = np.empty(count), np.empty(count)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        c = coeffs[start:stop + 1]
+        elastic = (c * c) @ lam
+        vel = diffs[start:stop]
+        dt = (c[1:] - c[:-1]) / hist.tau
+        energy[start:stop] = 0.5 * np.einsum("ij,ij->i", vel, vel) + 0.5 * elastic[:-1]
+        norms[start:stop] = (np.einsum("ij,ij->i", dt, dt)
+                             + 0.5 * hist.mu0 * (elastic[1:] + elastic[:-1]))
+    return energy, np.sqrt(norms)
 
 
 class TestEnergy:
@@ -163,6 +190,72 @@ class TestSelfErrors:
         assert self_error_space(hist_c3, hist_f3) <= 1e-13
 
 
+class TestRunDiagnostics:
+    """The streamed series, checkpoints and terminal gradient against the
+    recorded trajectory of the same run."""
+
+    @pytest.mark.parametrize("case", ["1d_lumped_half", "1d_consistent_one", "2d_consistent_half"])
+    def test_matches_recorded_trajectory(self, case, monkeypatch):
+        kernel = KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0))
+        damping = DampingSpec("sqrt")
+        if case == "1d_lumped_half":
+            mesh, lumped, tau, steps = Mesh(1, 16), True, 1.0 / 64, 64
+            problem = Problem(u0=SINE_PROBLEM.u0, u1=SINE_PROBLEM.u1,
+                              f=lambda x, t: t**0.5 * math.exp(-3.0 * t) * np.sin(np.pi * x))
+        elif case == "1d_consistent_one":
+            mesh, lumped, tau, steps = Mesh(1, 16), False, 2.0 / 61, 61
+            problem, kernel, damping = SINE_PROBLEM, KernelSpec(1.0, 2.0, 2.0), DampingSpec("affine")
+        else:
+            mesh, lumped, tau, steps = Mesh(2, 16), False, 0.5 / 23, 23
+            problem = Problem(u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
+                              u1=lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
+        # blocks of five steps; no step count is a multiple, so the last block is clipped
+        rows = 5
+        monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", rows * mesh.n_interior)
+        ops = assemble(mesh, lumped_mass=lumped)
+        marks = (0, 1, rows - 1, rows, rows + 1, steps - 1, steps)
+        observer, hist = _observed_and_recorded(problem, mesh, ops, kernel, damping, tau,
+                                                steps, marks)
+
+        # bit for bit against the same block formulas swept over the trajectory
+        energy, norms = _swept_series(hist, ops.eigenvalues, rows)
+        assert np.array_equal(observer.energy, energy)
+        assert np.array_equal(observer.a_norms, norms)
+        # the per-step formulas add in another order
+        per_step = [discrete_energy(hist, ops, n) for n in range(steps)]
+        assert observer.energy == pytest.approx(per_step, rel=1e-13, abs=0.0)
+        per_step = [a_norm(hist, ops, m) for m in range(steps)]
+        assert observer.a_norms == pytest.approx(per_step, rel=1e-13, abs=0.0)
+
+        assert sorted(observer.checkpoints) == sorted(set(marks))
+        for c in marks:
+            assert np.array_equal(observer.checkpoints[c], hist.state(c))
+        assert np.array_equal(observer.gradient, gradient_array(mesh, hist.state(steps)))
+
+    def test_record_needs_the_last_step(self):
+        mesh = Mesh(1, 8)
+        observer = RunDiagnostics(mesh, assemble(mesh), SINE_PROBLEM, 0.1, 0.5, 4)
+        observer(0, np.zeros(7))
+        with pytest.raises(ValueError, match="last step 4"):
+            observer.record("unfinished")
+
+    def test_terminal_gradient_stands_in_for_the_history(self):
+        mesh = Mesh(1, 16)
+        ops = assemble(mesh)
+        kern = KernelSpec(1.0, 2.0, 1.0)
+        damp = DampingSpec("sqrt")
+        kept = {n: TerminalGradient(mesh, ops, 1.0 / n, n) for n in (10, 20)}
+        for n, observer in kept.items():
+            run(SINE_PROBLEM, mesh, 1.0 / n, n, kernel=kern, damping=damp, ops=ops,
+                observe=observer)
+        coarse = run(SINE_PROBLEM, mesh, 0.1, 10, kernel=kern, damping=damp, ops=ops)
+        fine = run(SINE_PROBLEM, mesh, 0.05, 20, kernel=kern, damping=damp, ops=ops)
+        assert self_error_time(kept[10], kept[20]) == self_error_time(coarse, fine)
+        assert self_error_time(kept[10], fine) == self_error_time(coarse, kept[20])
+        with pytest.raises(ValueError):
+            self_error_time(kept[20], kept[10])
+
+
 class TestRate:
     def test_doubling(self):
         assert rate(2e-3, 5e-4) == pytest.approx(2.0)
@@ -203,16 +296,16 @@ class TestRecordAndCsv:
             DiagnosticsRecord("r", np.zeros(2), nan, np.zeros(3), {})
 
     def test_series_match_per_step_and_nodal_forms(self, monkeypatch):
-        # blocks of three rows, so the sweep crosses several block edges
+        # blocks of three rows, so the series cross several block edges
         monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", 3 * 49)
         mesh = Mesh(2, 8)
         ops = assemble(mesh)
         tau, steps = 0.05, 11
         prob = Problem(u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
                        u1=lambda x, y: np.sin(2 * np.pi * x) * y * (1.0 - y), f=None)
-        hist = run(prob, mesh, tau, steps, kernel=KernelSpec(0.5, 3.0, 3.0),
-                   damping=DampingSpec("sqrt"), ops=ops)
-        record = collect_diagnostics(hist, ops, run_id="series")
+        observer, hist = _observed_and_recorded(prob, mesh, ops, KernelSpec(0.5, 3.0, 3.0),
+                                                DampingSpec("sqrt"), tau, steps)
+        record = observer.record("series")
         energy = [discrete_energy(hist, ops, n) for n in range(steps)]
         norms = [a_norm(hist, ops, m) for m in range(steps)]
         assert record.energy == pytest.approx(energy, rel=1e-13, abs=0.0)
@@ -232,9 +325,9 @@ class TestRecordAndCsv:
     def test_collect_and_write(self, tmp_path):
         mesh = Mesh(1, 16)
         ops = assemble(mesh)
-        hist = run(SINE_PROBLEM, mesh, 0.05, 11, kernel=KernelSpec(1.0, 2.0, 1.0),
-                   damping=DampingSpec("sqrt"), ops=ops)
-        record = collect_diagnostics(hist, ops, run_id="demo")
+        observer, _ = _observed_and_recorded(SINE_PROBLEM, mesh, ops, KernelSpec(1.0, 2.0, 1.0),
+                                             DampingSpec("sqrt"), 0.05, 11)
+        record = observer.record("demo")
         assert record.energy.shape == (11,)
         assert np.all(record.a_norms >= 0.0)
 

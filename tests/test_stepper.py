@@ -457,6 +457,47 @@ class TestBlockedMemorySum:
             hist.memory_sum(table, 3)
 
 
+class TestObservedRun:
+    """A run with an observer streams its levels and keeps only what a step reads."""
+
+    @staticmethod
+    def _case(dim):
+        if dim == 1:
+            return Mesh(1, 16), SINE_PROBLEM, 1.0 / 50, 50
+        problem = Problem(u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
+                          u1=lambda x, y: np.sin(2 * np.pi * x) * y * (1.0 - y))
+        return Mesh(2, 8), problem, 1.0 / 40, 40
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_levels_arrive_in_order_as_recorded(self, dim):
+        mesh, problem, tau, n_steps = self._case(dim)
+        kernel, damping = KernelSpec(0.5, 3.0, 3.0), DampingSpec("sqrt")
+        seen = []
+        hist = run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping,
+                   observe=lambda n, coeffs: seen.append((n, coeffs.copy())))
+        recorded = run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping)
+        assert [n for n, _ in seen] == list(range(n_steps + 1))
+        assert np.array_equal(np.array([c for _, c in seen]), recorded.coefficients)
+        assert np.array_equal(hist.velocity_diffs, recorded.velocity_diffs)
+        assert np.array_equal(hist.state(n_steps), recorded.state(n_steps))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_observed_history_holds_one_row_buffer(self, dim):
+        mesh, problem, tau, n_steps = self._case(dim)
+        ndof = mesh.n_interior
+        hist = run(problem, mesh, tau, n_steps, kernel=KernelSpec(1.0, 2.0, 1.0),
+                   damping=DampingSpec("sqrt"), observe=lambda n, coeffs: None)
+        arrays = [v for v in vars(hist).values() if isinstance(v, np.ndarray)]
+        rows = [a for a in arrays if a.size > ndof]
+        assert [(a.shape, a.dtype) for a in rows] == [((n_steps + 1, ndof), np.float64)]
+        # beside it: u0, u1h, U^0, U^{n-1} and U^n
+        assert sum(a.nbytes for a in arrays) == (n_steps + 1 + 5) * ndof * 8
+        with pytest.raises(ValueError, match="observed history"):
+            hist.coefficients
+        with pytest.raises(ValueError, match="observed history"):
+            hist.state(n_steps - 2)
+
+
 class TestReductionToDampedWave:
     def test_memory_off_matches_reference_stepper(self):
         mesh = Mesh(1, 16)

@@ -27,9 +27,10 @@ for alpha in (1.0, 0.5):
     problem, kernel, damping = preset_problem(config, zero_forcing=True)
     mesh = Mesh(1, M)
     ops = assemble(mesh, lumped_mass=True)
-    # the observer forms the series as the steps arrive; no trajectory is kept
+    # the observer forms the series as the steps arrive, reading tau and mu0
+    # from the run's weight table; no trajectory is kept
     table = build_weight_table(kernel, 1.0 / N, N)
-    observer = RunDiagnostics(mesh, ops, problem, 1.0 / N, table.mu0, N + 1)
+    observer = RunDiagnostics(mesh, ops, problem, table, N + 1)
     run(problem, mesh, 1.0 / N, N + 1, damping=damping, ops=ops, table=table, observe=observer)
     record = observer.record(f"energy_alpha_{alpha}")
 

@@ -17,7 +17,6 @@ from .fem import (
     Mesh,
     assemble,
     gradient_array,
-    gradient_samples,
     interpolate,
     load_vector,
 )

@@ -367,8 +367,7 @@ def run_single(config: RunConfig, zero_forcing: bool = False):
     ops = assemble(mesh, lumped_mass=preset_uses_lumped_mass(config.preset))
     n_steps = config.n + 1 if config.energy else config.n
     table = build_weight_table(kernel, config.tau, max(1, n_steps - 1))
-    diagnostics = RunDiagnostics(mesh, ops, problem, config.tau, table.mu0, n_steps,
-                                 config.checkpoints)
+    diagnostics = RunDiagnostics(mesh, ops, problem, table, n_steps, config.checkpoints)
     run(problem, mesh, config.tau, n_steps, damping=damping, ops=ops, table=table,
         observe=diagnostics)
 
@@ -452,38 +451,32 @@ def run_convergence(config: RunConfig, mode: str, ladder) -> list[tuple]:
     return rows
 
 
-def dump_weights(config: RunConfig, n_max: Optional[int] = None):
-    """Weight-table dump rows (n, p, weight, running edge sum, bound flag).
+def dump_weights(config: RunConfig, path, n_max: Optional[int] = None):
+    """Write the weight table to `path` as CSV rows (n, p, weight, running
+    edge sum, bound flag); returns (table, row count, final flag).
 
     The running sum column tracks the accumulated p = 0 weights and the flag
-    records whether it still satisfies the theoretical bound of 1.
+    records whether it still satisfies the theoretical bound of 1.  The rows
+    of each n are written straight from the table, and each lag's weight is
+    formatted once, so the dump holds O(n_max) values however many rows it
+    writes.
     """
     if config.kernel is None:
         raise ConfigError("missing section [kernel]: the weights dump requires it")
     n_max = config.n if n_max is None else int(n_max)
     table = build_weight_table(config.kernel, config.tau, n_max)
-    rows = []
-    running = 0.0
-    for n in range(1, n_max + 1):
-        running += float(table.edge_left[n])
-        for p in range(0, n + 1):
-            entry = [n, p, table.weight(n, p)]
-            if p == 0:
-                entry += [running, running <= 1.0 + 1.0e-12]
-            else:
-                entry += [None, None]
-            rows.append(tuple(entry))
-    return table, rows
-
-
-def _write_weights_csv(path, rows) -> None:
+    lags = [FLOAT_FMT % w for w in table.body.tolist()]  # w(n, p) = body[n - p], 0 < p < n
+    running, flag = 0.0, False
     with open(path, "w", newline="") as handle:
         handle.write("n,p,weight,edge_running_sum,sum_le_one\n")
-        for n, p, w, running, flag in rows:
-            tail = ",," if running is None else (
-                f",{FLOAT_FMT % running},{'true' if flag else 'false'}"
-            )
-            handle.write(f"{n},{p},{FLOAT_FMT % w}{tail}\n")
+        for n in range(1, n_max + 1):
+            running += float(table.edge_left[n])
+            flag = running <= 1.0 + 1.0e-12
+            handle.write(f"{n},0,{FLOAT_FMT % table.edge_left[n]},{FLOAT_FMT % running},"
+                         f"{'true' if flag else 'false'}\n")
+            handle.writelines(f"{n},{p},{lags[n - p]},,\n" for p in range(1, n))
+            handle.write(f"{n},{n},{FLOAT_FMT % table.edge_right[n]},,\n")
+    return table, n_max * (n_max + 3) // 2, flag
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +540,9 @@ def main(argv=None) -> int:
                 print(f"M={m_val:5d} N={n_val:5d} E={err:.4e} CR={cr_text}")
             print(f"wrote {path}")
         else:
-            table, rows = dump_weights(config)
             path = out / "weights.csv"
-            _write_weights_csv(path, rows)
-            flags = [r[4] for r in rows if r[4] is not None]
-            print(f"{len(rows)} weights, final running-sum flag: "
-                  f"{'true' if flags and flags[-1] else 'false'}")
+            _table, rows, flag = dump_weights(config, path)
+            print(f"{rows} weights, final running-sum flag: {'true' if flag else 'false'}")
             print(f"wrote {path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

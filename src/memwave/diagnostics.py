@@ -26,6 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .fem import DiscreteOperators, Mesh, gradient_array, interpolate
+from .quadweights import WeightTable
 from .stepper import Problem, SimulationHistory
 
 __all__ = [
@@ -180,13 +181,14 @@ class RunDiagnostics(TerminalGradient):
     When the block is full, one vectorized pass forms the series for its
     steps, and its two newest levels carry over into the next block.  The
     initial data come from `problem`: the nodal u0 is checkpoint 0, and the
-    initial velocity enters the energy at n = 0.
+    initial velocity enters the energy at n = 0.  The run's weight table
+    gives tau and mu0.
     """
 
-    def __init__(self, mesh: Mesh, ops: DiscreteOperators, problem: Problem, tau: float,
-                 mu0: float, n_steps: int, checkpoints=()):
-        super().__init__(mesh, ops, tau, n_steps)
-        self.mu0 = float(mu0)
+    def __init__(self, mesh: Mesh, ops: DiscreteOperators, problem: Problem,
+                 table: WeightTable, n_steps: int, checkpoints=()):
+        super().__init__(mesh, ops, table.tau, n_steps)
+        self.mu0 = table.mu0
         self.energy = np.empty(self.n_last)
         self.a_norms = np.empty(self.n_last)
         self.checkpoints: dict[int, np.ndarray] = {}

@@ -23,7 +23,6 @@ __all__ = [
     "assemble",
     "interpolate",
     "load_vector",
-    "gradient_samples",
     "gradient_array",
 ]
 
@@ -214,17 +213,3 @@ def gradient_array(mesh: Mesh, u: np.ndarray) -> np.ndarray:
     dx = (full[1:m, 1:m] - full[0:m - 1, 1:m]) / h
     dy = (full[1:m, 1:m] - full[1:m, 0:m - 1]) / h
     return np.sqrt(dx * dx + dy * dy)
-
-
-def gradient_samples(mesh: Mesh, u: np.ndarray, index) -> float:
-    """Single gradient sample: index j in 1d, pair (i, j) in 2d."""
-    grads = gradient_array(mesh, u)
-    if mesh.dim == 1:
-        j = int(index)
-        if not 1 <= j <= mesh.m - 1:
-            raise IndexError(f"node index {j} outside [1, {mesh.m - 1}]")
-        return float(grads[j - 1])
-    i, j = index
-    if not (1 <= i <= mesh.m - 1 and 1 <= j <= mesh.m - 1):
-        raise IndexError(f"node index {(i, j)} outside the interior range")
-    return float(grads[i - 1, j - 1])

@@ -19,6 +19,11 @@ that the memory sum weights, and the history keeps only those.  Every new
 level goes to an observer, a callable observe(n, coeffs); without one the
 history records the whole trajectory through the `Trajectory` observer.
 
+The step size is fixed for the whole run, so one modal basis and one weight
+table serve every step.  The history binds both when it is built, and
+`step` and `taylor_start` take only what is not stored: the damping and the
+problem.  The history always steps at its own last level n = n_last.
+
 The memory sum of step n weights the whole velocity history, so it costs
 O(n * ndof).  `SimulationHistory.memory_sum` forms it a block of
 _MEMORY_BLOCK steps at a time: one GEMM applies the older history to every
@@ -166,7 +171,9 @@ class Trajectory:
 class SimulationHistory:
     """What the next step reads: U^0, U^{n-1}, U^n and the memory-sum rows.
 
-    initial, previous and current hold U^0, U^{n-1} and U^n as modal
+    ops and table are the run's modal basis and weight table; tau and mu0
+    are the table's.  The table must reach step n_steps - 1, the last step
+    taken.  initial, previous and current hold U^0, U^{n-1} and U^n as modal
     coefficients.  velocity_diffs[p] holds the centered difference
     (U^{p+1} - U^{p-1}) / (2 tau) for p >= 1 and the discrete initial
     velocity for p = 0, also as modal coefficients; the memory sum weights
@@ -180,13 +187,16 @@ class SimulationHistory:
     `coefficients`, `states` and `state` then read.
     """
 
-    def __init__(self, mesh: Mesh, ops: DiscreteOperators, tau: float, mu0: float,
+    def __init__(self, mesh: Mesh, ops: DiscreteOperators, table: WeightTable,
                  u0: np.ndarray, u1h: np.ndarray, n_steps: int,
                  observe: Optional[Observer] = None):
+        if table.n_max < n_steps - 1:
+            raise ValueError(f"weight table covers n <= {table.n_max}, need {n_steps - 1}")
         self.mesh = mesh
         self.ops = ops
-        self.tau = float(tau)
-        self.mu0 = float(mu0)
+        self.table = table
+        self.tau = table.tau
+        self.mu0 = table.mu0
         self.u0 = np.asarray(u0, dtype=float)
         self.u1h = np.asarray(u1h, dtype=float)
         self._diffs = np.zeros((int(n_steps) + 1, self.u0.size))
@@ -194,7 +204,7 @@ class SimulationHistory:
         self.initial = ops.to_modal(self.u0)
         self.previous = self.current = self.initial
         self._count = 1
-        self._block: tuple[Optional[WeightTable], int, int] = (None, 0, 0)
+        self._block = (0, 0)
         self._trajectory = Trajectory(n_steps, self.u0.size) if observe is None else None
         self._observe = self._trajectory if observe is None else observe
         self._observe(0, self.initial)
@@ -238,26 +248,22 @@ class SimulationHistory:
         nodal[0] = self.u0
         return nodal
 
-    def memory_sum(self, table: WeightTable, n: int) -> np.ndarray:
+    def memory_sum(self) -> np.ndarray:
         """Sum over p < n of w(n, p) * velocity_diffs[p] for the next step, n = n_last.
 
         The sums are formed a block of _MEMORY_BLOCK steps at a time.  When
-        n leaves the cached block [start, stop), or another table is passed,
-        one GEMM applies the Toeplitz block of weights w(start + i, p) to
-        the rows p < start and parks these "far" sums of steps start..stop-1
-        in difference rows start..stop-1, which are not written yet: push
-        writes row k only after step k has read it.  Step n then adds its
-        rows p = start..n-1 with one short GEMV.  The history is read once
-        per block instead of once per step, and every term w * d is rounded
-        as in the direct sum; only the order of the additions differs.
+        n leaves the cached block [start, stop), one GEMM applies the
+        Toeplitz block of weights w(start + i, p) to the rows p < start and
+        parks these "far" sums of steps start..stop-1 in difference rows
+        start..stop-1, which are not written yet: push writes row k only
+        after step k has read it.  Step n then adds its rows p = start..n-1
+        with one short GEMV.  The history is read once per block instead of
+        once per step, and every term w * d is rounded as in the direct sum;
+        only the order of the additions differs.
         """
-        if n != self.n_last:
-            raise ValueError(f"history holds steps up to {self.n_last}, "
-                             f"cannot form the memory sum of step {n}")
-        if not 1 <= n <= table.n_max:
-            raise ValueError(f"weight table covers 1 <= n <= {table.n_max}, got {n}")
-        cached, start, stop = self._block
-        if cached is not table or not start <= n < stop:
+        n, table = self.n_last, self.table
+        start, stop = self._block
+        if not start <= n < stop:
             start = n
             stop = min(n + _MEMORY_BLOCK, table.n_max + 1, self._diffs.shape[0])
             # row i holds body[start + i - p] for p = 0..start-1: windows of
@@ -266,7 +272,7 @@ class SimulationHistory:
             weights = sliding_window_view(lags, start)[stop - start - 1::-1].copy()
             weights[:, 0] = table.edge_left[start:stop]
             np.matmul(weights, self._diffs[:start], out=self._diffs[start:stop])
-            self._block = (table, start, stop)
+            self._block = (start, stop)
         near = table.body[n - start:0:-1].copy()  # contiguous, so the GEMV runs in BLAS
         return self._diffs[n] + near @ self._diffs[start:n]
 
@@ -284,8 +290,8 @@ class SimulationHistory:
         self._observe(k, coeffs)
 
 
-def taylor_start(history: SimulationHistory, ops: DiscreteOperators,
-                 damping: DampingSpec, problem: Problem) -> tuple[np.ndarray, np.ndarray]:
+def taylor_start(history: SimulationHistory, damping: DampingSpec,
+                 problem: Problem) -> tuple[np.ndarray, np.ndarray]:
     """Second-order start: U^1 = U^0 + tau*u1h + (tau^2/2)*u2h.
 
     The discrete initial acceleration u2h solves
@@ -298,7 +304,7 @@ def taylor_start(history: SimulationHistory, ops: DiscreteOperators,
         raise ValueError(
             f"the Taylor start needs a history holding U^0 only, not U^0..U^{history.n_last}"
         )
-    tau = history.tau
+    ops, tau = history.ops, history.tau
     c0, v1 = history.initial, history.initial_velocity
     q0 = damping_value(damping, ops, c0)
     a0 = -q0 * v1 - ops.eigenvalues * c0
@@ -309,10 +315,9 @@ def taylor_start(history: SimulationHistory, ops: DiscreteOperators,
     return c1, a0
 
 
-def step(history: SimulationHistory, ops: DiscreteOperators, table: WeightTable,
-         damping: DampingSpec, problem: Problem, n: int) -> np.ndarray:
-    """Advance from U^0..U^n to U^{n+1}; returns its modal coefficients,
-    which are also pushed onto the history.
+def step(history: SimulationHistory, damping: DampingSpec, problem: Problem) -> np.ndarray:
+    """Advance from U^0..U^n to U^{n+1}, n = history.n_last; returns its
+    modal coefficients, which are also pushed onto the history.
 
     The system matrix is
         S = (1/tau^2 + q_n/(2 tau)) M + (mu0/2 + w(n,n)/(2 tau)) A
@@ -320,16 +325,13 @@ def step(history: SimulationHistory, ops: DiscreteOperators, table: WeightTable,
     memory sum, the forcing, and the elastic contribution of the initial
     state carried by K(t_n).  In the modal basis S is diagonal.
     """
-    if n != history.n_last:
-        raise ValueError(f"history holds steps up to {history.n_last}, cannot step at n = {n}")
+    n = history.n_last
     if n < 1:
         raise ValueError("stepping starts at n = 1; use taylor_start first")
-    if n > table.n_max:
-        raise ValueError(f"weight table covers n <= {table.n_max}, got {n}")
 
+    ops, table = history.ops, history.table
     lam = ops.eigenvalues
-    tau = history.tau
-    mu0 = table.mu0
+    tau, mu0 = history.tau, history.mu0
     c_n, c_nm1 = history.current, history.previous
 
     q_n = damping_value(damping, ops, c_n)
@@ -350,7 +352,7 @@ def step(history: SimulationHistory, ops: DiscreteOperators, table: WeightTable,
 
     stiffness_terms = (
         (0.5 * mu0 - w_nn / (2.0 * tau)) * c_nm1
-        + history.memory_sum(table, n)
+        + history.memory_sum()
         + float(table.k_values[n]) * history.initial
     )
     rhs = (2.0 / tau**2) * c_n - (1.0 / tau**2 - q_n / (2.0 * tau)) * c_nm1 - lam * stiffness_terms
@@ -391,18 +393,14 @@ def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
         if kernel is None:
             raise ValueError("either a kernel or a prebuilt weight table is required")
         table = build_weight_table(kernel, tau, max(1, n_steps - 1))
-    elif table.n_max < n_steps - 1:
-        raise ValueError(
-            f"weight table covers n <= {table.n_max}, need {n_steps - 1}"
-        )
     if abs(table.tau - tau) > 1.0e-14 * max(1.0, tau):
         raise ValueError(f"table step {table.tau} does not match tau = {tau}")
 
     history = SimulationHistory(
-        mesh, ops, tau, table.mu0, interpolate(mesh, problem.u0),
+        mesh, ops, table, interpolate(mesh, problem.u0),
         interpolate(mesh, problem.u1), n_steps, observe,
     )
-    taylor_start(history, ops, damping, problem)
-    for n in range(1, n_steps):
-        step(history, ops, table, damping, problem, n)
+    taylor_start(history, damping, problem)
+    for _ in range(1, n_steps):
+        step(history, damping, problem)
     return history

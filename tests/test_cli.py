@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -290,22 +291,38 @@ class TestConvergence:
 
 
 class TestWeightsDump:
-    def test_rows_and_flag(self):
+    def test_rows_and_flag(self, tmp_path):
         cfg = parse_config(BENCH_1D)
-        table, rows = dump_weights(cfg, n_max=12)
-        assert len(rows) == sum(n + 1 for n in range(1, 13))
-        flags = [r[4] for r in rows if r[4] is not None]
-        assert flags[-1] is True
+        path = tmp_path / "weights.csv"
+        table, count, flag = dump_weights(cfg, path, n_max=12)
+        with open(path) as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert count == len(rows) == sum(n + 1 for n in range(1, 13))
+        flags = [r[4] for r in rows if r[4]]
+        assert flag is True and flags[-1] == "true" and len(flags) == 12
         # spot-check a row against the table accessor
         n, p, w = rows[5][:3]
-        assert w == table.weight(n, p)
+        assert float(w) == table.weight(int(n), int(p))
+        assert rows[7][:2] == ["3", "2"] and rows[7][3:] == ["", ""]
 
-    def test_requires_kernel(self):
+    def test_requires_kernel(self, tmp_path):
         cfg = parse_config(ZERO_CFG)
         assert cfg.kernel is None
         with pytest.raises(ConfigError):
-            dump_weights(cfg, 4)
+            dump_weights(cfg, tmp_path / "weights.csv", 4)
+        assert not (tmp_path / "weights.csv").exists()
 
+    def test_dump_streams_its_rows(self, tmp_path):
+        # N = 1000 gives 501,500 rows; held as tuples they took about 70 MB
+        cfg = replace(parse_config(BENCH_1D), n=1000)
+        tracemalloc.start()
+        try:
+            _, count, _ = dump_weights(cfg, tmp_path / "weights.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 501_500
+        assert peak < 16 * 2**20
 
 class TestMainEntry:
     def _write(self, tmp_path, text):

@@ -34,7 +34,8 @@ SINE_PROBLEM = Problem(
 
 
 def _stationary_history(mesh, ops, state, tau=0.1, mu0=0.75, steps=3):
-    hist = SimulationHistory(mesh, ops, tau, mu0, state, np.zeros_like(state), steps)
+    table = build_weight_table(constant_transform(1.0 - mu0), tau, max(1, steps))
+    hist = SimulationHistory(mesh, ops, table, state, np.zeros_like(state), steps)
     for _ in range(steps):
         hist.push(hist.coefficients[0].copy())
     return hist
@@ -43,7 +44,7 @@ def _stationary_history(mesh, ops, state, tau=0.1, mu0=0.75, steps=3):
 def _observed_and_recorded(problem, mesh, ops, kernel, damping, tau, steps, checkpoints=()):
     """A RunDiagnostics observer fed by one run, and the recorded history of the same run."""
     table = build_weight_table(kernel, tau, max(1, steps - 1))
-    observer = RunDiagnostics(mesh, ops, problem, tau, table.mu0, steps, checkpoints)
+    observer = RunDiagnostics(mesh, ops, problem, table, steps, checkpoints)
     run(problem, mesh, tau, steps, damping=damping, ops=ops, table=table, observe=observer)
     return observer, run(problem, mesh, tau, steps, damping=damping, ops=ops, table=table)
 
@@ -234,7 +235,8 @@ class TestRunDiagnostics:
 
     def test_record_needs_the_last_step(self):
         mesh = Mesh(1, 8)
-        observer = RunDiagnostics(mesh, assemble(mesh), SINE_PROBLEM, 0.1, 0.5, 4)
+        table = build_weight_table(constant_transform(0.5), 0.1, 4)
+        observer = RunDiagnostics(mesh, assemble(mesh), SINE_PROBLEM, table, 4)
         observer(0, np.zeros(7))
         with pytest.raises(ValueError, match="last step 4"):
             observer.record("unfinished")

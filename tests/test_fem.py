@@ -13,7 +13,6 @@ from memwave.fem import (
     Mesh,
     assemble,
     gradient_array,
-    gradient_samples,
     interpolate,
     load_vector,
 )
@@ -227,7 +226,6 @@ class TestGradients:
         mesh = Mesh(1, 8)
         u = interpolate(mesh, lambda x: x)
         assert gradient_array(mesh, u) == pytest.approx(np.ones(7), abs=1e-14)
-        assert gradient_samples(mesh, u, 3) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_field(self):
         mesh = Mesh(2, 4)
@@ -236,17 +234,19 @@ class TestGradients:
     def test_midpoint_accuracy(self):
         mesh = Mesh(1, 64)
         u = interpolate(mesh, lambda x: np.sin(np.pi * x))
-        j = 32
+        j = 32  # node j is entry j - 1
         target = np.pi * np.cos(np.pi * (31.5 / 64.0))
-        assert gradient_samples(mesh, u, j) == pytest.approx(target, abs=np.pi**3 / (24 * 64**2) * 2)
+        grad = gradient_array(mesh, u)[j - 1]
+        assert grad == pytest.approx(target, abs=np.pi**3 / (24 * 64**2) * 2)
 
     def test_index_bounds(self):
-        mesh = Mesh(1, 8)
-        with pytest.raises(IndexError):
-            gradient_samples(mesh, np.zeros(7), 8)
-        mesh2 = Mesh(2, 4)
-        with pytest.raises(IndexError):
-            gradient_samples(mesh2, np.zeros(9), (0, 1))
+        # one sample per interior node, and a state of another size is refused
+        assert gradient_array(Mesh(1, 8), np.zeros(7)).shape == (7,)
+        assert gradient_array(Mesh(2, 4), np.zeros(9)).shape == (3, 3)
+        with pytest.raises(ValueError, match="expected 7"):
+            gradient_array(Mesh(1, 8), np.zeros(8))
+        with pytest.raises(ValueError, match="expected 9"):
+            gradient_array(Mesh(2, 4), np.zeros(16))
 
     def test_2d_combined_magnitude(self):
         mesh = Mesh(2, 16)

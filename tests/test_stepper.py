@@ -31,8 +31,8 @@ def _zero_field(x, t=None):
 
 def _start_history(ops, mesh, problem, tau):
     """A history holding only the interpolated initial data, for taylor_start."""
-    return SimulationHistory(mesh, ops, tau, 0.0, interpolate(mesh, problem.u0),
-                             interpolate(mesh, problem.u1), 1)
+    return SimulationHistory(mesh, ops, build_weight_table(ZERO_KERNEL, tau, 1),
+                             interpolate(mesh, problem.u0), interpolate(mesh, problem.u1), 1)
 
 
 SINE_PROBLEM = Problem(
@@ -115,7 +115,7 @@ class TestTaylorStart:
         ops = assemble(mesh)
         prob = Problem(u0=_zero_field, u1=_zero_field, f=None)
         hist = _start_history(ops, mesh, prob, 0.1)
-        c1, a0 = taylor_start(hist, ops, DampingSpec("sqrt"), prob)
+        c1, a0 = taylor_start(hist, DampingSpec("sqrt"), prob)
         for vec in (c1, a0, hist.states[0], hist.states[1], hist.u1h):
             assert np.all(vec == 0.0)
 
@@ -127,7 +127,7 @@ class TestTaylorStart:
         tau = 0.05
         damping = DampingSpec("sqrt")
         hist = _start_history(ops, mesh, prob, tau)
-        _, a0 = taylor_start(hist, ops, damping, prob)
+        _, a0 = taylor_start(hist, damping, prob)
         q0 = damping_value(damping, ops, hist.coefficients[0])
         assert q0 == 1.0
         u1h, u2h = hist.u1h, ops.to_nodal(a0)
@@ -140,7 +140,7 @@ class TestTaylorStart:
         ops = assemble(mesh)
         damping = DampingSpec("sqrt")
         hist = _start_history(ops, mesh, SINE_PROBLEM, 0.01)
-        _, a0 = taylor_start(hist, ops, damping, SINE_PROBLEM)
+        _, a0 = taylor_start(hist, damping, SINE_PROBLEM)
         q0 = damping_value(damping, ops, hist.coefficients[0])
         u2h = ops.to_nodal(a0)
         expected = interpolate(
@@ -165,7 +165,7 @@ class TestStepping:
                    damping=DampingSpec("sqrt"), ops=ops)
         assert hist.n_last == 1
         start = _start_history(ops, mesh, SINE_PROBLEM, 0.1)
-        c1, _ = taylor_start(start, ops, DampingSpec("sqrt"), SINE_PROBLEM)
+        c1, _ = taylor_start(start, DampingSpec("sqrt"), SINE_PROBLEM)
         assert np.array_equal(hist.coefficients[1], c1)
         assert hist.states[1] == pytest.approx(start.states[1], abs=0.0)
 
@@ -198,13 +198,28 @@ class TestStepping:
     def test_step_order_enforced(self):
         mesh = Mesh(1, 8)
         ops = assemble(mesh)
-        table = build_weight_table(KernelSpec(1.0, 2.0, 0.0), 0.1, 4)
         hist = run(SINE_PROBLEM, mesh, 0.1, 2, kernel=KernelSpec(1.0, 2.0, 0.0),
                    damping=DampingSpec("sqrt"), ops=ops)
         with pytest.raises(ValueError):
-            step(hist, ops, table, DampingSpec("sqrt"), SINE_PROBLEM, 1)
-        with pytest.raises(ValueError):
-            taylor_start(hist, ops, DampingSpec("sqrt"), SINE_PROBLEM)
+            taylor_start(hist, DampingSpec("sqrt"), SINE_PROBLEM)
+        # the history steps at its own last level: not at 0, and not past its size
+        start = _start_history(ops, mesh, SINE_PROBLEM, 0.1)
+        with pytest.raises(ValueError, match="use taylor_start first"):
+            step(start, DampingSpec("sqrt"), SINE_PROBLEM)
+        with pytest.raises(IndexError):
+            step(hist, DampingSpec("sqrt"), SINE_PROBLEM)
+        assert hist.n_last == 2
+
+    def test_history_binds_its_table(self):
+        mesh = Mesh(1, 8)
+        ops = assemble(mesh)
+        table = build_weight_table(KernelSpec(1.0, 2.0, 1.0), 0.1, 4)
+        with pytest.raises(ValueError, match="covers n <= 4, need 5"):
+            SimulationHistory(mesh, ops, table, np.zeros(7), np.zeros(7), 6)
+        hist = SimulationHistory(mesh, ops, table, np.zeros(7), np.zeros(7), 5)
+        assert hist.table is table and hist.ops is ops
+        assert (hist.tau, hist.mu0) == (table.tau, table.mu0)
+        assert 0.0 < hist.mu0 < 1.0
 
     def test_degenerate_elastic_coefficient_rejected(self):
         # a strongly negative hook kernel drives the diagonal weight negative
@@ -219,11 +234,10 @@ class TestStepping:
         mesh = Mesh(1, 8)
         ops = assemble(mesh)
         table = build_weight_table(KernelSpec(1.0, 2.0, 1.0), 0.1, 4)
-        hist = SimulationHistory(mesh, ops, 0.1, table.mu0, np.full(7, 1e200),
-                                 np.zeros(7), 4)
+        hist = SimulationHistory(mesh, ops, table, np.full(7, 1e200), np.zeros(7), 4)
         hist.push(hist.coefficients[0].copy())
         with np.errstate(over="ignore"), pytest.raises(SolverError, match="step 1 .* smallest entry inf"):
-            step(hist, ops, table, DampingSpec("sqrt"), SINE_PROBLEM, 1)
+            step(hist, DampingSpec("sqrt"), SINE_PROBLEM)
 
     def test_non_finite_state_raises_step_error(self):
         # constant damping never looks at the state, so only the finiteness
@@ -238,11 +252,11 @@ class TestStepping:
         nan_forcing = Problem(u0=SINE_PROBLEM.u0, u1=SINE_PROBLEM.u1,
                               f=lambda x, t: np.full(np.shape(x), np.nan if t > 0.0 else 0.0))
         table = build_weight_table(KernelSpec(1.0, 2.0, 1.0), 0.1, 3)
-        hist = SimulationHistory(mesh, ops, 0.1, table.mu0, interpolate(mesh, nan_forcing.u0),
+        hist = SimulationHistory(mesh, ops, table, interpolate(mesh, nan_forcing.u0),
                                  interpolate(mesh, nan_forcing.u1), 4)
-        taylor_start(hist, ops, damping, nan_forcing)
+        taylor_start(hist, damping, nan_forcing)
         with pytest.raises(StepError, match=r"state U\^2 computed at step 1 is not finite"):
-            step(hist, ops, table, damping, nan_forcing, 1)
+            step(hist, damping, nan_forcing)
         assert hist.n_last == 1
 
     def test_2d_lumped_mass_rejected(self):
@@ -389,21 +403,18 @@ class TestBlockedMemorySum:
     at every step, entrywise within 1e-13 * (|weights| @ |diffs|)."""
 
     @staticmethod
-    def _step_and_compare(mesh, problem, damping, tau, n_steps, table_of_step):
-        ops = assemble(mesh)
-        hist = SimulationHistory(mesh, ops, tau, table_of_step(1).mu0,
-                                 interpolate(mesh, problem.u0), interpolate(mesh, problem.u1),
-                                 n_steps)
-        taylor_start(hist, ops, damping, problem)
+    def _step_and_compare(mesh, problem, damping, table, n_steps):
+        hist = SimulationHistory(mesh, assemble(mesh), table, interpolate(mesh, problem.u0),
+                                 interpolate(mesh, problem.u1), n_steps)
+        taylor_start(hist, damping, problem)
         for n in range(1, n_steps):
-            table = table_of_step(n)
-            weights = table.coefficients(n)[:n]
+            weights = hist.table.coefficients(n)[:n]
             diffs = hist.velocity_diffs
             direct = weights @ diffs
-            blocked = hist.memory_sum(table, n)
+            blocked = hist.memory_sum()
             bound = 1e-13 * (np.abs(weights) @ np.abs(diffs))
             assert np.all(np.abs(blocked - direct) <= bound), n
-            step(hist, ops, table, damping, problem, n)
+            step(hist, damping, problem)
         return hist
 
     def test_1d_clipped_last_block(self):
@@ -413,8 +424,7 @@ class TestBlockedMemorySum:
         tau = 2.0 / n_steps
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
         assert table.n_max == n_steps - 1
-        self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"), tau, n_steps,
-                               lambda n: table)
+        self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"), table, n_steps)
 
     def test_2d(self):
         # the table reaches past the run, so the history's rows clip the last block
@@ -423,18 +433,7 @@ class TestBlockedMemorySum:
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0), tau, n_steps + 40)
         problem = Problem(u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
                           u1=lambda x, y: np.sin(2 * np.pi * x) * y * (1.0 - y), f=None)
-        self._step_and_compare(Mesh(2, 8), problem, DampingSpec("affine"), tau, n_steps,
-                               lambda n: table)
-
-    def test_two_tables_on_one_history(self):
-        # switching tables every five steps, back and forth inside one block:
-        # a far block formed with the other table must never be reused
-        n_steps = _MEMORY_BLOCK + 30
-        tau = 1.0 / n_steps
-        tables = (build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps),
-                  build_weight_table(KernelSpec(1.0, 2.0, 1.0), tau, n_steps))
-        self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"), tau, n_steps,
-                               lambda n: tables[(n // 5) % 2])
+        self._step_and_compare(Mesh(2, 8), problem, DampingSpec("affine"), table, n_steps)
 
     def test_decay_over_twenty_orders(self):
         # the bound is relative to each step's own terms, so it stays sharp
@@ -442,19 +441,9 @@ class TestBlockedMemorySum:
         n_steps, tau = 400, 50.0 / 400
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
         hist = self._step_and_compare(Mesh(1, 8), SINE_PROBLEM,
-                                      DampingSpec("constant", constant=3.0), tau, n_steps,
-                                      lambda n: table)
+                                      DampingSpec("constant", constant=3.0), table, n_steps)
         coeffs = hist.coefficients
         assert np.abs(coeffs[-1]).max() < 1e-20 * np.abs(coeffs[0]).max()
-
-    def test_only_the_next_step(self):
-        mesh = Mesh(1, 8)
-        table = build_weight_table(KernelSpec(1.0, 2.0, 1.0), 0.1, 2)
-        hist = run(SINE_PROBLEM, mesh, 0.1, 3, table=table, damping=DampingSpec("sqrt"))
-        with pytest.raises(ValueError):
-            hist.memory_sum(table, 2)
-        with pytest.raises(ValueError):
-            hist.memory_sum(table, 3)
 
 
 class TestObservedRun:

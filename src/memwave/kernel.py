@@ -230,7 +230,8 @@ def kernel_transform(kernel: KernelLike, t):
             / (sigma**2 + gamma**2)
         )
     else:
-        # imported here: scipy.special costs ~80 ms at CLI start-up
+        # imported here: scipy.special would add ~240 ms to CLI start-up,
+        # more than all of `import memwave.cli` (2-core x86 machine)
         from scipy.special import erfc
 
         z = complex(sigma, -gamma)

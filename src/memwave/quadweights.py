@@ -18,6 +18,7 @@ table fully describes the memory term for one step size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,10 @@ __all__ = ["WeightTable", "build_weight_table", "convolve", "QuadratureError"]
 
 #: absolute accuracy target for every stored weight
 WEIGHT_TOL = 1.0e-12
+
+# steps whose memory sums over the older history one GEMM forms together;
+# also the row count of `WeightTable.block_operand`
+_MEMORY_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +79,23 @@ class WeightTable:
         if n >= 2:
             out[1:n] = self.body[n - 1:0:-1]
         out[n] = self.edge_right[n]
+        return out
+
+    @cached_property
+    def block_operand(self) -> np.ndarray:
+        """The body weights as the memory sum reads them, built on first use.
+
+        Entry [i, c] is body[n_max - c + i], and 0 where that lag is outside
+        1..n_max; the shape is (_MEMORY_BLOCK, n_max + _MEMORY_BLOCK).  Row
+        i serves step start + i of a block: columns n_max - start .. n_max - 1
+        weight the rows p < start, and columns n_max .. n_max + i - 1 the
+        rows p = start .. start + i - 1.  Both are unit-stride views.
+        """
+        lags = np.zeros(self.n_max + _MEMORY_BLOCK)
+        lags[: self.n_max] = self.body[:0:-1]  # lags[c] = body[n_max - c]
+        out = np.zeros((_MEMORY_BLOCK, lags.size))
+        for i in range(_MEMORY_BLOCK):
+            out[i, i:] = lags[: lags.size - i]
         return out
 
 

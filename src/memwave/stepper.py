@@ -40,11 +40,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fem import DiscreteOperators, Mesh, assemble, interpolate, load_vector
 from .kernel import KernelLike
-from .quadweights import WeightTable, build_weight_table
+from .quadweights import _MEMORY_BLOCK, WeightTable, build_weight_table
 
 __all__ = [
     "DampingSpec",
@@ -60,9 +59,6 @@ __all__ = [
 ]
 
 _DAMPING_KINDS = ("affine", "sqrt", "constant")
-
-# steps whose memory sums over the older history one GEMM forms together
-_MEMORY_BLOCK = 32
 
 
 class SolverError(RuntimeError):
@@ -215,6 +211,11 @@ class SimulationHistory:
         return self._count - 1
 
     @property
+    def n_steps(self) -> int:
+        """The number of steps the history was sized for."""
+        return self._diffs.shape[0] - 1
+
+    @property
     def coefficients(self) -> np.ndarray:
         """View of the recorded modal coefficients of U^0..U^n, shape (n+1, ndof)."""
         if self._trajectory is None:
@@ -253,36 +254,39 @@ class SimulationHistory:
 
         The sums are formed a block of _MEMORY_BLOCK steps at a time.  When
         n leaves the cached block [start, stop), one GEMM applies the
-        Toeplitz block of weights w(start + i, p) to the rows p < start and
-        parks these "far" sums of steps start..stop-1 in difference rows
-        start..stop-1, which are not written yet: push writes row k only
-        after step k has read it.  Step n then adds its rows p = start..n-1
-        with one short GEMV.  The history is read once per block instead of
-        once per step, and every term w * d is rounded as in the direct sum;
-        only the order of the additions differs.
+        Toeplitz block of weights w(start + i, p), a view of the table's
+        `block_operand`, to the rows p < start and parks these "far" sums of
+        steps start..stop-1 in difference rows start..stop-1, which are not
+        written yet: push writes row k only after step k has read it.  Step
+        n then adds its rows p = start..n-1 with one short GEMV, its weights
+        a row of the same operand.  The history is read once per block
+        instead of once per step, and every term w * d is rounded as in the
+        direct sum; only the order of the additions differs.
         """
         n, table = self.n_last, self.table
+        operand, n_max = table.block_operand, table.n_max
         start, stop = self._block
         if not start <= n < stop:
             start = n
-            stop = min(n + _MEMORY_BLOCK, table.n_max + 1, self._diffs.shape[0])
-            # row i holds body[start + i - p] for p = 0..start-1: windows of
-            # the reversed lags, copied so that the GEMM runs in BLAS
-            lags = table.body[stop - 1::-1]
-            weights = sliding_window_view(lags, start)[stop - start - 1::-1].copy()
+            stop = min(n + _MEMORY_BLOCK, n_max + 1, self._diffs.shape[0])
+            # row i holds body[start + i - p] for p = 0..start-1; column 0
+            # takes the p = 0 weights for the GEMM and gets its lags back after
+            weights = operand[: stop - start, n_max - start:n_max]
+            lags = weights[:, 0].copy()
             weights[:, 0] = table.edge_left[start:stop]
             np.matmul(weights, self._diffs[:start], out=self._diffs[start:stop])
+            weights[:, 0] = lags
             self._block = (start, stop)
-        near = table.body[n - start:0:-1].copy()  # contiguous, so the GEMV runs in BLAS
-        return self._diffs[n] + near @ self._diffs[start:n]
+        i = n - start
+        return self._diffs[n] + operand[i, n_max:n_max + i] @ self._diffs[start:n]
 
     def push(self, coeffs: np.ndarray) -> None:
         """Append the modal coefficients of U^{n+1}, cache its memory-sum row
         and pass it to the observer.  The history keeps `coeffs` itself as
         U^{n+1}, not a copy."""
         k = self._count
-        if k >= self._diffs.shape[0]:
-            raise IndexError(f"the history was sized for {self._diffs.shape[0] - 1} steps")
+        if k > self.n_steps:
+            raise IndexError(f"the history was sized for {self.n_steps} steps")
         if k >= 2:
             self._diffs[k - 1] = (coeffs - self.previous) / (2.0 * self.tau)
         self.previous, self.current = self.current, coeffs
@@ -328,6 +332,9 @@ def step(history: SimulationHistory, damping: DampingSpec, problem: Problem) -> 
     n = history.n_last
     if n < 1:
         raise ValueError("stepping starts at n = 1; use taylor_start first")
+    if n >= history.n_steps:
+        raise IndexError(f"step {n} would pass the {history.n_steps} steps "
+                         f"the history was sized for")
 
     ops, table = history.ops, history.table
     lam = ops.eigenvalues

@@ -1,8 +1,10 @@
 """Assembly, interpolation, load vectors, gradient sampling."""
 
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +147,52 @@ class TestModalBasis:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("lumped", [False, True])
+    @pytest.mark.parametrize("m", [16, 64, 128, 1099])
+    def test_basis_is_accurate_at_every_size(self, m, lumped):
+        # the closed-form sine modes (consistent) and the scaled symmetric
+        # eigensolve (lumped), against scipy's generalized eigensolver
+        ops = assemble(Mesh(1, m), lumped_mass=lumped)
+        v, lam = ops.vectors, ops.eigenvalues
+        assert np.abs(v.T @ ops.mass1 @ v - np.eye(m - 1)).max() <= 1e-14
+        assert np.abs(v.T @ ops.stiffness1 @ v - np.diag(lam)).max() <= 1e-14 * lam.max()
+        oracle = scipy.linalg.eigh(ops.stiffness1, ops.mass1, eigvals_only=True)
+        assert np.abs(lam - oracle).max() <= 1e-13 * oracle.max()
+
+    def test_sine_data_is_one_mode(self):
+        mesh = Mesh(1, 64)
+        coeffs = assemble(mesh).to_modal(interpolate(mesh, lambda x: np.sin(np.pi * x)))
+        assert np.abs(coeffs[1:]).max() <= 1e-14 * abs(coeffs[0])
+
+    def test_cli_loads_scipy_only_for_erfc(self, tmp_path):
+        # the basis needs numpy alone; the alpha = 1/2 kernel imports scipy.special
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        configs = []
+        for alpha in ("1.0", "0.5"):
+            configs.append(tmp_path / f"alpha-{alpha}.ini")
+            configs[-1].write_text(
+                "[run]\npreset = benchmark_1d\ndim = 1\nm = 8\nn = 16\nt = 1.0\n"
+                f"[kernel]\nalpha = {alpha}\nsigma = 3.0\ngamma = 3.0\n"
+            )
+        probe = textwrap.dedent("""
+            import json, sys, memwave.cli
+            def loaded():
+                return sorted(n for n in sys.modules if n.split(".")[0] == "scipy")
+            seen = [loaded()]
+            for cfg in sys.argv[1:]:
+                assert memwave.cli.main(["energy", "--config", cfg, "--out", cfg + ".out"]) == 0
+                seen.append(loaded())
+            print(json.dumps(seen))
+        """)
+        proc = subprocess.run([sys.executable, "-c", probe, *map(str, configs)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        after_import, after_exponential, after_erfc = json.loads(proc.stdout.splitlines()[-1])
+        assert after_import == after_exponential == []
+        assert "scipy.special" in after_erfc
+        assert not [n for n in after_erfc if n.startswith("scipy.linalg")]
 
     def test_2d_lumped_mass_has_no_basis(self):
         # kron(L1, L1) shares no per-axis basis with the 2d stiffness

@@ -198,17 +198,22 @@ class TestStepping:
     def test_step_order_enforced(self):
         mesh = Mesh(1, 8)
         ops = assemble(mesh)
-        hist = run(SINE_PROBLEM, mesh, 0.1, 2, kernel=KernelSpec(1.0, 2.0, 0.0),
-                   damping=DampingSpec("sqrt"), ops=ops)
-        with pytest.raises(ValueError):
-            taylor_start(hist, DampingSpec("sqrt"), SINE_PROBLEM)
         # the history steps at its own last level: not at 0, and not past its size
         start = _start_history(ops, mesh, SINE_PROBLEM, 0.1)
         with pytest.raises(ValueError, match="use taylor_start first"):
             step(start, DampingSpec("sqrt"), SINE_PROBLEM)
-        with pytest.raises(IndexError):
-            step(hist, DampingSpec("sqrt"), SINE_PROBLEM)
-        assert hist.n_last == 2
+        # the table ends at the last step taken, as run builds it, or reaches past the run
+        for table_steps in (1, 40):
+            table = build_weight_table(KernelSpec(1.0, 2.0, 0.0), 0.1, table_steps)
+            hist = run(SINE_PROBLEM, mesh, 0.1, 2, damping=DampingSpec("sqrt"), ops=ops,
+                       table=table)
+            with pytest.raises(ValueError):
+                taylor_start(hist, DampingSpec("sqrt"), SINE_PROBLEM)
+            rows = hist._diffs.copy()
+            with pytest.raises(IndexError, match="step 2 would pass the 2 steps"):
+                step(hist, DampingSpec("sqrt"), SINE_PROBLEM)
+            assert hist.n_last == 2
+            assert np.array_equal(hist._diffs, rows)
 
     def test_history_binds_its_table(self):
         mesh = Mesh(1, 8)
@@ -444,6 +449,26 @@ class TestBlockedMemorySum:
                                       DampingSpec("constant", constant=3.0), table, n_steps)
         coeffs = hist.coefficients
         assert np.abs(coeffs[-1]).max() < 1e-20 * np.abs(coeffs[0]).max()
+
+    def test_block_operand_reads_the_body_weights(self):
+        # entry [i, c] is body[n_max - c + i] at every lag 1..n_max, else 0,
+        # and a run leaves the operand and the table's arrays as built
+        n_steps = 3 * _MEMORY_BLOCK + 5
+        tau = 2.0 / n_steps
+        table = build_weight_table(KernelSpec(0.5, 3.0, 3.0), tau, n_steps - 1)
+        operand = table.block_operand
+        n_max = table.n_max
+        assert operand.shape == (_MEMORY_BLOCK, n_max + _MEMORY_BLOCK)
+        lags = n_max - np.arange(operand.shape[1])[None, :] + np.arange(_MEMORY_BLOCK)[:, None]
+        inside = (lags >= 1) & (lags <= n_max)
+        assert np.array_equal(operand[inside], table.body[lags[inside]])
+        assert np.all(operand[~inside] == 0.0)
+        body, edge_left, built = table.body.copy(), table.edge_left.copy(), operand.copy()
+        self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"), table, n_steps)
+        assert table.block_operand is operand
+        assert np.array_equal(operand, built)
+        assert np.array_equal(table.body, body)
+        assert np.array_equal(table.edge_left, edge_left)
 
 
 class TestObservedRun:

@@ -24,13 +24,17 @@ table serve every step.  The history binds both when it is built, and
 `step` and `taylor_start` take only what is not stored: the damping and the
 problem.  The history always steps at its own last level n = n_last.
 
-The memory sum of step n weights the whole velocity history, so it costs
-O(n * ndof).  `SimulationHistory.memory_sum` forms it a block of
-_MEMORY_BLOCK steps at a time: one GEMM applies the older history to every
-step of the block, and each step adds its few newer rows with a short
-GEMV.  The history is then read once per block instead of once per step.
-Every term is rounded as in the direct sum; no FFT is used, so the
-relative accuracy holds in a tail that decays by tens of orders.
+The memory sum of step n weights the whole velocity history.
+`SimulationHistory.memory_sum` forms it a block of _MEMORY_BLOCK steps at a
+time: one GEMM applies the older history to every step of the block, and
+each step adds its few newer rows with a short GEMV.  The history is then
+read once per block instead of once per step.  Every term is rounded as in
+the direct sum; no FFT is used.  K decays at least like e^{-t}, so the
+oldest rows of a long run enter with weights far below rounding: the GEMM
+skips them, a block at a time, while a bound on what they add stays below
+_DROP_TOL of the sum's size in the l2 norm over modes, and every block
+checks that bound again.  A step then costs O(L * ndof), L the window of
+lags kept; until a row is dropped, L = n.
 """
 
 from __future__ import annotations
@@ -59,6 +63,12 @@ __all__ = [
 ]
 
 _DAMPING_KINDS = ("affine", "sqrt", "constant")
+
+# the memory sum drops its oldest block of rows while the l2 bound on all it
+# has dropped stays below _DROP_TOL of a lower bound on the sum's size, and
+# raises StepError when a later block finds that ratio above _GUARD_TOL
+_DROP_TOL = 1.0e-15
+_GUARD_TOL = 1.0e-13
 
 
 class SolverError(RuntimeError):
@@ -164,6 +174,48 @@ class Trajectory:
         self.coefficients[n] = coeffs
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
+
+
+@dataclass(frozen=True, eq=False)
+class _StepConstants:
+    """The terms of the step system that are the same at every step n >= 1.
+
+    With e = mu0/2 + w(n,n)/(2 tau), the system diagonal of step n is
+    `diagonal` + q_n/(2 tau), `smallest` is the least entry of `diagonal`,
+    U^{n-1} enters the right-hand side with the factor
+    q_n/(2 tau) - `previous`, and K(t_n) scales `initial`.
+    """
+
+    diagonal: np.ndarray  # 1/tau^2 + e * lambda
+    smallest: float
+    previous: np.ndarray  # 1/tau^2 + (mu0/2 - w(n,n)/(2 tau)) * lambda
+    initial: np.ndarray   # lambda * U^0
+
+    @classmethod
+    def build(cls, ops: DiscreteOperators, table: WeightTable,
+              initial: np.ndarray) -> "_StepConstants":
+        lam, tau, mu0 = ops.eigenvalues, table.tau, table.mu0
+        w_nn = float(table.edge_right[1])
+        elastic = 0.5 * mu0 + w_nn / (2.0 * tau)
+        if elastic <= 0.0:
+            raise StepError(
+                f"elastic coefficient mu0/2 + w(n,n)/(2 tau) = {elastic} <= 0 "
+                f"at every step n >= 1; the scheme is outside its admissible regime"
+            )
+        diagonal = 1.0 / tau**2 + elastic * lam
+        smallest = float(diagonal.min())
+        if not (smallest > 0.0 and np.isfinite(diagonal).all()):
+            raise SolverError(
+                f"system diagonal less q_n/(2 tau) is not positive and finite: "
+                f"smallest entry {smallest}"
+            )
+        previous = 1.0 / tau**2 + (0.5 * mu0 - w_nn / (2.0 * tau)) * lam
+        return cls(diagonal, smallest, previous, lam * initial)
+
+
 class SimulationHistory:
     """What the next step reads: U^0, U^{n-1}, U^n and the memory-sum rows.
 
@@ -181,6 +233,11 @@ class SimulationHistory:
     observe(n, coeffs) is called with U^0 here and with every pushed level.
     Without an observer the history records the whole trajectory, which
     `coefficients`, `states` and `state` then read.
+
+    The terms of a step that do not change with n are formed here once, as
+    `constants`: w(n, n) is the same for every n >= 1.  Building a history
+    on a table whose diagonal weight makes the elastic coefficient
+    nonpositive raises StepError.
     """
 
     def __init__(self, mesh: Mesh, ops: DiscreteOperators, table: WeightTable,
@@ -199,8 +256,13 @@ class SimulationHistory:
         self._diffs[0] = ops.to_modal(self.u1h)
         self.initial = ops.to_modal(self.u0)
         self.previous = self.current = self.initial
+        self.constants = _StepConstants.build(ops, table, self.initial)
         self._count = 1
         self._block = (0, 0)
+        # rows p < _first are dropped from the memory sum; _dropped is the sum
+        # of their l2 norms
+        self._first = 0
+        self._dropped = 0.0
         self._trajectory = Trajectory(n_steps, self.u0.size) if observe is None else None
         self._observe = self._trajectory if observe is None else observe
         self._observe(0, self.initial)
@@ -255,13 +317,20 @@ class SimulationHistory:
         The sums are formed a block of _MEMORY_BLOCK steps at a time.  When
         n leaves the cached block [start, stop), one GEMM applies the
         Toeplitz block of weights w(start + i, p), a view of the table's
-        `block_operand`, to the rows p < start and parks these "far" sums of
-        steps start..stop-1 in difference rows start..stop-1, which are not
-        written yet: push writes row k only after step k has read it.  Step
-        n then adds its rows p = start..n-1 with one short GEMV, its weights
-        a row of the same operand.  The history is read once per block
-        instead of once per step, and every term w * d is rounded as in the
-        direct sum; only the order of the additions differs.
+        `block_operand`, to the rows first <= p < start and parks these
+        "far" sums of steps start..stop-1 in difference rows start..stop-1,
+        which are not written yet: push writes row k only after step k has
+        read it.  Step n then adds its rows p = start..n-1 with one short
+        GEMV, its weights a row of the same operand.  The history is read
+        once per block instead of once per step, and every term w * d is
+        rounded as in the direct sum.
+
+        The rows p < first are those `_move_window` has dropped; until it
+        drops one, first = 0 and only the order of the additions differs
+        from the direct sum.  After that the sum differs from the direct one
+        by at most _GUARD_TOL times the l2 norm of sum_p |w(n, p)| |d_p|,
+        in the l2 norm over modes, not entry by entry: a mode at rounding
+        level may lose all its digits.
         """
         n, table = self.n_last, self.table
         operand, n_max = table.block_operand, table.n_max
@@ -269,16 +338,70 @@ class SimulationHistory:
         if not start <= n < stop:
             start = n
             stop = min(n + _MEMORY_BLOCK, n_max + 1, self._diffs.shape[0])
-            # row i holds body[start + i - p] for p = 0..start-1; column 0
-            # takes the p = 0 weights for the GEMM and gets its lags back after
-            weights = operand[: stop - start, n_max - start:n_max]
-            lags = weights[:, 0].copy()
-            weights[:, 0] = table.edge_left[start:stop]
-            np.matmul(weights, self._diffs[:start], out=self._diffs[start:stop])
-            weights[:, 0] = lags
+            first = self._move_window(start, stop)
+            # row i holds body[start + i - p] for p = first..start-1; with
+            # first = 0, column 0 takes the p = 0 weights for the GEMM and
+            # gets its lags back after
+            weights = operand[: stop - start, n_max - start + first:n_max]
+            rows, out = self._diffs[first:start], self._diffs[start:stop]
+            if first:
+                np.matmul(weights, rows, out=out)
+            else:
+                lags = weights[:, 0].copy()
+                weights[:, 0] = table.edge_left[start:stop]
+                np.matmul(weights, rows, out=out)
+                weights[:, 0] = lags
             self._block = (start, stop)
         i = n - start
         return self._diffs[n] + operand[i, n_max:n_max + i] @ self._diffs[start:n]
+
+    def _move_window(self, start: int, stop: int) -> int:
+        """Check the rows dropped so far for the block [start, stop), drop
+        more while that stays safe, and return the first row kept.
+
+        A dropped row p < first enters every sum of the block at a lag of at
+        least start - first + 1, so in the l2 norm over modes all it drops
+        is at most tail_max[start - first + 1] * sum_{p < first} ||d_p||.
+        A block raises StepError when that bound exceeds _GUARD_TOL of
+        `_scale`.  It then drops the oldest kept block of rows while the
+        bound stays below _DROP_TOL of the scale; it tests only rows older
+        than the newest block, at lags where the weights have fallen below
+        _DROP_TOL of the largest, and an all-zero history drops nothing.
+        """
+        first, block = self._first, _MEMORY_BLOCK
+        tail = self.table.tail_max
+        scale = None
+        if first:
+            scale = self._scale(start, stop)
+            bound = float(tail[start - first + 1]) * self._dropped
+            if bound > _GUARD_TOL * scale:
+                raise StepError(
+                    f"memory sum at step {start}: the rows p < {first} it dropped may "
+                    f"add {bound:.3e} in l2, above {_GUARD_TOL:g} of its scale {scale:.3e}"
+                )
+        while first + 2 * block <= start:
+            weight = float(tail[start - first - block + 1])
+            if not weight < _DROP_TOL * tail[1]:
+                break
+            if scale is None:
+                scale = self._scale(start, stop)
+            rows = self._diffs[first:first + block]
+            dropped = self._dropped + float(_row_norms(rows).sum())
+            if not weight * dropped < _DROP_TOL * scale:
+                break
+            first += block
+            self._first, self._dropped = first, dropped
+        return first
+
+    def _scale(self, start: int, stop: int) -> float:
+        """A lower bound on ||sum_p |w(n, p)| |d_p|||_2 for every step n of
+        the block [start, stop), start > _MEMORY_BLOCK: the least over those
+        n of the largest |w(n, p)| ||d_p|| over the newest _MEMORY_BLOCK
+        rows, which are never dropped."""
+        block, n_max = _MEMORY_BLOCK, self.table.n_max
+        weights = self.table.block_operand[: stop - start, n_max - block:n_max]
+        terms = np.abs(weights) * _row_norms(self._diffs[start - block:start])
+        return float(terms.max(axis=1).min())
 
     def push(self, coeffs: np.ndarray) -> None:
         """Append the modal coefficients of U^{n+1}, cache its memory-sum row
@@ -327,7 +450,8 @@ def step(history: SimulationHistory, damping: DampingSpec, problem: Problem) -> 
         S = (1/tau^2 + q_n/(2 tau)) M + (mu0/2 + w(n,n)/(2 tau)) A
     and the right-hand side collects the two known levels, the accumulated
     memory sum, the forcing, and the elastic contribution of the initial
-    state carried by K(t_n).  In the modal basis S is diagonal.
+    state carried by K(t_n).  In the modal basis S is diagonal.  Only q_n
+    changes from step to step; the rest is the history's `constants`.
     """
     n = history.n_last
     if n < 1:
@@ -336,36 +460,22 @@ def step(history: SimulationHistory, damping: DampingSpec, problem: Problem) -> 
         raise IndexError(f"step {n} would pass the {history.n_steps} steps "
                          f"the history was sized for")
 
-    ops, table = history.ops, history.table
-    lam = ops.eigenvalues
-    tau, mu0 = history.tau, history.mu0
+    ops, tau, consts = history.ops, history.tau, history.constants
     c_n, c_nm1 = history.current, history.previous
 
-    q_n = damping_value(damping, ops, c_n)
-    w_nn = float(table.edge_right[n])
-    elastic_coeff = 0.5 * mu0 + w_nn / (2.0 * tau)
-    if elastic_coeff <= 0.0:
-        raise StepError(
-            f"elastic coefficient mu0/2 + w(n,n)/(2 tau) = {elastic_coeff} <= 0 "
-            f"at step {n}; the scheme is outside its admissible regime"
-        )
-
-    diagonal = (1.0 / tau**2 + q_n / (2.0 * tau)) + elastic_coeff * lam
-    smallest = float(diagonal.min())
-    if not (smallest > 0.0 and np.isfinite(diagonal).all()):
+    half_q = damping_value(damping, ops, c_n) / (2.0 * tau)
+    smallest = consts.smallest + half_q
+    if not (smallest > 0.0 and math.isfinite(smallest)):
         raise SolverError(
             f"system diagonal at step {n} is not positive and finite: smallest entry {smallest}"
         )
 
-    stiffness_terms = (
-        (0.5 * mu0 - w_nn / (2.0 * tau)) * c_nm1
-        + history.memory_sum()
-        + float(table.k_values[n]) * history.initial
-    )
-    rhs = (2.0 / tau**2) * c_n - (1.0 / tau**2 - q_n / (2.0 * tau)) * c_nm1 - lam * stiffness_terms
+    rhs = ((2.0 / tau**2) * c_n + (half_q - consts.previous) * c_nm1
+           - ops.eigenvalues * history.memory_sum()
+           - float(history.table.k_values[n]) * consts.initial)
     if problem.f is not None:
         rhs += ops.project(load_vector(history.mesh, problem.f, n * tau))
-    c_next = rhs / diagonal
+    c_next = rhs / (consts.diagonal + half_q)
     _push_finite(history, c_next, n)
     return c_next
 

@@ -405,22 +405,33 @@ class TestModalStepping:
 
 class TestBlockedMemorySum:
     """memory_sum against the direct sum table.coefficients(n)[:n] @ velocity_diffs
-    at every step, entrywise within 1e-13 * (|weights| @ |diffs|)."""
+    at every step.  Until the window drops a row the check is entrywise,
+    within 1e-13 * (|weights| @ |diffs|); after that it is in the l2 norm
+    over modes, within 1e-13 * || |weights| @ |diffs| ||, since a mode at
+    rounding level may lose all its digits to the dropped rows."""
 
     @staticmethod
     def _step_and_compare(mesh, problem, damping, table, n_steps):
+        """Step and compare; return the history and the first step whose sum
+        dropped rows, or None."""
         hist = SimulationHistory(mesh, assemble(mesh), table, interpolate(mesh, problem.u0),
                                  interpolate(mesh, problem.u1), n_steps)
         taylor_start(hist, damping, problem)
+        dropped_at = None
         for n in range(1, n_steps):
             weights = hist.table.coefficients(n)[:n]
             diffs = hist.velocity_diffs
             direct = weights @ diffs
             blocked = hist.memory_sum()
-            bound = 1e-13 * (np.abs(weights) @ np.abs(diffs))
-            assert np.all(np.abs(blocked - direct) <= bound), n
+            scale = np.abs(weights) @ np.abs(diffs)
+            if dropped_at is None and hist._first:
+                dropped_at = n
+            if dropped_at is None:
+                assert np.all(np.abs(blocked - direct) <= 1e-13 * scale), n
+            else:
+                assert np.linalg.norm(blocked - direct) <= 1e-13 * np.linalg.norm(scale), n
             step(hist, damping, problem)
-        return hist
+        return hist, dropped_at
 
     def test_1d_clipped_last_block(self):
         # the step count is no multiple of the block, and the table ends at
@@ -429,7 +440,9 @@ class TestBlockedMemorySum:
         tau = 2.0 / n_steps
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
         assert table.n_max == n_steps - 1
-        self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"), table, n_steps)
+        _, dropped_at = self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"),
+                                               table, n_steps)
+        assert dropped_at is None
 
     def test_2d(self):
         # the table reaches past the run, so the history's rows clip the last block
@@ -438,17 +451,22 @@ class TestBlockedMemorySum:
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0), tau, n_steps + 40)
         problem = Problem(u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
                           u1=lambda x, y: np.sin(2 * np.pi * x) * y * (1.0 - y), f=None)
-        self._step_and_compare(Mesh(2, 8), problem, DampingSpec("affine"), table, n_steps)
+        _, dropped_at = self._step_and_compare(Mesh(2, 8), problem, DampingSpec("affine"),
+                                               table, n_steps)
+        assert dropped_at is None
 
     def test_decay_over_twenty_orders(self):
         # the bound is relative to each step's own terms, so it stays sharp
-        # while the states fall from 1 to below 1e-20
+        # while the states fall from 1 to below 1e-20; K falls faster, and
+        # the window drops the oldest rows
         n_steps, tau = 400, 50.0 / 400
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
-        hist = self._step_and_compare(Mesh(1, 8), SINE_PROBLEM,
-                                      DampingSpec("constant", constant=3.0), table, n_steps)
+        hist, dropped_at = self._step_and_compare(Mesh(1, 8), SINE_PROBLEM,
+                                                  DampingSpec("constant", constant=3.0),
+                                                  table, n_steps)
         coeffs = hist.coefficients
         assert np.abs(coeffs[-1]).max() < 1e-20 * np.abs(coeffs[0]).max()
+        assert dropped_at is not None and hist._first >= _MEMORY_BLOCK
 
     def test_block_operand_reads_the_body_weights(self):
         # entry [i, c] is body[n_max - c + i] at every lag 1..n_max, else 0,
@@ -469,6 +487,56 @@ class TestBlockedMemorySum:
         assert np.array_equal(operand, built)
         assert np.array_equal(table.body, body)
         assert np.array_equal(table.edge_left, edge_left)
+
+
+class TestMemoryWindow:
+    """The memory sum's window on a decaying alpha = 1/2 run."""
+
+    N_STEPS, TAU = 600, 60.0 / 600
+    KERNEL = KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0))
+
+    def test_trajectory_matches_direct_sum(self, monkeypatch):
+        # every level against the run with the direct sum, within 1e-12 of
+        # its own l2 norm while the states fall by 13 orders
+        mesh, damping = Mesh(1, 16), DampingSpec("constant", constant=1.0)
+        windowed = run(SINE_PROBLEM, mesh, self.TAU, self.N_STEPS, kernel=self.KERNEL,
+                       damping=damping)
+        assert windowed._first >= self.N_STEPS // 4
+        monkeypatch.setattr(
+            SimulationHistory, "memory_sum",
+            lambda hist: hist.table.coefficients(hist.n_last)[:hist.n_last] @ hist.velocity_diffs,
+        )
+        direct = run(SINE_PROBLEM, mesh, self.TAU, self.N_STEPS, kernel=self.KERNEL,
+                     damping=damping)
+        assert direct._first == 0
+        ours, theirs = windowed.coefficients, direct.coefficients
+        assert np.linalg.norm(theirs[-1]) < 1e-12 * np.linalg.norm(theirs[0])
+        errors = np.linalg.norm(ours - theirs, axis=1)
+        assert np.all(errors <= 1e-12 * np.linalg.norm(theirs, axis=1))
+
+    def test_quiescent_history_drops_no_row(self):
+        # the run is long enough for the sum to test its oldest rows, whose
+        # norms and scale are all 0: it drops none and divides by none
+        prob = Problem(u0=_zero_field, u1=_zero_field, f=None)
+        hist = run(prob, Mesh(1, 8), self.TAU, self.N_STEPS, kernel=self.KERNEL,
+                   damping=DampingSpec("sqrt"))
+        assert np.all(hist.coefficients == 0.0)
+        assert hist._first == 0 and hist._dropped == 0.0
+
+    def test_collapsed_scale_raises_step_error(self):
+        # once rows are dropped, a block whose newest rows are all zero has
+        # no scale left to bound them against
+        mesh, damping = Mesh(1, 16), DampingSpec("constant", constant=1.0)
+        table = build_weight_table(self.KERNEL, self.TAU, self.N_STEPS)
+        hist = SimulationHistory(mesh, assemble(mesh), table, interpolate(mesh, SINE_PROBLEM.u0),
+                                 interpolate(mesh, SINE_PROBLEM.u1), self.N_STEPS)
+        taylor_start(hist, damping, SINE_PROBLEM)
+        while not hist._first:
+            step(hist, damping, SINE_PROBLEM)
+        for _ in range(_MEMORY_BLOCK + 2):
+            hist.push(np.zeros(mesh.n_interior))
+        with pytest.raises(StepError, match=f"memory sum at step {hist.n_last}: the rows p < "):
+            step(hist, damping, SINE_PROBLEM)
 
 
 class TestObservedRun:

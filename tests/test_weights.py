@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
 
+import memwave.quadweights as quadweights
 from memwave.kernel import KernelSpec, constant_transform, kernel_transform
 from memwave.quadweights import WEIGHT_TOL, WeightTable, build_weight_table, convolve
 
@@ -40,6 +41,13 @@ def _brute_weight(kfun, tau, n, p):
             integrand = lambda s: float(kfun(t_n - s)) * (1.0 - abs(s - t_p) / tau)
             total += quad(integrand, lo, hi, epsabs=1e-14, epsrel=0.0)[0]
     return total
+
+
+def _check_against_brute_force(table, kfun):
+    for n in range(1, table.n_max + 1):
+        for p in range(0, n + 1):
+            brute = _brute_weight(kfun, table.tau, n, p)
+            assert table.weight(n, p) == pytest.approx(brute, abs=WEIGHT_TOL)
 
 
 class TestUnitHook:
@@ -146,10 +154,7 @@ class TestBruteForce:
         tau = float(rng.uniform(0.01, 0.5))
         table = build_weight_table(KernelSpec(1.0, sigma, gamma), tau, 8)
         kfun = lambda t: _k_smooth(sigma, gamma, t)
-        for n in range(1, 9):
-            for p in range(0, n + 1):
-                brute = _brute_weight(kfun, tau, n, p)
-                assert table.weight(n, p) == pytest.approx(brute, abs=WEIGHT_TOL)
+        _check_against_brute_force(table, kfun)
 
     @pytest.mark.parametrize("sigma,gamma", [(3.0, 3.0 * ROOT3), (2.0, 1.0)])
     def test_singular_weights_match_flat_quadrature(self, sigma, gamma):
@@ -157,10 +162,36 @@ class TestBruteForce:
         tau = float(rng.uniform(0.01, 0.5))
         table = build_weight_table(KernelSpec(0.5, sigma, gamma), tau, 8)
         kfun = lambda t: _k_singular(sigma, gamma, t)
-        for n in range(1, 9):
-            for p in range(0, n + 1):
-                brute = _brute_weight(kfun, tau, n, p)
-                assert table.weight(n, p) == pytest.approx(brute, abs=WEIGHT_TOL)
+        _check_against_brute_force(table, kfun)
+
+    def test_coarse_step_escalates_the_gauss_order(self, monkeypatch):
+        # at tau = 1 Gauss orders 10 and 14 differ by more than WEIGHT_TOL
+        # (order 10 is 8e-11 off), so the build goes on to order 20
+        sigma, gamma, tau = 3.0, 3.0 * ROOT3, 1.0
+        orders = []
+        assemble = quadweights._assemble
+
+        def recorded(kernel, tau, n_max, order):
+            orders.append(order)
+            return assemble(kernel, tau, n_max, order)
+
+        monkeypatch.setattr(quadweights, "_assemble", recorded)
+        table = build_weight_table(KernelSpec(0.5, sigma, gamma), tau, 8)
+        assert orders == [10, 14, 20]
+        kfun = lambda t: _k_singular(sigma, gamma, t)
+        _check_against_brute_force(table, kfun)
+
+
+class TestTailMax:
+    def test_largest_weight_at_each_lag_and_beyond(self):
+        table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * ROOT3), 0.05, 300)
+        tail = table.tail_max
+        assert tail.shape == (table.n_max + 1,)
+        largest = np.maximum(np.abs(table.body), np.abs(table.edge_left))
+        for j in range(1, table.n_max + 1):
+            assert tail[j] == largest[j:].max(), j
+        assert tail[0] == tail[1]
+        assert table.tail_max is tail
 
 
 class TestConvolve:

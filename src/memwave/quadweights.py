@@ -12,13 +12,14 @@ weights depend only on the lag n - p (Toeplitz structure), the weight at
 p = n is the same for every n, and only the p = 0 column genuinely varies
 with n.  The table stores exactly those three arrays, plus the kernel
 samples K(t_n) and the derived coefficients the stepper needs, so a built
-table fully describes the memory term for one step size.
+table fully describes the memory term for one step size.  It is plain
+data: how a run lays the weights out for its memory sum is the stepper's
+business, and no run writes into a table, so one table may serve many runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,10 +29,6 @@ __all__ = ["WeightTable", "build_weight_table", "convolve", "QuadratureError"]
 
 #: absolute accuracy target for every stored weight
 WEIGHT_TOL = 1.0e-12
-
-# steps whose memory sums over the older history one GEMM forms together;
-# also the row count of `WeightTable.block_operand`
-_MEMORY_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,8 +42,9 @@ class WeightTable:
     k_values[n]           : K(t_n) for n = 0..n_max
     k0, mu0               : K(0) and 1 - K(0)
 
-    Index 0 of body/edge_left/edge_right is unused padding so that index n
-    means step n throughout.
+    Index 0 of body/edge_left/edge_right is unused padding, 0, so that
+    index n means step n throughout.  The table holds these arrays and
+    nothing derived from them; no run writes into them.
     """
 
     tau: float
@@ -80,33 +78,6 @@ class WeightTable:
             out[1:n] = self.body[n - 1:0:-1]
         out[n] = self.edge_right[n]
         return out
-
-    @cached_property
-    def block_operand(self) -> np.ndarray:
-        """The body weights as the memory sum reads them, built on first use.
-
-        Entry [i, c] is body[n_max - c + i], and 0 where that lag is outside
-        1..n_max; the shape is (_MEMORY_BLOCK, n_max + _MEMORY_BLOCK).  Row
-        i serves step start + i of a block: columns n_max - start .. n_max - 1
-        weight the rows p < start, and columns n_max .. n_max + i - 1 the
-        rows p = start .. start + i - 1.  Both are unit-stride views.
-        """
-        lags = np.zeros(self.n_max + _MEMORY_BLOCK)
-        lags[: self.n_max] = self.body[:0:-1]  # lags[c] = body[n_max - c]
-        out = np.zeros((_MEMORY_BLOCK, lags.size))
-        for i in range(_MEMORY_BLOCK):
-            out[i, i:] = lags[: lags.size - i]
-        return out
-
-    @cached_property
-    def tail_max(self) -> np.ndarray:
-        """tail_max[j]: the largest |body| or |edge_left| at a lag >= j, built
-        on first use; index 0 repeats index 1.  A row the memory sum drops at
-        lag >= j from every step of a block enters each sum with at most this
-        weight."""
-        largest = np.maximum(np.abs(self.body), np.abs(self.edge_left))
-        largest[0] = largest[1]
-        return np.maximum.accumulate(largest[::-1])[::-1]
 
 
 def _interval_moments(kernel: KernelLike, tau: float, n_intervals: int, order: int):

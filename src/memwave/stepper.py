@@ -24,17 +24,8 @@ table serve every step.  The history binds both when it is built, and
 `step` and `taylor_start` take only what is not stored: the damping and the
 problem.  The history always steps at its own last level n = n_last.
 
-The memory sum of step n weights the whole velocity history.
-`SimulationHistory.memory_sum` forms it a block of _MEMORY_BLOCK steps at a
-time: one GEMM applies the older history to every step of the block, and
-each step adds its few newer rows with a short GEMV.  The history is then
-read once per block instead of once per step.  Every term is rounded as in
-the direct sum; no FFT is used.  K decays at least like e^{-t}, so the
-oldest rows of a long run enter with weights far below rounding: the GEMM
-skips them, a block at a time, while a bound on what they add stays below
-_DROP_TOL of the sum's size in the l2 norm over modes, and every block
-checks that bound again.  A step then costs O(L * ndof), L the window of
-lags kept; until a row is dropped, L = n.
+The memory sum of step n weights the whole velocity history; `_MemorySum`
+forms it, and its docstring says how.
 """
 
 from __future__ import annotations
@@ -47,7 +38,7 @@ import numpy as np
 
 from .fem import DiscreteOperators, Mesh, assemble, interpolate, load_vector
 from .kernel import KernelLike
-from .quadweights import _MEMORY_BLOCK, WeightTable, build_weight_table
+from .quadweights import WeightTable, build_weight_table
 
 __all__ = [
     "DampingSpec",
@@ -64,6 +55,8 @@ __all__ = [
 
 _DAMPING_KINDS = ("affine", "sqrt", "constant")
 
+# steps whose memory sums over the older history one GEMM forms together
+_MEMORY_BLOCK = 32
 # the memory sum drops its oldest block of rows while the l2 bound on all it
 # has dropped stays below _DROP_TOL of a lower bound on the sum's size, and
 # raises StepError when a later block finds that ratio above _GUARD_TOL
@@ -216,6 +209,119 @@ class _StepConstants:
         return cls(diagonal, smallest, previous, lam * initial)
 
 
+class _MemorySum:
+    """The memory sum of one run: sum over p < n of w(n, p) * d_p for step n.
+
+    d_p is row p of `rows`, the history's buffer of n_steps + 1 velocity
+    differences, which push fills; the weights are the table's up to the
+    run's last step, last = n_steps - 1.  The table is only read: the
+    operand, the tail bound and the window state below are the run's own.
+
+    The sums are formed a block of _MEMORY_BLOCK steps at a time.  When n
+    leaves the cached block [start, stop), one GEMM applies the Toeplitz
+    block of weights w(start + i, p), a view of `operand`, to the rows
+    first <= p < start and parks these "far" sums of steps start..stop-1 in
+    rows start..stop-1, which are not written yet: push writes row k only
+    after step k has read it.  Step n then adds its rows p = start..n-1
+    with one short GEMV, its weights a row of the same operand.  The history
+    is read once per block instead of once per step, and every term w * d
+    is rounded as in the direct sum; no FFT is used.  operand[i, c] is
+    body[last - c + i], and 0 where that lag is outside 1..last: columns
+    last - start .. last - 1 of row i weight the rows p < start for step
+    start + i, and columns last .. last + i - 1 the rows p >= start, both
+    unit-stride views.  With first = 0, the column of p = 0 takes the
+    edge_left weights for the GEMM and gets its lags back after.
+
+    K decays at least like e^{-t}, so the oldest rows of a long run enter
+    with weights far below rounding.  A row p < first that the GEMM skips
+    enters every sum of the block at a lag of at least start - p, so in the
+    l2 norm over modes all that is dropped is at most
+    sum_{p < first} tail[start - p] * norms[p], with tail[j] the largest
+    |body| or |edge_left| at a lag >= j and norms[p] = ||d_p||_2.  Each
+    block raises StepError when that bound exceeds _GUARD_TOL of `_scale`,
+    a lower bound on the sum's size.  It then drops the oldest kept block
+    of rows while the bound stays below _DROP_TOL of the scale; it tests
+    only rows older than the newest block, at lags where the weights have
+    fallen below _DROP_TOL of the largest, and an all-zero history drops
+    nothing.  A step then costs O(L * ndof), L = n - first.
+
+    Until a row is dropped, first = 0 and only the order of the additions
+    differs from the direct sum.  After that the sum differs from the direct
+    one by at most _GUARD_TOL times the l2 norm of sum_p |w(n, p)| |d_p|,
+    in the l2 norm over modes, not entry by entry: a mode at rounding level
+    may lose all its digits.
+    """
+
+    def __init__(self, table: WeightTable, rows: np.ndarray):
+        last = rows.shape[0] - 2
+        lags = np.zeros(last + _MEMORY_BLOCK)
+        lags[:last] = table.body[last:0:-1]  # lags[c] = body[last - c]
+        self.operand = np.zeros((_MEMORY_BLOCK, lags.size))
+        for i in range(_MEMORY_BLOCK):
+            self.operand[i, i:] = lags[: lags.size - i]
+        largest = np.abs([table.body[: last + 1], table.edge_left[: last + 1]]).max(axis=0)
+        self.tail = np.maximum.accumulate(largest[::-1])[::-1]
+        self.norms = np.zeros(last + 1)
+        self.first = 0
+        self._rows, self._edge_left, self._last = rows, table.edge_left, last
+        self._block = (0, 0)
+
+    def __call__(self, n: int) -> np.ndarray:
+        """The memory sum of step n, once rows 0..n-1 hold d_0..d_{n-1}."""
+        operand, rows, last = self.operand, self._rows, self._last
+        start, stop = self._block
+        if not start <= n < stop:
+            start, stop = n, min(n + _MEMORY_BLOCK, last + 1)
+            first = self._move_window(start, stop)
+            weights = operand[: stop - start, last - start + first:last]
+            if not first:  # the p = 0 column takes the edge_left weights for the GEMM
+                lags, weights[:, 0] = weights[:, 0].copy(), self._edge_left[start:stop]
+            np.matmul(weights, rows[first:start], out=rows[start:stop])
+            if not first:
+                weights[:, 0] = lags
+            self._block = (start, stop)
+        i = n - start
+        return rows[n] + operand[i, last:last + i] @ rows[start:n]
+
+    def _move_window(self, start: int, stop: int) -> int:
+        """Check the rows dropped so far for the block [start, stop), drop
+        more while that stays safe, and return the first row kept."""
+        first, block, norms = self.first, _MEMORY_BLOCK, self.norms
+        at_lag = self.tail[start::-1]  # at_lag[p] = tail[start - p]
+        scale, bound = None, 0.0
+        if first:
+            scale = self._scale(start, stop)
+            bound = float(norms[:first] @ at_lag[:first])
+            if bound > _GUARD_TOL * scale:
+                raise StepError(
+                    f"memory sum at step {start}: the rows p < {first} it dropped may "
+                    f"add {bound:.3e} in l2, above {_GUARD_TOL:g} of its scale {scale:.3e}"
+                )
+        while first + 2 * block <= start:
+            if not at_lag[first + block - 1] < _DROP_TOL * self.tail[1]:
+                break
+            if scale is None:
+                scale = self._scale(start, stop)
+            oldest = slice(first, first + block)
+            oldest_norms = _row_norms(self._rows[oldest])
+            more = bound + float(oldest_norms @ at_lag[oldest])
+            if not more < _DROP_TOL * scale:
+                break
+            norms[oldest], bound, first = oldest_norms, more, first + block
+        self.first = first
+        return first
+
+    def _scale(self, start: int, stop: int) -> float:
+        """A lower bound on ||sum_p |w(n, p)| |d_p|||_2 for every step n of
+        the block [start, stop), start > _MEMORY_BLOCK: the least over those
+        n of the largest |w(n, p)| ||d_p|| over the newest _MEMORY_BLOCK
+        rows, which are never dropped."""
+        block, last = _MEMORY_BLOCK, self._last
+        weights = self.operand[: stop - start, last - block:last]
+        terms = np.abs(weights) * _row_norms(self._rows[start - block:start])
+        return float(terms.max(axis=1).min())
+
+
 class SimulationHistory:
     """What the next step reads: U^0, U^{n-1}, U^n and the memory-sum rows.
 
@@ -226,9 +332,9 @@ class SimulationHistory:
     (U^{p+1} - U^{p-1}) / (2 tau) for p >= 1 and the discrete initial
     velocity for p = 0, also as modal coefficients; the memory sum weights
     these rows and scales the result by the eigenvalues.  The row buffer is
-    allocated once, for n_steps steps; rows past the last step may hold the
-    partial memory sums that `memory_sum` parks there.  The nodal initial
-    data u0 and u1h are kept as given.
+    allocated once, for n_steps steps; rows not written yet may hold the
+    partial memory sums that `_MemorySum`, built here on the buffer, parks
+    there.  The nodal initial data u0 and u1h are kept as given.
 
     observe(n, coeffs) is called with U^0 here and with every pushed level.
     Without an observer the history records the whole trajectory, which
@@ -258,11 +364,7 @@ class SimulationHistory:
         self.previous = self.current = self.initial
         self.constants = _StepConstants.build(ops, table, self.initial)
         self._count = 1
-        self._block = (0, 0)
-        # rows p < _first are dropped from the memory sum; _dropped is the sum
-        # of their l2 norms
-        self._first = 0
-        self._dropped = 0.0
+        self._memory = _MemorySum(table, self._diffs)
         self._trajectory = Trajectory(n_steps, self.u0.size) if observe is None else None
         self._observe = self._trajectory if observe is None else observe
         self._observe(0, self.initial)
@@ -312,104 +414,20 @@ class SimulationHistory:
         return nodal
 
     def memory_sum(self) -> np.ndarray:
-        """Sum over p < n of w(n, p) * velocity_diffs[p] for the next step, n = n_last.
-
-        The sums are formed a block of _MEMORY_BLOCK steps at a time.  When
-        n leaves the cached block [start, stop), one GEMM applies the
-        Toeplitz block of weights w(start + i, p), a view of the table's
-        `block_operand`, to the rows first <= p < start and parks these
-        "far" sums of steps start..stop-1 in difference rows start..stop-1,
-        which are not written yet: push writes row k only after step k has
-        read it.  Step n then adds its rows p = start..n-1 with one short
-        GEMV, its weights a row of the same operand.  The history is read
-        once per block instead of once per step, and every term w * d is
-        rounded as in the direct sum.
-
-        The rows p < first are those `_move_window` has dropped; until it
-        drops one, first = 0 and only the order of the additions differs
-        from the direct sum.  After that the sum differs from the direct one
-        by at most _GUARD_TOL times the l2 norm of sum_p |w(n, p)| |d_p|,
-        in the l2 norm over modes, not entry by entry: a mode at rounding
-        level may lose all its digits.
-        """
-        n, table = self.n_last, self.table
-        operand, n_max = table.block_operand, table.n_max
-        start, stop = self._block
-        if not start <= n < stop:
-            start = n
-            stop = min(n + _MEMORY_BLOCK, n_max + 1, self._diffs.shape[0])
-            first = self._move_window(start, stop)
-            # row i holds body[start + i - p] for p = first..start-1; with
-            # first = 0, column 0 takes the p = 0 weights for the GEMM and
-            # gets its lags back after
-            weights = operand[: stop - start, n_max - start + first:n_max]
-            rows, out = self._diffs[first:start], self._diffs[start:stop]
-            if first:
-                np.matmul(weights, rows, out=out)
-            else:
-                lags = weights[:, 0].copy()
-                weights[:, 0] = table.edge_left[start:stop]
-                np.matmul(weights, rows, out=out)
-                weights[:, 0] = lags
-            self._block = (start, stop)
-        i = n - start
-        return self._diffs[n] + operand[i, n_max:n_max + i] @ self._diffs[start:n]
-
-    def _move_window(self, start: int, stop: int) -> int:
-        """Check the rows dropped so far for the block [start, stop), drop
-        more while that stays safe, and return the first row kept.
-
-        A dropped row p < first enters every sum of the block at a lag of at
-        least start - first + 1, so in the l2 norm over modes all it drops
-        is at most tail_max[start - first + 1] * sum_{p < first} ||d_p||.
-        A block raises StepError when that bound exceeds _GUARD_TOL of
-        `_scale`.  It then drops the oldest kept block of rows while the
-        bound stays below _DROP_TOL of the scale; it tests only rows older
-        than the newest block, at lags where the weights have fallen below
-        _DROP_TOL of the largest, and an all-zero history drops nothing.
-        """
-        first, block = self._first, _MEMORY_BLOCK
-        tail = self.table.tail_max
-        scale = None
-        if first:
-            scale = self._scale(start, stop)
-            bound = float(tail[start - first + 1]) * self._dropped
-            if bound > _GUARD_TOL * scale:
-                raise StepError(
-                    f"memory sum at step {start}: the rows p < {first} it dropped may "
-                    f"add {bound:.3e} in l2, above {_GUARD_TOL:g} of its scale {scale:.3e}"
-                )
-        while first + 2 * block <= start:
-            weight = float(tail[start - first - block + 1])
-            if not weight < _DROP_TOL * tail[1]:
-                break
-            if scale is None:
-                scale = self._scale(start, stop)
-            rows = self._diffs[first:first + block]
-            dropped = self._dropped + float(_row_norms(rows).sum())
-            if not weight * dropped < _DROP_TOL * scale:
-                break
-            first += block
-            self._first, self._dropped = first, dropped
-        return first
-
-    def _scale(self, start: int, stop: int) -> float:
-        """A lower bound on ||sum_p |w(n, p)| |d_p|||_2 for every step n of
-        the block [start, stop), start > _MEMORY_BLOCK: the least over those
-        n of the largest |w(n, p)| ||d_p|| over the newest _MEMORY_BLOCK
-        rows, which are never dropped."""
-        block, n_max = _MEMORY_BLOCK, self.table.n_max
-        weights = self.table.block_operand[: stop - start, n_max - block:n_max]
-        terms = np.abs(weights) * _row_norms(self._diffs[start - block:start])
-        return float(terms.max(axis=1).min())
+        """Sum over p < n of w(n, p) * velocity_diffs[p] for the next step,
+        n = n_last, as `_MemorySum` forms it."""
+        return self._memory(self.n_last)
 
     def push(self, coeffs: np.ndarray) -> None:
         """Append the modal coefficients of U^{n+1}, cache its memory-sum row
         and pass it to the observer.  The history keeps `coeffs` itself as
-        U^{n+1}, not a copy."""
+        U^{n+1}, not a copy; a level that is not finite raises StepError
+        before anything is written."""
         k = self._count
         if k > self.n_steps:
             raise IndexError(f"the history was sized for {self.n_steps} steps")
+        if not np.isfinite(coeffs).all():
+            raise StepError(f"state U^{k} computed at step {k - 1} is not finite")
         if k >= 2:
             self._diffs[k - 1] = (coeffs - self.previous) / (2.0 * self.tau)
         self.previous, self.current = self.current, coeffs
@@ -438,7 +456,7 @@ def taylor_start(history: SimulationHistory, damping: DampingSpec,
     if problem.f is not None:
         a0 += ops.project(load_vector(history.mesh, problem.f, 0.0))
     c1 = c0 + tau * v1 + 0.5 * tau * tau * a0
-    _push_finite(history, c1, 0)
+    history.push(c1)
     return c1, a0
 
 
@@ -476,15 +494,8 @@ def step(history: SimulationHistory, damping: DampingSpec, problem: Problem) -> 
     if problem.f is not None:
         rhs += ops.project(load_vector(history.mesh, problem.f, n * tau))
     c_next = rhs / (consts.diagonal + half_q)
-    _push_finite(history, c_next, n)
+    history.push(c_next)
     return c_next
-
-
-def _push_finite(history: SimulationHistory, coeffs: np.ndarray, n: int) -> None:
-    """Push U^{n+1}, computed at step n, after checking that it is finite."""
-    if not np.isfinite(coeffs).all():
-        raise StepError(f"state U^{n + 1} computed at step {n} is not finite")
-    history.push(coeffs)
 
 
 def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,

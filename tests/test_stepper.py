@@ -424,7 +424,7 @@ class TestBlockedMemorySum:
             direct = weights @ diffs
             blocked = hist.memory_sum()
             scale = np.abs(weights) @ np.abs(diffs)
-            if dropped_at is None and hist._first:
+            if dropped_at is None and hist._memory.first:
                 dropped_at = n
             if dropped_at is None:
                 assert np.all(np.abs(blocked - direct) <= 1e-13 * scale), n
@@ -434,8 +434,8 @@ class TestBlockedMemorySum:
         return hist, dropped_at
 
     def test_1d_clipped_last_block(self):
-        # the step count is no multiple of the block, and the table ends at
-        # the last step, so the table clips the last block
+        # the step count is no multiple of the block, so the run's last step
+        # clips the last block; the table ends at that step
         n_steps = 2 * _MEMORY_BLOCK + 22
         tau = 2.0 / n_steps
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
@@ -445,7 +445,7 @@ class TestBlockedMemorySum:
         assert dropped_at is None
 
     def test_2d(self):
-        # the table reaches past the run, so the history's rows clip the last block
+        # the table reaches past the run, whose last step clips the last block
         n_steps = _MEMORY_BLOCK + 13
         tau = 1.0 / n_steps
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0), tau, n_steps + 40)
@@ -466,53 +466,88 @@ class TestBlockedMemorySum:
                                                   table, n_steps)
         coeffs = hist.coefficients
         assert np.abs(coeffs[-1]).max() < 1e-20 * np.abs(coeffs[0]).max()
-        assert dropped_at is not None and hist._first >= _MEMORY_BLOCK
+        assert dropped_at is not None and hist._memory.first >= _MEMORY_BLOCK
 
     def test_block_operand_reads_the_body_weights(self):
-        # entry [i, c] is body[n_max - c + i] at every lag 1..n_max, else 0,
-        # and a run leaves the operand and the table's arrays as built
+        # entry [i, c] is body[last - c + i] at every lag 1..last, else 0,
+        # last = n_steps - 1, and a run leaves the operand and the table's
+        # arrays as built
         n_steps = 3 * _MEMORY_BLOCK + 5
         tau = 2.0 / n_steps
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0), tau, n_steps - 1)
-        operand = table.block_operand
-        n_max = table.n_max
-        assert operand.shape == (_MEMORY_BLOCK, n_max + _MEMORY_BLOCK)
-        lags = n_max - np.arange(operand.shape[1])[None, :] + np.arange(_MEMORY_BLOCK)[:, None]
-        inside = (lags >= 1) & (lags <= n_max)
+        body, edge_left = table.body.copy(), table.edge_left.copy()
+        hist, _ = self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"),
+                                         table, n_steps)
+        operand, last = hist._memory.operand, n_steps - 1
+        assert operand.shape == (_MEMORY_BLOCK, last + _MEMORY_BLOCK)
+        lags = last - np.arange(operand.shape[1])[None, :] + np.arange(_MEMORY_BLOCK)[:, None]
+        inside = (lags >= 1) & (lags <= last)
         assert np.array_equal(operand[inside], table.body[lags[inside]])
         assert np.all(operand[~inside] == 0.0)
-        body, edge_left, built = table.body.copy(), table.edge_left.copy(), operand.copy()
-        self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"), table, n_steps)
-        assert table.block_operand is operand
-        assert np.array_equal(operand, built)
         assert np.array_equal(table.body, body)
         assert np.array_equal(table.edge_left, edge_left)
 
+    def test_runs_leave_a_shared_table_as_built(self):
+        # two runs on one table, long enough to drop rows: the table keeps
+        # its fields and every array bit for bit, and the runs agree bitwise
+        n_steps, tau = 600, 60.0 / 600
+        table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
+        built = {key: np.array(value).tobytes() for key, value in vars(table).items()}
+        mesh, damping = Mesh(1, 16), DampingSpec("constant", constant=1.0)
+        runs = []
+        for _ in range(2):
+            runs.append(run(SINE_PROBLEM, mesh, tau, n_steps, damping=damping, table=table))
+            assert runs[-1]._memory.first > 0
+            assert vars(table).keys() == built.keys()
+            for key, value in vars(table).items():
+                assert np.array(value).tobytes() == built[key], key
+        assert runs[0].coefficients.tobytes() == runs[1].coefficients.tobytes()
+
 
 class TestMemoryWindow:
-    """The memory sum's window on a decaying alpha = 1/2 run."""
+    """The memory sum's window on decaying runs, alpha = 1/2 and alpha = 1."""
 
     N_STEPS, TAU = 600, 60.0 / 600
     KERNEL = KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0))
 
-    def test_trajectory_matches_direct_sum(self, monkeypatch):
+    @pytest.mark.parametrize("kernel, damping", [
+        (KERNEL, DampingSpec("constant", constant=1.0)),
+        (KernelSpec(1.0, 2.0, 1.0), DampingSpec("sqrt")),
+    ], ids=["alpha=0.5", "alpha=1"])
+    def test_trajectory_matches_direct_sum(self, monkeypatch, kernel, damping):
         # every level against the run with the direct sum, within 1e-12 of
-        # its own l2 norm while the states fall by 13 orders
-        mesh, damping = Mesh(1, 16), DampingSpec("constant", constant=1.0)
-        windowed = run(SINE_PROBLEM, mesh, self.TAU, self.N_STEPS, kernel=self.KERNEL,
+        # its own l2 norm while the states fall by 13 orders or more
+        mesh = Mesh(1, 16)
+        windowed = run(SINE_PROBLEM, mesh, self.TAU, self.N_STEPS, kernel=kernel,
                        damping=damping)
-        assert windowed._first >= self.N_STEPS // 4
+        assert windowed._memory.first >= self.N_STEPS // 4
         monkeypatch.setattr(
             SimulationHistory, "memory_sum",
             lambda hist: hist.table.coefficients(hist.n_last)[:hist.n_last] @ hist.velocity_diffs,
         )
-        direct = run(SINE_PROBLEM, mesh, self.TAU, self.N_STEPS, kernel=self.KERNEL,
+        direct = run(SINE_PROBLEM, mesh, self.TAU, self.N_STEPS, kernel=kernel,
                      damping=damping)
-        assert direct._first == 0
+        assert direct._memory.first == 0
         ours, theirs = windowed.coefficients, direct.coefficients
         assert np.linalg.norm(theirs[-1]) < 1e-12 * np.linalg.norm(theirs[0])
         errors = np.linalg.norm(ours - theirs, axis=1)
         assert np.all(errors <= 1e-12 * np.linalg.norm(theirs, axis=1))
+
+    def test_window_does_not_widen(self):
+        # each dropped row is bounded at its own lag, so the rows dropped
+        # early do not hold the window open as the run goes on
+        mesh, damping = Mesh(1, 16), DampingSpec("constant", constant=1.0)
+        table = build_weight_table(self.KERNEL, self.TAU, self.N_STEPS - 1)
+        hist = SimulationHistory(mesh, assemble(mesh), table, interpolate(mesh, SINE_PROBLEM.u0),
+                                 interpolate(mesh, SINE_PROBLEM.u1), self.N_STEPS)
+        taylor_start(hist, damping, SINE_PROBLEM)
+        widths = []
+        for _ in range(1, self.N_STEPS):
+            step(hist, damping, SINE_PROBLEM)
+            memory = hist._memory
+            if memory.first:
+                widths.append(memory._block[0] - memory.first)
+        assert widths and widths[-1] <= widths[0]
 
     def test_quiescent_history_drops_no_row(self):
         # the run is long enough for the sum to test its oldest rows, whose
@@ -521,7 +556,7 @@ class TestMemoryWindow:
         hist = run(prob, Mesh(1, 8), self.TAU, self.N_STEPS, kernel=self.KERNEL,
                    damping=DampingSpec("sqrt"))
         assert np.all(hist.coefficients == 0.0)
-        assert hist._first == 0 and hist._dropped == 0.0
+        assert hist._memory.first == 0 and not hist._memory.norms.any()
 
     def test_collapsed_scale_raises_step_error(self):
         # once rows are dropped, a block whose newest rows are all zero has
@@ -531,7 +566,7 @@ class TestMemoryWindow:
         hist = SimulationHistory(mesh, assemble(mesh), table, interpolate(mesh, SINE_PROBLEM.u0),
                                  interpolate(mesh, SINE_PROBLEM.u1), self.N_STEPS)
         taylor_start(hist, damping, SINE_PROBLEM)
-        while not hist._first:
+        while not hist._memory.first:
             step(hist, damping, SINE_PROBLEM)
         for _ in range(_MEMORY_BLOCK + 2):
             hist.push(np.zeros(mesh.n_interior))

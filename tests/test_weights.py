@@ -12,6 +12,7 @@ from scipy.special import erfc
 import memwave.quadweights as quadweights
 from memwave.kernel import KernelSpec, constant_transform, kernel_transform
 from memwave.quadweights import WEIGHT_TOL, WeightTable, build_weight_table, convolve
+from memwave.stepper import _MemorySum
 
 ROOT3 = math.sqrt(3.0)
 
@@ -184,14 +185,14 @@ class TestBruteForce:
 
 class TestTailMax:
     def test_largest_weight_at_each_lag_and_beyond(self):
+        # the memory sum's tail bound, for a run whose last step is n_max
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * ROOT3), 0.05, 300)
-        tail = table.tail_max
+        tail = _MemorySum(table, np.zeros((table.n_max + 2, 1))).tail
         assert tail.shape == (table.n_max + 1,)
         largest = np.maximum(np.abs(table.body), np.abs(table.edge_left))
         for j in range(1, table.n_max + 1):
             assert tail[j] == largest[j:].max(), j
         assert tail[0] == tail[1]
-        assert table.tail_max is tail
 
 
 class TestConvolve:

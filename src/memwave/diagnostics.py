@@ -54,16 +54,19 @@ _BLOCK_VALUES = 1 << 17
 def discrete_energy(history: SimulationHistory, ops: DiscreteOperators, n: int) -> float:
     """Energy 0.5*||velocity||^2 + 0.5*||gradient||^2 at step n.
 
-    The velocity is the centered difference for 1 <= n <= last-1 and the
-    discrete initial velocity for n = 0.  Both norms are read from the modal
-    coefficients: ||v||_M^2 = sum(v^2) and ||u||_A^2 = sum(eigenvalues * u^2).
+    The velocity is the centered difference (U^{n+1} - U^{n-1}) / (2 tau) of
+    the recorded trajectory for 1 <= n <= last-1, bit for bit the row the
+    memory sum weights, and the discrete initial velocity for n = 0.  Both
+    norms are read from the modal coefficients: ||v||_M^2 = sum(v^2) and
+    ||u||_A^2 = sum(eigenvalues * u^2).
     """
     last = history.n_last
     if not 0 <= n <= last - 1:
         raise IndexError(f"energy needs step n+1; n = {n} with last = {last}")
-    vel = history.velocity_diffs[n]
-    state = history.coefficients[n]
-    return 0.5 * float(vel @ vel) + 0.5 * float((ops.eigenvalues * state) @ state)
+    coeffs = history.coefficients
+    vel = (history.initial_velocity if n == 0
+           else (coeffs[n + 1] - coeffs[n - 1]) / (2.0 * history.tau))
+    return 0.5 * float(vel @ vel) + 0.5 * float((ops.eigenvalues * coeffs[n]) @ coeffs[n])
 
 
 def a_norm(history: SimulationHistory, ops: DiscreteOperators, m: int) -> float:

@@ -11,21 +11,28 @@ centered at t_p, restricted to [0, t_n].  On a uniform grid the interior
 weights depend only on the lag n - p (Toeplitz structure), the weight at
 p = n is the same for every n, and only the p = 0 column genuinely varies
 with n.  The table stores exactly those three arrays, plus the kernel
-samples K(t_n) and the derived coefficients the stepper needs, so a built
-table fully describes the memory term for one step size.  It is plain
-data: how a run lays the weights out for its memory sum is the stepper's
-business, and no run writes into a table, so one table may serve many runs.
+samples K(t_n), the derived coefficients the stepper needs and the kernel
+itself, so a built table fully describes the memory term for one step size.
+It is plain data: how a run lays the weights out for its memory sum is the
+stepper's business, and no run writes into a table, so one table may serve
+many runs.
+
+For one exponential K(t) = exp(-w t) the hat integrals are exact geometric
+sequences, body[j] = c_b exp(-w j tau) and edge_left[n] = c_e exp(-w n tau);
+`hat_weights` gives c_b and c_e, which the stepper's mode memory uses for
+the lags its exact window does not hold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import KernelLike, KernelSpec, QuadratureError, kernel_transform
 
-__all__ = ["WeightTable", "build_weight_table", "convolve", "QuadratureError"]
+__all__ = ["WeightTable", "build_weight_table", "convolve", "hat_weights", "QuadratureError"]
 
 #: absolute accuracy target for every stored weight
 WEIGHT_TOL = 1.0e-12
@@ -41,6 +48,7 @@ class WeightTable:
                             constant in n on a uniform grid
     k_values[n]           : K(t_n) for n = 0..n_max
     k0, mu0               : K(0) and 1 - K(0)
+    kernel                : the kernel the weights integrate
 
     Index 0 of body/edge_left/edge_right is unused padding, 0, so that
     index n means step n throughout.  The table holds these arrays and
@@ -55,6 +63,7 @@ class WeightTable:
     k_values: np.ndarray
     k0: float
     mu0: float
+    kernel: KernelLike
 
     def weight(self, n: int, p: int) -> float:
         """The quadrature weight multiplying phi(t_p) in Q_n."""
@@ -74,8 +83,7 @@ class WeightTable:
             raise IndexError(f"n must be in [1, {self.n_max}], got {n}")
         out = np.empty(n + 1)
         out[0] = self.edge_left[n]
-        if n >= 2:
-            out[1:n] = self.body[n - 1:0:-1]
+        out[1:n] = self.body[n - 1:0:-1]
         out[n] = self.edge_right[n]
         return out
 
@@ -92,14 +100,11 @@ def _interval_moments(kernel: KernelLike, tau: float, n_intervals: int, order: i
     singular_first = isinstance(kernel, KernelSpec) and kernel.alpha == 0.5
 
     starts = tau * np.arange(n_intervals, dtype=float)  # t_{i-1}
-    mid = starts[:, None] + tau * 0.5 * (x[None, :] + 1.0)
+    nodes = starts[:, None] + tau * 0.5 * (x[None, :] + 1.0)
     aweights = np.full((n_intervals, order), tau * 0.5) * w[None, :]
-    nodes = mid
     if singular_first:
         wroot = np.sqrt(tau) * 0.5 * (x + 1.0)
-        nodes = nodes.copy()
         nodes[0] = wroot * wroot
-        aweights = aweights.copy()
         aweights[0] = np.sqrt(tau) * 0.5 * w * 2.0 * wroot
 
     kvals = kernel_transform(kernel, nodes)
@@ -113,14 +118,9 @@ def _interval_moments(kernel: KernelLike, tau: float, n_intervals: int, order: i
 def _assemble(kernel: KernelLike, tau: float, n_max: int, order: int):
     flat, rise = _interval_moments(kernel, tau, n_max + 1, order)
     fall = flat - rise  # integral of K against the falling half-hat
-
-    body = np.zeros(n_max + 1)
-    body[1:] = rise[1:-1] + fall[2:]
-    edge_left = np.zeros(n_max + 1)
-    edge_left[1:] = rise[1:-1]
-    edge_right = np.zeros(n_max + 1)
-    edge_right[1:] = fall[1]
-    return body, edge_left, edge_right
+    body, edge_right = rise[:-1] + fall[1:], np.full(n_max + 1, fall[1])
+    body[0] = edge_right[0] = 0.0
+    return body, rise[:-1], edge_right
 
 
 def build_weight_table(kernel: KernelLike, tau: float, n_max: int) -> WeightTable:
@@ -137,27 +137,22 @@ def build_weight_table(kernel: KernelLike, tau: float, n_max: int) -> WeightTabl
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
 
-    prev = None
-    result = None
-    for order in (10, 14, 20, 28, 40, 56):
+    prev = _assemble(kernel, tau, n_max, 10)
+    for order in (14, 20, 28, 40, 56):
         cur = _assemble(kernel, tau, n_max, order)
-        if prev is not None:
-            deltas = [np.abs(a - b) for a, b in zip(cur, prev)]
-            worst = max(float(d.max()) for d in deltas)
-            if worst <= WEIGHT_TOL:
-                result = cur
-                break
+        deltas = [np.abs(a - b) for a, b in zip(cur, prev)]
+        if max(float(d.max()) for d in deltas) <= WEIGHT_TOL:
+            break
         prev = cur
-    if result is None:
+    else:
         which = int(np.argmax([float(d.max()) for d in deltas]))
-        arr = deltas[which]
-        idx = int(np.argmax(arr))
+        idx = int(np.argmax(deltas[which]))
         n, p = (idx + 1, 1) if which == 0 else ((idx, 0) if which == 1 else (idx, idx))
         raise QuadratureError(
             f"weight quadrature did not reach {WEIGHT_TOL} at (n, p) = ({n}, {p})"
         )
 
-    body, edge_left, edge_right = result
+    body, edge_left, edge_right = cur
     k_values = kernel_transform(kernel, tau * np.arange(n_max + 1, dtype=float))
     k0 = float(k_values[0])
 
@@ -184,7 +179,24 @@ def build_weight_table(kernel: KernelLike, tau: float, n_max: int) -> WeightTabl
         k_values=k_values,
         k0=k0,
         mu0=1.0 - k0,
+        kernel=kernel,
     )
+
+
+def hat_weights(rates: np.ndarray, tau: float):
+    """The hat integrals (c_b, c_e) of K(t) = exp(-w t) for each complex rate w.
+
+    For that K the weights of the table are body[j] = c_b exp(-w j tau) and
+    edge_left[n] = c_e exp(-w n tau), with c_b = tau (sinh(w tau/2) /
+    (w tau/2))**2 from the full hat and c_e = (exp(w tau) - 1 - w tau) /
+    (w**2 tau) from the half hat at p = 0.  c_e is summed as its power
+    series where |w tau| < 1, so that the difference does not cancel; w
+    must not be 0.
+    """
+    y = np.asarray(rates) * tau
+    series = np.polyval([1.0 / math.factorial(k + 2) for k in range(20, -1, -1)], y)
+    return (tau * (np.sinh(0.5 * y) / (0.5 * y)) ** 2,
+            tau * np.where(np.abs(y) < 1.0, series, (np.exp(y) - 1.0 - y) / (y * y)))
 
 
 def convolve(table: WeightTable, n: int, samples) -> np.ndarray:

@@ -14,18 +14,22 @@ division.
 Nodal values appear only at the edges: initial data, forcing, and the
 states a caller reads back.
 
-A run streams: a step reads U^0, U^{n-1}, U^n and the velocity differences
-that the memory sum weights, and the history keeps only those.  Every new
-level goes to an observer, a callable observe(n, coeffs); without one the
-history records the whole trajectory through the `Trajectory` observer.
+A run streams: a step reads U^0, U^{n-1}, U^n and the memory sum over the
+velocity differences, and the history keeps only those and what the memory
+sum needs.  Every new level goes to an observer, a callable
+observe(n, coeffs); without one the history records the whole trajectory
+through the `Trajectory` observer.
 
 The step size is fixed for the whole run, so one modal basis and one weight
 table serve every step.  The history binds both when it is built, and
 `step` and `taylor_start` take only what is not stored: the damping and the
 problem.  The history always steps at its own last level n = n_last.
 
-The memory sum of step n weights the whole velocity history; `_MemorySum`
-forms it, and its docstring says how.
+The memory sum of step n weights the whole velocity history.  For a
+KernelSpec, `_Memory` forms it from an exact window of recent rows and a
+few exponential modes that hold all older ones, in storage that does not
+grow with the run; its docstring says how.  A callable kernel hook keeps
+every row and sums them directly.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fem import DiscreteOperators, Mesh, assemble, interpolate, load_vector
-from .kernel import KernelLike
-from .quadweights import WeightTable, build_weight_table
+from .kernel import KernelLike, KernelSpec, QuadratureError, exponential_modes
+from .quadweights import WeightTable, build_weight_table, hat_weights
 
 __all__ = [
     "DampingSpec",
@@ -55,13 +59,11 @@ __all__ = [
 
 _DAMPING_KINDS = ("affine", "sqrt", "constant")
 
-# steps whose memory sums over the older history one GEMM forms together
+# L0: the steps whose memory sums the GEMMs of one block form together, and
+# the lags below which the memory sum weights rows with the table's weights
 _MEMORY_BLOCK = 32
-# the memory sum drops its oldest block of rows while the l2 bound on all it
-# has dropped stays below _DROP_TOL of a lower bound on the sum's size, and
-# raises StepError when a later block finds that ratio above _GUARD_TOL
-_DROP_TOL = 1.0e-15
-_GUARD_TOL = 1.0e-13
+# mode weights may differ from the table's by this much of tau*exp(-sigma*(j-1)*tau)
+_MODE_TOL = 1.0e-12
 
 
 class SolverError(RuntimeError):
@@ -167,11 +169,6 @@ class Trajectory:
         self.coefficients[n] = coeffs
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """The l2 norm of each row."""
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
-
-
 @dataclass(frozen=True, eq=False)
 class _StepConstants:
     """The terms of the step system that are the same at every step n >= 1.
@@ -209,132 +206,127 @@ class _StepConstants:
         return cls(diagonal, smallest, previous, lam * initial)
 
 
-class _MemorySum:
+class _Memory:
     """The memory sum of one run: sum over p < n of w(n, p) * d_p for step n.
 
-    d_p is row p of `rows`, the history's buffer of n_steps + 1 velocity
-    differences, which push fills; the weights are the table's up to the
-    run's last step, last = n_steps - 1.  The table is only read: the
-    operand, the tail bound and the window state below are the run's own.
+    d_p is the row that push(p, row) hands over, in order of p.  Steps are
+    taken in blocks of L0 = _MEMORY_BLOCK, aligned to multiples of L0; step
+    n = s + i of the block starting at s weights the rows p > s - L0, at
+    lags below L0 + i, with the table's exact weights.  Every older row
+    lives on in 2K real state rows, the real and imaginary parts of the K
+    complex modes H_k = sum_{p <= s - L0} a_k c_k rho_k**(s - p) d_p, with
+    rho_k = exp(-w_k tau), K(t) = Re sum_k a_k exp(-w_k t) as
+    `kernel.exponential_modes` gives it and c_k the hat weight of
+    `hat_weights` (c_e for p = 0, c_b otherwise).  Step n adds
+    Re sum_k rho_k**i H_k for them, so the storage does not grow with the
+    run.
 
-    The sums are formed a block of _MEMORY_BLOCK steps at a time.  When n
-    leaves the cached block [start, stop), one GEMM applies the Toeplitz
-    block of weights w(start + i, p), a view of `operand`, to the rows
-    first <= p < start and parks these "far" sums of steps start..stop-1 in
-    rows start..stop-1, which are not written yet: push writes row k only
-    after step k has read it.  Step n then adds its rows p = start..n-1
-    with one short GEMV, its weights a row of the same operand.  The history
-    is read once per block instead of once per step, and every term w * d
-    is rounded as in the direct sum; no FFT is used.  operand[i, c] is
-    body[last - c + i], and 0 where that lag is outside 1..last: columns
-    last - start .. last - 1 of row i weight the rows p < start for step
-    start + i, and columns last .. last + i - 1 the rows p >= start, both
-    unit-stride views.  With first = 0, the column of p = 0 takes the
-    edge_left weights for the GEMM and gets its lags back after.
+    `_front` holds [states | ring]: the 2K state rows, then the rows
+    s - 31 .. s - 1 of the previous block and the L0 slots of the current
+    block, where push writes row p to slot p - s.  When the last row of a
+    block arrives, three GEMMs serve the next block s' = s + L0 in `_back`:
+    the advance states <- `_advance` @ [states; rows s - 31 .. s], which
+    absorbs the rows leaving the window and turns each mode by rho**L0; a
+    copy of rows s + 1 .. s + 31; and the far and near sums of all steps of
+    the block, [Re rho**i | -Im rho**i | body[31 + i - c]] @ [states; those
+    31 rows], parked in the slots, which push overwrites only after step
+    s' + i has read slot i.  Step s' + i then adds its rows p >= s' with
+    one short GEMV; the first block, which has no states, takes the direct
+    sum.  The buffers then swap.
 
-    K decays at least like e^{-t}, so the oldest rows of a long run enter
-    with weights far below rounding.  A row p < first that the GEMM skips
-    enters every sum of the block at a lag of at least start - p, so in the
-    l2 norm over modes all that is dropped is at most
-    sum_{p < first} tail[start - p] * norms[p], with tail[j] the largest
-    |body| or |edge_left| at a lag >= j and norms[p] = ||d_p||_2.  Each
-    block raises StepError when that bound exceeds _GUARD_TOL of `_scale`,
-    a lower bound on the sum's size.  It then drops the oldest kept block
-    of rows while the bound stays below _DROP_TOL of the scale; it tests
-    only rows older than the newest block, at lags where the weights have
-    fallen below _DROP_TOL of the largest, and an all-zero history drops
-    nothing.  A step then costs O(L * ndof), L = n - first.
+    Building the memory checks the mode weights against table.body and
+    table.edge_left at every lag j >= L0 the run reaches, and raises
+    QuadratureError naming the first lag off by more than _MODE_TOL *
+    tau * exp(-sigma (j - 1) tau).  The sum then differs from the direct
+    one by the rounding of its terms and that mismatch.
 
-    Until a row is dropped, first = 0 and only the order of the additions
-    differs from the direct sum.  After that the sum differs from the direct
-    one by at most _GUARD_TOL times the l2 norm of sum_p |w(n, p)| |d_p|,
-    in the l2 norm over modes, not entry by entry: a mode at rounding level
-    may lose all its digits.
+    A callable kernel hook has no modes: its one block spans the whole run,
+    so it keeps every row and every sum is the direct one,
+    coefficients(n)[:n] @ rows.
     """
 
-    def __init__(self, table: WeightTable, rows: np.ndarray):
-        last = rows.shape[0] - 2
-        lags = np.zeros(last + _MEMORY_BLOCK)
-        lags[:last] = table.body[last:0:-1]  # lags[c] = body[last - c]
-        self.operand = np.zeros((_MEMORY_BLOCK, lags.size))
-        for i in range(_MEMORY_BLOCK):
-            self.operand[i, i:] = lags[: lags.size - i]
-        largest = np.abs([table.body[: last + 1], table.edge_left[: last + 1]]).max(axis=0)
-        self.tail = np.maximum.accumulate(largest[::-1])[::-1]
-        self.norms = np.zeros(last + 1)
-        self.first = 0
-        self._rows, self._edge_left, self._last = rows, table.edge_left, last
-        self._block = (0, 0)
+    def __init__(self, table: WeightTable, n_steps: int, ndof: int):
+        tau, self._last, self._table = table.tau, n_steps - 1, table
+        if not isinstance(table.kernel, KernelSpec):
+            self._block, self._offset, self._front = n_steps + 1, 0, np.zeros((n_steps + 1, ndof))
+            return
+        block = self._block = _MEMORY_BLOCK
+        amplitudes, rates = exponential_modes(table.kernel, (block - 1) * tau,
+                                              max(n_steps, block) * tau)
+        body, edge = (amplitudes * c for c in hat_weights(rates, tau))
+        rho = np.exp(-np.outer(rates * tau, np.arange(2 * block)))  # rho_k**j, j < 2 L0
+        _check_modes(table, body, edge, rates, rho[:, :block], self._last)
+        # column r of absorb takes the leaving row s' - 2 L0 + 1 + r at lag 2 L0 - 1 - r
+        absorb, turn = body[:, None] * rho[:, :block - 1:-1], np.diag(rho[:, block])
+        self._advance = np.block([[turn.real, -turn.imag, absorb.real],
+                                  [turn.imag, turn.real, absorb.imag]])
+        self._first = np.concatenate([(edge * rho[:, block]).real, (edge * rho[:, block]).imag])
+        # lags beyond the table appear only in rows of steps past the run
+        lags = np.clip(block - 1 + np.arange(block)[:, None] - np.arange(2 * block - 1),
+                       0, table.n_max)
+        self._weights = np.hstack([rho[:, :block].real.T, -rho[:, :block].imag.T,
+                                   table.body[lags]])
+        self._offset = 2 * rates.size + block - 1
+        self._front, self._back = np.zeros((2, self._offset + block, ndof))
+
+    def push(self, p: int, row: np.ndarray) -> None:
+        """Take row p, once rows 0..p-1 are in."""
+        self._front[self._offset + p % self._block] = row
+        if p % self._block == self._block - 1 and p < self._last:
+            self._turn(p + 1)
+
+    def _turn(self, start: int) -> None:
+        front, back, o, k2 = self._front, self._back, self._offset, self._first.size
+        if start == _MEMORY_BLOCK:  # H(L0) = first * d_0
+            np.outer(self._first, front[o], out=back[:k2])
+        else:
+            np.matmul(self._advance, front[:o + 1], out=back[:k2])
+        back[k2:o] = front[o + 1:]
+        stop = min(_MEMORY_BLOCK, self._last + 1 - start)
+        np.matmul(self._weights[:stop, :o], back[:o], out=back[o:o + stop])
+        self._front, self._back = back, front
 
     def __call__(self, n: int) -> np.ndarray:
-        """The memory sum of step n, once rows 0..n-1 hold d_0..d_{n-1}."""
-        operand, rows, last = self.operand, self._rows, self._last
-        start, stop = self._block
-        if not start <= n < stop:
-            start, stop = n, min(n + _MEMORY_BLOCK, last + 1)
-            first = self._move_window(start, stop)
-            weights = operand[: stop - start, last - start + first:last]
-            if not first:  # the p = 0 column takes the edge_left weights for the GEMM
-                lags, weights[:, 0] = weights[:, 0].copy(), self._edge_left[start:stop]
-            np.matmul(weights, rows[first:start], out=rows[start:stop])
-            if not first:
-                weights[:, 0] = lags
-            self._block = (start, stop)
-        i = n - start
-        return rows[n] + operand[i, last:last + i] @ rows[start:n]
+        """The memory sum of step n, once rows 0..n-1 are pushed."""
+        front, o, i = self._front, self._offset, n % self._block
+        if n < self._block:
+            return self._table.coefficients(n)[:n] @ front[o:o + n]
+        return front[o + i] + self._weights[i, o:o + i] @ front[o:o + i]
 
-    def _move_window(self, start: int, stop: int) -> int:
-        """Check the rows dropped so far for the block [start, stop), drop
-        more while that stays safe, and return the first row kept."""
-        first, block, norms = self.first, _MEMORY_BLOCK, self.norms
-        at_lag = self.tail[start::-1]  # at_lag[p] = tail[start - p]
-        scale, bound = None, 0.0
-        if first:
-            scale = self._scale(start, stop)
-            bound = float(norms[:first] @ at_lag[:first])
-            if bound > _GUARD_TOL * scale:
-                raise StepError(
-                    f"memory sum at step {start}: the rows p < {first} it dropped may "
-                    f"add {bound:.3e} in l2, above {_GUARD_TOL:g} of its scale {scale:.3e}"
-                )
-        while first + 2 * block <= start:
-            if not at_lag[first + block - 1] < _DROP_TOL * self.tail[1]:
-                break
-            if scale is None:
-                scale = self._scale(start, stop)
-            oldest = slice(first, first + block)
-            oldest_norms = _row_norms(self._rows[oldest])
-            more = bound + float(oldest_norms @ at_lag[oldest])
-            if not more < _DROP_TOL * scale:
-                break
-            norms[oldest], bound, first = oldest_norms, more, first + block
-        self.first = first
-        return first
 
-    def _scale(self, start: int, stop: int) -> float:
-        """A lower bound on ||sum_p |w(n, p)| |d_p|||_2 for every step n of
-        the block [start, stop), start > _MEMORY_BLOCK: the least over those
-        n of the largest |w(n, p)| ||d_p|| over the newest _MEMORY_BLOCK
-        rows, which are never dropped."""
-        block, last = _MEMORY_BLOCK, self._last
-        weights = self.operand[: stop - start, last - block:last]
-        terms = np.abs(weights) * _row_norms(self._rows[start - block:start])
-        return float(terms.max(axis=1).min())
+def _check_modes(table: WeightTable, body: np.ndarray, edge: np.ndarray,
+                 rates: np.ndarray, inner: np.ndarray, last: int) -> None:
+    """Raise QuadratureError unless Re sum_k body_k rho_k**j matches
+    table.body[j], and the same with edge for table.edge_left[j], within
+    _MODE_TOL * tau * exp(-sigma (j - 1) tau) at every lag L0 <= j <= last.
+    rho**j is formed by its factors rho**(L0 q) and inner = rho**r, j = L0 q + r."""
+    tau, block = table.tau, _MEMORY_BLOCK
+    lags = np.arange(block, last + 1)
+    outer = np.exp(-np.outer(np.arange(1, last // block + 1) * (block * tau), rates))
+    bound = _MODE_TOL * tau * np.exp(-table.kernel.sigma * tau * (lags - 1))
+    for coef, column in ((body, table.body), (edge, table.edge_left)):
+        off = np.abs(((outer * coef) @ inner).real.ravel()[:lags.size] - column[lags])
+        ratio = off / np.maximum(bound, np.finfo(float).tiny)
+        if lags.size and not ratio.max() <= 1.0:
+            raise QuadratureError(
+                f"exponential modes miss the weight at lag {lags[ratio.argmax()]} by "
+                f"{ratio.max():.3g} times {_MODE_TOL:g} * tau * exp(-sigma * (lag - 1) * tau)"
+            )
 
 
 class SimulationHistory:
-    """What the next step reads: U^0, U^{n-1}, U^n and the memory-sum rows.
+    """What the next step reads: U^0, U^{n-1}, U^n and the memory sum.
 
     ops and table are the run's modal basis and weight table; tau and mu0
     are the table's.  The table must reach step n_steps - 1, the last step
     taken.  initial, previous and current hold U^0, U^{n-1} and U^n as modal
-    coefficients.  velocity_diffs[p] holds the centered difference
-    (U^{p+1} - U^{p-1}) / (2 tau) for p >= 1 and the discrete initial
-    velocity for p = 0, also as modal coefficients; the memory sum weights
-    these rows and scales the result by the eigenvalues.  The row buffer is
-    allocated once, for n_steps steps; rows not written yet may hold the
-    partial memory sums that `_MemorySum`, built here on the buffer, parks
-    there.  The nodal initial data u0 and u1h are kept as given.
+    coefficients, and initial_velocity the discrete initial velocity.  The
+    memory sum weights the rows d_0 = initial_velocity and, for p >= 1, the
+    centered differences d_p = (U^{p+1} - U^{p-1}) / (2 tau), also modal,
+    and the step scales the result by the eigenvalues.  push hands each
+    new d_p to the run's memory, which keeps what later sums need: a
+    `_Memory` of O(ndof) rows for a KernelSpec table, every row for a
+    callable hook.  The nodal initial data u0 and u1h are kept as given.
 
     observe(n, coeffs) is called with U^0 here and with every pushed level.
     Without an observer the history records the whole trajectory, which
@@ -356,15 +348,16 @@ class SimulationHistory:
         self.table = table
         self.tau = table.tau
         self.mu0 = table.mu0
+        self.n_steps = int(n_steps)
         self.u0 = np.asarray(u0, dtype=float)
         self.u1h = np.asarray(u1h, dtype=float)
-        self._diffs = np.zeros((int(n_steps) + 1, self.u0.size))
-        self._diffs[0] = ops.to_modal(self.u1h)
         self.initial = ops.to_modal(self.u0)
+        self.initial_velocity = ops.to_modal(self.u1h)
         self.previous = self.current = self.initial
         self.constants = _StepConstants.build(ops, table, self.initial)
         self._count = 1
-        self._memory = _MemorySum(table, self._diffs)
+        self._memory = _Memory(table, self.n_steps, self.u0.size)
+        self._memory.push(0, self.initial_velocity)
         self._trajectory = Trajectory(n_steps, self.u0.size) if observe is None else None
         self._observe = self._trajectory if observe is None else observe
         self._observe(0, self.initial)
@@ -375,9 +368,13 @@ class SimulationHistory:
         return self._count - 1
 
     @property
-    def n_steps(self) -> int:
-        """The number of steps the history was sized for."""
-        return self._diffs.shape[0] - 1
+    def nbytes(self) -> int:
+        """Bytes of the arrays the history holds: its own, its constants',
+        its memory's and, without an observer, the recorded trajectory; an
+        array held under two names counts once."""
+        held = (self, self.constants, self._memory, self._trajectory)
+        return sum({id(value): value.nbytes for owner in held if owner is not None
+                    for value in vars(owner).values() if isinstance(value, np.ndarray)}.values())
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -385,16 +382,6 @@ class SimulationHistory:
         if self._trajectory is None:
             raise ValueError("an observed history keeps only U^0, U^{n-1} and U^n")
         return self._trajectory.coefficients[: self._count]
-
-    @property
-    def initial_velocity(self) -> np.ndarray:
-        """Modal coefficients of the discrete initial velocity u1h."""
-        return self._diffs[0]
-
-    @property
-    def velocity_diffs(self) -> np.ndarray:
-        """View of the cached memory-sum rows for p = 0..n-1."""
-        return self._diffs[: self._count - 1]
 
     def state(self, n: int) -> np.ndarray:
         """Nodal values of U^n; an observed history serves n = 0 and n = n_last."""
@@ -414,22 +401,21 @@ class SimulationHistory:
         return nodal
 
     def memory_sum(self) -> np.ndarray:
-        """Sum over p < n of w(n, p) * velocity_diffs[p] for the next step,
-        n = n_last, as `_MemorySum` forms it."""
+        """Sum over p < n of w(n, p) * d_p for the next step, n = n_last."""
         return self._memory(self.n_last)
 
     def push(self, coeffs: np.ndarray) -> None:
-        """Append the modal coefficients of U^{n+1}, cache its memory-sum row
-        and pass it to the observer.  The history keeps `coeffs` itself as
-        U^{n+1}, not a copy; a level that is not finite raises StepError
-        before anything is written."""
+        """Append the modal coefficients of U^{n+1}, hand its memory-sum row
+        d_n to the memory and pass the level to the observer.  The history
+        keeps `coeffs` itself as U^{n+1}, not a copy; a level that is not
+        finite raises StepError before anything is written."""
         k = self._count
         if k > self.n_steps:
             raise IndexError(f"the history was sized for {self.n_steps} steps")
         if not np.isfinite(coeffs).all():
             raise StepError(f"state U^{k} computed at step {k - 1} is not finite")
         if k >= 2:
-            self._diffs[k - 1] = (coeffs - self.previous) / (2.0 * self.tau)
+            self._memory.push(k - 1, (coeffs - self.previous) / (2.0 * self.tau))
         self.previous, self.current = self.current, coeffs
         self._count = k + 1
         self._observe(k, coeffs)

@@ -52,7 +52,9 @@ def _observed_and_recorded(problem, mesh, ops, kernel, damping, tau, steps, chec
 def _swept_series(hist, lam, rows):
     """The series as a sweep of the recorded history forms them, `rows` steps per block."""
     count = hist.n_last
-    coeffs, diffs = hist.coefficients, hist.velocity_diffs
+    coeffs = hist.coefficients
+    # the centered differences of the trajectory, with the initial velocity at n = 0
+    diffs = np.vstack([hist.initial_velocity, (coeffs[2:] - coeffs[:-2]) / (2.0 * hist.tau)])
     energy, norms = np.empty(count), np.empty(count)
     for start in range(0, count, rows):
         stop = min(start + rows, count)

@@ -1,5 +1,6 @@
-"""Damping, Taylor start, stepping, reduction to the plain damped wave."""
+"""Damping, Taylor start, stepping, the memory sum, reduction to the plain damped wave."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from memwave.cli import RunConfig, preset_problem
 from memwave.fem import Mesh, assemble, interpolate, load_vector
-from memwave.kernel import KernelSpec, constant_transform
+from memwave.kernel import KernelSpec, QuadratureError, constant_transform
 from memwave.quadweights import build_weight_table
 from memwave.stepper import (
     _MEMORY_BLOCK,
@@ -29,6 +30,23 @@ def _zero_field(x, t=None):
     return np.zeros(np.shape(x))
 
 
+def _velocity_rows(hist):
+    """The rows the memory sum of step n = n_last weights, from the recorded
+    trajectory: d_0 = the initial velocity, d_p = (U^{p+1} - U^{p-1}) / (2 tau)."""
+    coeffs = hist.coefficients
+    return np.vstack([hist.initial_velocity, (coeffs[2:] - coeffs[:-2]) / (2.0 * hist.tau)])
+
+
+def _direct_memory_sum(hist):
+    """The direct sum coefficients(n)[:n] @ rows of step n = n_last."""
+    return hist.table.coefficients(hist.n_last)[:hist.n_last] @ _velocity_rows(hist)
+
+
+def _memory_arrays(hist):
+    """Copies of the arrays the history's memory holds."""
+    return [v.copy() for v in vars(hist._memory).values() if isinstance(v, np.ndarray)]
+
+
 def _start_history(ops, mesh, problem, tau):
     """A history holding only the interpolated initial data, for taylor_start."""
     return SimulationHistory(mesh, ops, build_weight_table(ZERO_KERNEL, tau, 1),
@@ -38,6 +56,12 @@ def _start_history(ops, mesh, problem, tau):
 SINE_PROBLEM = Problem(
     u0=lambda x: np.sin(np.pi * x),
     u1=lambda x: np.sin(2.0 * np.pi * x),
+    f=None,
+)
+
+BUMP_PROBLEM = Problem(
+    u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
+    u1=lambda x, y: np.sin(2 * np.pi * x) * y * (1.0 - y),
     f=None,
 )
 
@@ -178,12 +202,8 @@ class TestStepping:
         coeffs = hist.coefficients
         assert len(hist.states) == 7
         assert len(coeffs) == 7
-        assert len(hist.velocity_diffs) == 6
         v1 = ops.to_modal(interpolate(mesh, SINE_PROBLEM.u1))
-        assert np.array_equal(hist.velocity_diffs[0], v1)
-        for p in range(1, 6):
-            expected = (coeffs[p + 1] - coeffs[p - 1]) / (2 * tau)
-            assert np.array_equal(hist.velocity_diffs[p], expected)
+        assert np.array_equal(hist.initial_velocity, v1)
         # the nodal states are the initial data as given, then the map of
         # each row of coefficients
         states = hist.states
@@ -209,11 +229,11 @@ class TestStepping:
                        table=table)
             with pytest.raises(ValueError):
                 taylor_start(hist, DampingSpec("sqrt"), SINE_PROBLEM)
-            rows = hist._diffs.copy()
+            held = _memory_arrays(hist)
             with pytest.raises(IndexError, match="step 2 would pass the 2 steps"):
                 step(hist, DampingSpec("sqrt"), SINE_PROBLEM)
             assert hist.n_last == 2
-            assert np.array_equal(hist._diffs, rows)
+            assert all(np.array_equal(a, b) for a, b in zip(_memory_arrays(hist), held))
 
     def test_history_binds_its_table(self):
         mesh = Mesh(1, 8)
@@ -404,34 +424,22 @@ class TestModalStepping:
 
 
 class TestBlockedMemorySum:
-    """memory_sum against the direct sum table.coefficients(n)[:n] @ velocity_diffs
-    at every step.  Until the window drops a row the check is entrywise,
-    within 1e-13 * (|weights| @ |diffs|); after that it is in the l2 norm
-    over modes, within 1e-13 * || |weights| @ |diffs| ||, since a mode at
-    rounding level may lose all its digits to the dropped rows."""
+    """memory_sum against the direct sum table.coefficients(n)[:n] @ rows at
+    every step, the rows derived from the recorded trajectory: entrywise
+    within 1e-13 * (|weights| @ |rows|), before and after the modes take
+    over the lags of L0 and more."""
 
     @staticmethod
     def _step_and_compare(mesh, problem, damping, table, n_steps):
-        """Step and compare; return the history and the first step whose sum
-        dropped rows, or None."""
         hist = SimulationHistory(mesh, assemble(mesh), table, interpolate(mesh, problem.u0),
                                  interpolate(mesh, problem.u1), n_steps)
         taylor_start(hist, damping, problem)
-        dropped_at = None
         for n in range(1, n_steps):
-            weights = hist.table.coefficients(n)[:n]
-            diffs = hist.velocity_diffs
-            direct = weights @ diffs
-            blocked = hist.memory_sum()
-            scale = np.abs(weights) @ np.abs(diffs)
-            if dropped_at is None and hist._memory.first:
-                dropped_at = n
-            if dropped_at is None:
-                assert np.all(np.abs(blocked - direct) <= 1e-13 * scale), n
-            else:
-                assert np.linalg.norm(blocked - direct) <= 1e-13 * np.linalg.norm(scale), n
+            weights, rows = hist.table.coefficients(n)[:n], _velocity_rows(hist)
+            scale = np.abs(weights) @ np.abs(rows)
+            assert np.all(np.abs(hist.memory_sum() - weights @ rows) <= 1e-13 * scale), n
             step(hist, damping, problem)
-        return hist, dropped_at
+        return hist
 
     def test_1d_clipped_last_block(self):
         # the step count is no multiple of the block, so the run's last step
@@ -440,56 +448,59 @@ class TestBlockedMemorySum:
         tau = 2.0 / n_steps
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
         assert table.n_max == n_steps - 1
-        _, dropped_at = self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"),
-                                               table, n_steps)
-        assert dropped_at is None
+        self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"), table, n_steps)
 
     def test_2d(self):
         # the table reaches past the run, whose last step clips the last block
-        n_steps = _MEMORY_BLOCK + 13
+        n_steps = 2 * _MEMORY_BLOCK + 13
         tau = 1.0 / n_steps
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0), tau, n_steps + 40)
-        problem = Problem(u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
-                          u1=lambda x, y: np.sin(2 * np.pi * x) * y * (1.0 - y), f=None)
-        _, dropped_at = self._step_and_compare(Mesh(2, 8), problem, DampingSpec("affine"),
-                                               table, n_steps)
-        assert dropped_at is None
+        self._step_and_compare(Mesh(2, 8), BUMP_PROBLEM, DampingSpec("affine"), table, n_steps)
 
     def test_decay_over_twenty_orders(self):
         # the bound is relative to each step's own terms, so it stays sharp
-        # while the states fall from 1 to below 1e-20; K falls faster, and
-        # the window drops the oldest rows
+        # while the states fall from 1 to below 1e-20
         n_steps, tau = 400, 50.0 / 400
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
-        hist, dropped_at = self._step_and_compare(Mesh(1, 8), SINE_PROBLEM,
-                                                  DampingSpec("constant", constant=3.0),
-                                                  table, n_steps)
+        hist = self._step_and_compare(Mesh(1, 8), SINE_PROBLEM,
+                                      DampingSpec("constant", constant=3.0), table, n_steps)
         coeffs = hist.coefficients
         assert np.abs(coeffs[-1]).max() < 1e-20 * np.abs(coeffs[0]).max()
-        assert dropped_at is not None and hist._memory.first >= _MEMORY_BLOCK
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_alpha_one_is_one_mode(self, dim):
+        # criterion 8's indefinite alpha = 1 kernel: two state rows, the real
+        # and imaginary part of the one exact mode
+        n_steps = 5 * _MEMORY_BLOCK + 7
+        tau = 3.0 / n_steps
+        table = build_weight_table(KernelSpec(1.0, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
+        mesh, problem = (Mesh(1, 16), SINE_PROBLEM) if dim == 1 else (Mesh(2, 8), BUMP_PROBLEM)
+        hist = self._step_and_compare(mesh, problem, DampingSpec("sqrt"), table, n_steps)
+        assert hist._memory._offset == 2 + _MEMORY_BLOCK - 1
 
     def test_block_operand_reads_the_body_weights(self):
-        # entry [i, c] is body[last - c + i] at every lag 1..last, else 0,
-        # last = n_steps - 1, and a run leaves the operand and the table's
-        # arrays as built
+        # the near columns of the block operand: entry [i, c] is
+        # body[L0 - 1 + i - c] at every lag >= 1, else 0; and a run leaves the
+        # table's arrays as built
         n_steps = 3 * _MEMORY_BLOCK + 5
         tau = 2.0 / n_steps
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0), tau, n_steps - 1)
         body, edge_left = table.body.copy(), table.edge_left.copy()
-        hist, _ = self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"),
-                                         table, n_steps)
-        operand, last = hist._memory.operand, n_steps - 1
-        assert operand.shape == (_MEMORY_BLOCK, last + _MEMORY_BLOCK)
-        lags = last - np.arange(operand.shape[1])[None, :] + np.arange(_MEMORY_BLOCK)[:, None]
-        inside = (lags >= 1) & (lags <= last)
-        assert np.array_equal(operand[inside], table.body[lags[inside]])
-        assert np.all(operand[~inside] == 0.0)
+        hist = self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"),
+                                      table, n_steps)
+        memory = hist._memory
+        states = memory._offset - _MEMORY_BLOCK + 1
+        assert memory._weights.shape == (_MEMORY_BLOCK, states + 2 * _MEMORY_BLOCK - 1)
+        near = memory._weights[:, states:]
+        lags = _MEMORY_BLOCK - 1 + np.arange(_MEMORY_BLOCK)[:, None] - np.arange(near.shape[1])
+        assert np.array_equal(near[lags >= 1], table.body[lags[lags >= 1]])
+        assert np.all(near[lags < 1] == 0.0)
         assert np.array_equal(table.body, body)
         assert np.array_equal(table.edge_left, edge_left)
 
     def test_runs_leave_a_shared_table_as_built(self):
-        # two runs on one table, long enough to drop rows: the table keeps
-        # its fields and every array bit for bit, and the runs agree bitwise
+        # two runs on one table: the table keeps its fields and every array
+        # bit for bit, and the runs agree bitwise
         n_steps, tau = 600, 60.0 / 600
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
         built = {key: np.array(value).tobytes() for key, value in vars(table).items()}
@@ -497,7 +508,6 @@ class TestBlockedMemorySum:
         runs = []
         for _ in range(2):
             runs.append(run(SINE_PROBLEM, mesh, tau, n_steps, damping=damping, table=table))
-            assert runs[-1]._memory.first > 0
             assert vars(table).keys() == built.keys()
             for key, value in vars(table).items():
                 assert np.array(value).tobytes() == built[key], key
@@ -505,7 +515,7 @@ class TestBlockedMemorySum:
 
 
 class TestMemoryWindow:
-    """The memory sum's window on decaying runs, alpha = 1/2 and alpha = 1."""
+    """The exact window and the modes on decaying runs, alpha = 1/2 and alpha = 1."""
 
     N_STEPS, TAU = 600, 60.0 / 600
     KERNEL = KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0))
@@ -515,63 +525,60 @@ class TestMemoryWindow:
         (KernelSpec(1.0, 2.0, 1.0), DampingSpec("sqrt")),
     ], ids=["alpha=0.5", "alpha=1"])
     def test_trajectory_matches_direct_sum(self, monkeypatch, kernel, damping):
-        # every level against the run with the direct sum, within 1e-12 of
-        # its own l2 norm while the states fall by 13 orders or more
+        # every level against the run with the direct sum over rows derived
+        # from its trajectory, within 1e-12 of its own l2 norm while the
+        # states fall by 13 orders or more
         mesh = Mesh(1, 16)
-        windowed = run(SINE_PROBLEM, mesh, self.TAU, self.N_STEPS, kernel=kernel,
-                       damping=damping)
-        assert windowed._memory.first >= self.N_STEPS // 4
-        monkeypatch.setattr(
-            SimulationHistory, "memory_sum",
-            lambda hist: hist.table.coefficients(hist.n_last)[:hist.n_last] @ hist.velocity_diffs,
-        )
-        direct = run(SINE_PROBLEM, mesh, self.TAU, self.N_STEPS, kernel=kernel,
-                     damping=damping)
-        assert direct._memory.first == 0
-        ours, theirs = windowed.coefficients, direct.coefficients
+        ours = run(SINE_PROBLEM, mesh, self.TAU, self.N_STEPS, kernel=kernel, damping=damping)
+        monkeypatch.setattr(SimulationHistory, "memory_sum", _direct_memory_sum)
+        direct = run(SINE_PROBLEM, mesh, self.TAU, self.N_STEPS, kernel=kernel, damping=damping)
+        ours, theirs = ours.coefficients, direct.coefficients
         assert np.linalg.norm(theirs[-1]) < 1e-12 * np.linalg.norm(theirs[0])
         errors = np.linalg.norm(ours - theirs, axis=1)
         assert np.all(errors <= 1e-12 * np.linalg.norm(theirs, axis=1))
 
     def test_window_does_not_widen(self):
-        # each dropped row is bounded at its own lag, so the rows dropped
-        # early do not hold the window open as the run goes on
+        # the memory holds the same arrays at every step of the run: its
+        # buffer keeps the 2K state rows, the L0 - 1 rows of the previous
+        # block and the L0 slots of the current one
         mesh, damping = Mesh(1, 16), DampingSpec("constant", constant=1.0)
         table = build_weight_table(self.KERNEL, self.TAU, self.N_STEPS - 1)
         hist = SimulationHistory(mesh, assemble(mesh), table, interpolate(mesh, SINE_PROBLEM.u0),
                                  interpolate(mesh, SINE_PROBLEM.u1), self.N_STEPS)
         taylor_start(hist, damping, SINE_PROBLEM)
-        widths = []
-        for _ in range(1, self.N_STEPS):
+        step(hist, damping, SINE_PROBLEM)  # from here U^0, U^{n-1} and U^n are three arrays
+        memory, held = hist._memory, hist.nbytes
+        states = memory._offset - _MEMORY_BLOCK + 1
+        for _ in range(2, self.N_STEPS):
             step(hist, damping, SINE_PROBLEM)
-            memory = hist._memory
-            if memory.first:
-                widths.append(memory._block[0] - memory.first)
-        assert widths and widths[-1] <= widths[0]
+            assert hist.nbytes == held
+            assert memory._front.shape == (states + 2 * _MEMORY_BLOCK - 1, mesh.n_interior)
 
     def test_quiescent_history_drops_no_row(self):
-        # the run is long enough for the sum to test its oldest rows, whose
-        # norms and scale are all 0: it drops none and divides by none
+        # zero data long enough for the modes to take over: every level and
+        # every state row stays exactly 0
         prob = Problem(u0=_zero_field, u1=_zero_field, f=None)
         hist = run(prob, Mesh(1, 8), self.TAU, self.N_STEPS, kernel=self.KERNEL,
                    damping=DampingSpec("sqrt"))
         assert np.all(hist.coefficients == 0.0)
-        assert hist._memory.first == 0 and not hist._memory.norms.any()
+        assert not hist._memory._front.any() and not hist._memory._back.any()
 
-    def test_collapsed_scale_raises_step_error(self):
-        # once rows are dropped, a block whose newest rows are all zero has
-        # no scale left to bound them against
-        mesh, damping = Mesh(1, 16), DampingSpec("constant", constant=1.0)
-        table = build_weight_table(self.KERNEL, self.TAU, self.N_STEPS)
-        hist = SimulationHistory(mesh, assemble(mesh), table, interpolate(mesh, SINE_PROBLEM.u0),
-                                 interpolate(mesh, SINE_PROBLEM.u1), self.N_STEPS)
-        taylor_start(hist, damping, SINE_PROBLEM)
-        while not hist._memory.first:
-            step(hist, damping, SINE_PROBLEM)
-        for _ in range(_MEMORY_BLOCK + 2):
-            hist.push(np.zeros(mesh.n_interior))
-        with pytest.raises(StepError, match=f"memory sum at step {hist.n_last}: the rows p < "):
-            step(hist, damping, SINE_PROBLEM)
+    @pytest.mark.parametrize("column, lag", [("body", 40), ("edge_left", _MEMORY_BLOCK)])
+    def test_mode_misfit_raises_quadrature_error(self, column, lag):
+        # a weight the modes do not reproduce, at a lag the modes serve, is
+        # refused when the history is built; inside the exact window it is not
+        mesh = Mesh(1, 8)
+        table = build_weight_table(self.KERNEL, self.TAU, 100)
+        u0, u1 = interpolate(mesh, SINE_PROBLEM.u0), interpolate(mesh, SINE_PROBLEM.u1)
+        for at, fails in ((lag, True), (_MEMORY_BLOCK - 1, False)):
+            weights = getattr(table, column).copy()
+            weights[at] += 1e-11 * self.TAU
+            bad = dataclasses.replace(table, **{column: weights})
+            if fails:
+                with pytest.raises(QuadratureError, match=f"at lag {at} by"):
+                    SimulationHistory(mesh, assemble(mesh), bad, u0, u1, 101)
+            else:
+                SimulationHistory(mesh, assemble(mesh), bad, u0, u1, 101)
 
 
 class TestObservedRun:
@@ -595,20 +602,30 @@ class TestObservedRun:
         recorded = run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping)
         assert [n for n, _ in seen] == list(range(n_steps + 1))
         assert np.array_equal(np.array([c for _, c in seen]), recorded.coefficients)
-        assert np.array_equal(hist.velocity_diffs, recorded.velocity_diffs)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(_memory_arrays(hist), _memory_arrays(recorded)))
         assert np.array_equal(hist.state(n_steps), recorded.state(n_steps))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_observed_history_holds_one_row_buffer(self, dim):
-        mesh, problem, tau, n_steps = self._case(dim)
-        ndof = mesh.n_interior
-        hist = run(problem, mesh, tau, n_steps, kernel=KernelSpec(1.0, 2.0, 1.0),
-                   damping=DampingSpec("sqrt"), observe=lambda n, coeffs: None)
-        arrays = [v for v in vars(hist).values() if isinstance(v, np.ndarray)]
-        rows = [a for a in arrays if a.size > ndof]
-        assert [(a.shape, a.dtype) for a in rows] == [((n_steps + 1, ndof), np.float64)]
-        # beside it: u0, u1h, U^0, U^{n-1} and U^n
-        assert sum(a.nbytes for a in arrays) == (n_steps + 1 + 5) * ndof * 8
+        # no array of an observed KernelSpec run grows with the step count:
+        # none has more rows than the memory's buffer of 2K state rows and
+        # 2 L0 - 1 window rows, and nbytes at 8192 steps is below twice that
+        # at 1024 on the same mesh, although the modes grow with log T
+        mesh, problem, tau, _ = self._case(dim)
+        held = {}
+        for n_steps in (1024, 8192):
+            hist = run(problem, mesh, tau, n_steps, kernel=KernelSpec(0.5, 3.0, 3.0),
+                       damping=DampingSpec("sqrt"), observe=lambda n, coeffs: None)
+            memory = hist._memory
+            arrays = [v for owner in (hist, hist.constants, memory) for v in vars(owner).values()
+                      if isinstance(v, np.ndarray)]
+            limit = memory._offset + _MEMORY_BLOCK
+            assert memory._front.shape == (limit, mesh.n_interior)
+            assert all(a.shape[0] <= limit for a in arrays)
+            assert hist.nbytes == sum(a.nbytes for a in arrays)
+            held[n_steps] = hist.nbytes
+        assert held[8192] < 2 * held[1024]
         with pytest.raises(ValueError, match="observed history"):
             hist.coefficients
         with pytest.raises(ValueError, match="observed history"):

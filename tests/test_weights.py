@@ -1,4 +1,5 @@
-"""Quadrature weight table: hat-function integrals, structure, convolution."""
+"""Quadrature weight table: hat-function integrals, structure, convolution,
+the admissible kernel box and the exponential modes of the memory sum."""
 
 import math
 
@@ -10,9 +11,16 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 import memwave.quadweights as quadweights
-from memwave.kernel import KernelSpec, constant_transform, kernel_transform
-from memwave.quadweights import WEIGHT_TOL, WeightTable, build_weight_table, convolve
-from memwave.stepper import _MemorySum
+from memwave.fem import Mesh, assemble
+from memwave.kernel import KernelSpec, constant_transform, exponential_modes, kernel_transform
+from memwave.quadweights import (
+    WEIGHT_TOL,
+    WeightTable,
+    build_weight_table,
+    convolve,
+    hat_weights,
+)
+from memwave.stepper import SimulationHistory
 
 ROOT3 = math.sqrt(3.0)
 
@@ -183,16 +191,71 @@ class TestBruteForce:
         _check_against_brute_force(table, kfun)
 
 
-class TestTailMax:
-    def test_largest_weight_at_each_lag_and_beyond(self):
-        # the memory sum's tail bound, for a run whose last step is n_max
-        table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * ROOT3), 0.05, 300)
-        tail = _MemorySum(table, np.zeros((table.n_max + 2, 1))).tail
-        assert tail.shape == (table.n_max + 1,)
-        largest = np.maximum(np.abs(table.body), np.abs(table.edge_left))
-        for j in range(1, table.n_max + 1):
-            assert tail[j] == largest[j:].max(), j
-        assert tail[0] == tail[1]
+class TestAdmissibleBox:
+    """The kernel-class invariants over the admissible box: alpha 1 or 1/2,
+    1 < sigma <= 10, 0 <= gamma/sigma <= sqrt(3), with tau small against
+    1/|z|, z = sigma - i gamma, so that the diagonal weight is positive."""
+
+    @given(alpha=st.sampled_from([1.0, 0.5]),
+           sigma=st.floats(min_value=1.0, max_value=10.0, exclude_min=True),
+           ratio=st.floats(min_value=0.0, max_value=ROOT3),
+           step=st.floats(min_value=1e-3, max_value=0.2),
+           n_max=st.integers(min_value=40, max_value=400))
+    @settings(max_examples=60, deadline=None)
+    def test_table_invariants_and_mode_fit(self, alpha, sigma, ratio, step, n_max):
+        spec = KernelSpec(alpha, sigma, ratio * sigma)
+        z = complex(sigma, -ratio * sigma)
+        tau = step / abs(z)
+        table = build_weight_table(spec, tau, n_max)
+        assert 0.0 < table.k0 < 1.0
+        assert table.edge_right[1] > 0.0
+        assert np.cumsum(table.edge_left[1:]).max() <= 1.0 + 1e-12
+        # a history on the table checks the memory's mode weights against
+        # body and edge_left at every lag from L0 on, and raises if one is off
+        mesh = Mesh(1, 4)
+        SimulationHistory(mesh, assemble(mesh), table, np.zeros(3), np.zeros(3), n_max + 1)
+        if alpha == 0.5:
+            # the modes fit K on [delta, T] within 1e-12 of the envelope
+            # exp(-sigma t) |z|^(-1/2) min(1, (pi |z| t)^(-1/2))
+            delta, t_final = 31 * tau, n_max * tau
+            amplitudes, rates = exponential_modes(spec, delta, t_final)
+            t = np.geomspace(delta, t_final, 300)
+            fit = (amplitudes * np.exp(-np.outer(t, rates))).sum(axis=1).real
+            envelope = (np.exp(-sigma * t) / math.sqrt(abs(z))
+                        * np.minimum(1.0, (math.pi * abs(z) * t) ** -0.5))
+            assert np.all(np.abs(fit - kernel_transform(spec, t)) <= 1e-12 * envelope)
+
+
+class TestExponentialModes:
+    def test_alpha_one_is_one_exact_mode(self):
+        sigma, gamma = 3.0, 3.0 * ROOT3
+        amplitudes, rates = exponential_modes(KernelSpec(1.0, sigma, gamma), 0.1, 10.0)
+        t = np.linspace(0.0, 10.0, 101)
+        fit = (amplitudes * np.exp(-np.outer(t, rates))).sum(axis=1).real
+        assert rates.size == 1
+        assert np.allclose(fit, _k_smooth(sigma, gamma, t), rtol=1e-14, atol=1e-17)
+
+    @pytest.mark.parametrize("t_final, count", [(1.0, 54), (100.0, 68)])
+    def test_mode_counts_of_the_benchmark_steps(self, t_final, count):
+        # 12 points below min(1/T, |z|), then 14 per panel of ln x up to 30/delta
+        tau = t_final / (1024 if t_final == 1.0 else 16384)
+        amplitudes, rates = exponential_modes(KernelSpec(0.5, 3.0, 3.0 * ROOT3), 31 * tau, t_final)
+        assert amplitudes.size == rates.size == count
+
+    @pytest.mark.parametrize("rate", [2.0 - 1.5j, 0.05 + 0.0j, 40.0 + 20.0j, 1e-4 - 1e-4j])
+    def test_hat_weights_of_one_exponential(self, rate):
+        # c_b and c_e against 30-point Gauss on each half hat of exp(-w (tau - s)):
+        # a full hat at lag 1 and the half hat at p = 0, n = 1; the series
+        # (|w tau| < 1) and the closed form both
+        tau = 0.1
+        x, w = np.polynomial.legendre.leggauss(30)
+        s = 0.5 * tau * (x + 1.0)  # nodes on [0, tau]
+        falling = 0.5 * tau * np.sum(w * np.exp(-rate * (tau - s)) * (1.0 - s / tau))
+        rising = 0.5 * tau * np.sum(w * np.exp(-rate * (tau - s + tau)) * (s / tau))
+        body, edge = hat_weights(np.array([rate]), tau)
+        scale = tau * abs(np.exp(-rate * tau))
+        assert abs(body[0] * np.exp(-rate * tau) - (falling + rising)) <= 1e-14 * scale
+        assert abs(edge[0] * np.exp(-rate * tau) - falling) <= 1e-14 * scale
 
 
 class TestConvolve:

@@ -224,13 +224,13 @@ class _Memory:
     `_front` holds [states | ring]: the 2K state rows, then the rows
     s - 31 .. s - 1 of the previous block and the L0 slots of the current
     block, where push writes row p to slot p - s.  When the last row of a
-    block arrives, three GEMMs serve the next block s' = s + L0 in `_back`:
-    the advance states <- `_advance` @ [states; rows s - 31 .. s], which
-    absorbs the rows leaving the window and turns each mode by rho**L0; a
-    copy of rows s + 1 .. s + 31; and the far and near sums of all steps of
-    the block, [Re rho**i | -Im rho**i | body[31 + i - c]] @ [states; those
-    31 rows], parked in the slots, which push overwrites only after step
-    s' + i has read slot i.  Step s' + i then adds its rows p >= s' with
+    block arrives, two GEMMs and a copy serve the next block s' = s + L0
+    in `_back`: the advance states <- `_advance` @ [states; rows
+    s - 31 .. s], which absorbs the rows leaving the window and turns each
+    mode by rho**L0; a copy of rows s + 1 .. s + 31; and the far and near
+    sums of all steps of the block, [Re rho**i | -Im rho**i |
+    body[31 + i - c]] @ [states; those 31 rows], parked in the slots, which
+    push overwrites only after step s' + i has read slot i.  Step s' + i then adds its rows p >= s' with
     one short GEMV; the first block, which has no states, takes the direct
     sum.  The buffers then swap.
 

@@ -29,7 +29,8 @@ The memory sum of step n weights the whole velocity history.  For a
 KernelSpec, `_Memory` forms it from an exact window of recent rows and a
 few exponential modes that hold all older ones, in storage that does not
 grow with the run; its docstring says how.  A callable kernel hook keeps
-every row and sums them directly.
+every row and sums them directly, unless its weights are all 0, as the zero
+hook's are: then the memory keeps nothing and the sum is 0.
 """
 
 from __future__ import annotations
@@ -219,7 +220,10 @@ class _Memory:
     `kernel.exponential_modes` gives it and c_k the hat weight of
     `hat_weights` (c_e for p = 0, c_b otherwise).  Step n adds
     Re sum_k rho_k**i H_k for them, so the storage does not grow with the
-    run.
+    run.  For alpha = 1/2 the modes are compressed to the tail's numerical
+    rank: K = 18 on the 2d benchmark and 27 on the 1d one, where the
+    quadrature alone gives 54 and 68, and every cost of a block below
+    scales with K.
 
     `_front` holds [states | ring]: the 2K state rows, then the rows
     s - 31 .. s - 1 of the previous block and the L0 slots of the current
@@ -230,11 +234,15 @@ class _Memory:
     mode by rho**L0; a copy of rows s + 1 .. s + 31; and the far and near
     sums of all steps of the block, [Re rho**i | -Im rho**i |
     body[31 + i - c]] @ [states; those 31 rows], parked in the slots, which
-    push overwrites only after step s' + i has read slot i.  Step s' + i then adds its rows p >= s' with
-    one short GEMV; the first block, which has no states, takes the direct
-    sum.  The buffers then swap.
+    push overwrites only after step s' + i has read slot i.  Step s' + i
+    then adds its rows p >= s' with one short GEMV; the first block, which
+    has no states, takes the direct sum.  The buffers then swap.  So a
+    block costs a (2K) x (2K + 32) and a 32 x (2K + 63) GEMM against
+    buffers of (2K + 63) x ndof.
 
-    Building the memory checks the mode weights against table.body and
+    Building the memory raises QuadratureError naming the mode if a rate
+    is not finite with Re w > 0, since that mode would not decay.  It
+    then checks the mode weights against table.body and
     table.edge_left at every lag j >= L0 the run reaches, and raises
     QuadratureError naming the first lag off by more than _MODE_TOL *
     tau * exp(-sigma (j - 1) tau).  The sum then differs from the direct
@@ -242,7 +250,8 @@ class _Memory:
 
     A callable kernel hook has no modes: its one block spans the whole run,
     so it keeps every row and every sum is the direct one,
-    coefficients(n)[:n] @ rows.
+    coefficients(n)[:n] @ rows.  A table whose memory weights are all 0
+    gets a `_NoMemory` instead.
     """
 
     def __init__(self, table: WeightTable, n_steps: int, ndof: int):
@@ -253,6 +262,11 @@ class _Memory:
         block = self._block = _MEMORY_BLOCK
         amplitudes, rates = exponential_modes(table.kernel, (block - 1) * tau,
                                               max(n_steps, block) * tau)
+        decays = np.isfinite(rates) & (rates.real > 0.0)
+        if not decays.all():
+            k = int(np.argmin(decays))
+            raise QuadratureError(f"exponential mode {k} has rate w = {rates[k]:.6g}; "
+                                  f"every mode must decay, with finite Re w > 0")
         body, edge = (amplitudes * c for c in hat_weights(rates, tau))
         rho = np.exp(-np.outer(rates * tau, np.arange(2 * block)))  # rho_k**j, j < 2 L0
         _check_modes(table, body, edge, rates, rho[:, :block], self._last)
@@ -314,6 +328,22 @@ def _check_modes(table: WeightTable, body: np.ndarray, edge: np.ndarray,
             )
 
 
+class _NoMemory:
+    """The memory of a table whose body and edge_left weights are all 0,
+    as the zero kernel hook's are: it keeps no rows, and every sum is 0."""
+
+    def __init__(self, ndof: int):
+        self._zero = np.zeros(ndof)
+        self._zero.flags.writeable = False
+
+    def push(self, p: int, row: np.ndarray) -> None:
+        """Take row p and keep nothing of it."""
+
+    def __call__(self, n: int) -> np.ndarray:
+        """The memory sum of step n: 0."""
+        return self._zero
+
+
 class SimulationHistory:
     """What the next step reads: U^0, U^{n-1}, U^n and the memory sum.
 
@@ -326,7 +356,8 @@ class SimulationHistory:
     and the step scales the result by the eigenvalues.  push hands each
     new d_p to the run's memory, which keeps what later sums need: a
     `_Memory` of O(ndof) rows for a KernelSpec table, every row for a
-    callable hook.  The nodal initial data u0 and u1h are kept as given.
+    callable hook, and none (`_NoMemory`) when the table's memory weights
+    are all 0.  The nodal initial data u0 and u1h are kept as given.
 
     observe(n, coeffs) is called with U^0 here and with every pushed level.
     Without an observer the history records the whole trajectory, which
@@ -356,7 +387,10 @@ class SimulationHistory:
         self.previous = self.current = self.initial
         self.constants = _StepConstants.build(ops, table, self.initial)
         self._count = 1
-        self._memory = _Memory(table, self.n_steps, self.u0.size)
+        if table.body.any() or table.edge_left.any():
+            self._memory = _Memory(table, self.n_steps, self.u0.size)
+        else:
+            self._memory = _NoMemory(self.u0.size)
         self._memory.push(0, self.initial_velocity)
         self._trajectory = Trajectory(n_steps, self.u0.size) if observe is None else None
         self._observe = self._trajectory if observe is None else observe

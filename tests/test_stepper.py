@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import memwave.stepper as stepper
 from memwave.cli import RunConfig, preset_problem
 from memwave.fem import Mesh, assemble, interpolate, load_vector
 from memwave.kernel import KernelSpec, QuadratureError, constant_transform
@@ -580,6 +581,23 @@ class TestMemoryWindow:
             else:
                 SimulationHistory(mesh, assemble(mesh), bad, u0, u1, 101)
 
+    @pytest.mark.parametrize("real", [0.0, -0.5])
+    def test_growing_mode_raises_quadrature_error(self, monkeypatch, real):
+        # a rate with Re w <= 0 would not decay in the state rows; building
+        # the memory names the mode
+        modes = stepper.exponential_modes
+
+        def growing(spec, delta, t_final):
+            amplitudes, rates = modes(spec, delta, t_final)
+            return amplitudes, np.where(np.arange(rates.size) == 1, real + 1j * rates.imag, rates)
+
+        monkeypatch.setattr(stepper, "exponential_modes", growing)
+        mesh = Mesh(1, 8)
+        table = build_weight_table(self.KERNEL, self.TAU, 100)
+        with pytest.raises(QuadratureError, match="exponential mode 1 has rate"):
+            SimulationHistory(mesh, assemble(mesh), table, interpolate(mesh, SINE_PROBLEM.u0),
+                              interpolate(mesh, SINE_PROBLEM.u1), 101)
+
 
 class TestObservedRun:
     """A run with an observer streams its levels and keeps only what a step reads."""
@@ -630,6 +648,26 @@ class TestObservedRun:
             hist.coefficients
         with pytest.raises(ValueError, match="observed history"):
             hist.state(n_steps - 2)
+
+    def test_zero_hook_keeps_no_rows(self):
+        # the zero hook's weights are all 0: every step's memory sum is
+        # exactly 0, and the memory holds one ndof vector whatever the
+        # step count
+        mesh, damping = Mesh(1, 16), DampingSpec("sqrt")
+        held = {}
+        for n_steps in (64, 4096):
+            hist = SimulationHistory(mesh, assemble(mesh),
+                                     build_weight_table(ZERO_KERNEL, 1.0 / 64, n_steps - 1),
+                                     interpolate(mesh, SINE_PROBLEM.u0),
+                                     interpolate(mesh, SINE_PROBLEM.u1), n_steps,
+                                     observe=lambda n, coeffs: None)
+            taylor_start(hist, damping, SINE_PROBLEM)
+            for _ in range(1, n_steps):
+                assert np.array_equal(hist.memory_sum(), np.zeros(mesh.n_interior))
+                step(hist, damping, SINE_PROBLEM)
+            assert [a.shape for a in _memory_arrays(hist)] == [(mesh.n_interior,)]
+            held[n_steps] = hist.nbytes
+        assert held[4096] == held[64]
 
 
 class TestReductionToDampedWave:

@@ -59,6 +59,21 @@ def _check_against_brute_force(table, kfun):
             assert table.weight(n, p) == pytest.approx(brute, abs=WEIGHT_TOL)
 
 
+def _assert_modes_fit(spec, tau, n_max):
+    """The modes fit K on [delta, T] within 1e-12 of the envelope
+    exp(-sigma t) |z|^(-1/2) min(1, (pi |z| t)^(-1/2)), up to where
+    exp(-sigma t) falls to e^-600, past which K underflows; returns the rates."""
+    z = complex(spec.sigma, -spec.gamma)
+    delta, t_final = 31 * tau, n_max * tau
+    amplitudes, rates = exponential_modes(spec, delta, t_final)
+    t = np.geomspace(delta, min(t_final, 600.0 / spec.sigma), 300)
+    fit = (amplitudes * np.exp(-np.outer(t, rates))).sum(axis=1).real
+    envelope = (np.exp(-spec.sigma * t) / math.sqrt(abs(z))
+                * np.minimum(1.0, (math.pi * abs(z) * t) ** -0.5))
+    assert np.all(np.abs(fit - kernel_transform(spec, t)) <= 1e-12 * envelope)
+    return rates
+
+
 class TestUnitHook:
     def test_hat_areas(self):
         tau = 0.05
@@ -215,15 +230,24 @@ class TestAdmissibleBox:
         mesh = Mesh(1, 4)
         SimulationHistory(mesh, assemble(mesh), table, np.zeros(3), np.zeros(3), n_max + 1)
         if alpha == 0.5:
-            # the modes fit K on [delta, T] within 1e-12 of the envelope
-            # exp(-sigma t) |z|^(-1/2) min(1, (pi |z| t)^(-1/2))
-            delta, t_final = 31 * tau, n_max * tau
-            amplitudes, rates = exponential_modes(spec, delta, t_final)
-            t = np.geomspace(delta, t_final, 300)
-            fit = (amplitudes * np.exp(-np.outer(t, rates))).sum(axis=1).real
-            envelope = (np.exp(-sigma * t) / math.sqrt(abs(z))
-                        * np.minimum(1.0, (math.pi * abs(z) * t) ** -0.5))
-            assert np.all(np.abs(fit - kernel_transform(spec, t)) <= 1e-12 * envelope)
+            _assert_modes_fit(spec, tau, n_max)
+
+    @given(sigma=st.floats(min_value=1.0, max_value=10.0, exclude_min=True),
+           ratio=st.floats(min_value=0.0, max_value=ROOT3),
+           step=st.floats(min_value=1e-3, max_value=0.2),
+           n_max=st.integers(min_value=400, max_value=5000))
+    @settings(max_examples=40, deadline=None)
+    def test_compressed_modes_of_long_runs(self, sigma, ratio, step, n_max):
+        # runs of up to 5000 steps: the compressed alpha = 1/2 modes pass the
+        # history's check of the weights, fit K within 1e-12 of the envelope
+        # and all decay
+        spec = KernelSpec(0.5, sigma, ratio * sigma)
+        tau = step / abs(complex(sigma, -ratio * sigma))
+        table = build_weight_table(spec, tau, n_max)
+        mesh = Mesh(1, 4)
+        SimulationHistory(mesh, assemble(mesh), table, np.zeros(3), np.zeros(3), n_max + 1)
+        rates = _assert_modes_fit(spec, tau, n_max)
+        assert np.all(rates.real > 0.0)
 
 
 class TestExponentialModes:
@@ -235,12 +259,23 @@ class TestExponentialModes:
         assert rates.size == 1
         assert np.allclose(fit, _k_smooth(sigma, gamma, t), rtol=1e-14, atol=1e-17)
 
-    @pytest.mark.parametrize("t_final, count", [(1.0, 54), (100.0, 68)])
-    def test_mode_counts_of_the_benchmark_steps(self, t_final, count):
-        # 12 points below min(1/T, |z|), then 14 per panel of ln x up to 30/delta
+    @pytest.mark.parametrize("t_final, count, most", [(1.0, 54, 20), (100.0, 68, 30)],
+                             ids=["1.0-54", "100.0-68"])
+    def test_mode_counts_of_the_benchmark_steps(self, monkeypatch, t_final, count, most):
+        # the quadrature's 12 points below min(1/T, |z|), then 14 per panel of
+        # ln x up to 30/delta, compress to 18 and 27 modes
         tau = t_final / (1024 if t_final == 1.0 else 16384)
-        amplitudes, rates = exponential_modes(KernelSpec(0.5, 3.0, 3.0 * ROOT3), 31 * tau, t_final)
-        assert amplitudes.size == rates.size == count
+        spec = KernelSpec(0.5, 3.0, 3.0 * ROOT3)
+        amplitudes, rates = exponential_modes(spec, 31 * tau, t_final)
+        assert amplitudes.size == rates.size <= most
+        monkeypatch.setattr("memwave.kernel._compress",
+                            lambda spec, amplitudes, x, *_: (amplitudes, x))
+        assert exponential_modes(spec, 31 * tau, t_final)[0].size == count
+
+    def test_rank_grows_until_the_fit_holds(self):
+        # here the 12 modes above the singular-value cut miss K by 1.04e-12 of
+        # the envelope at t = delta, so the compression keeps more (14)
+        assert _assert_modes_fit(KernelSpec(0.5, 2.0, 0.0), 0.0625, 149).size > 12
 
     @pytest.mark.parametrize("rate", [2.0 - 1.5j, 0.05 + 0.0j, 40.0 + 20.0j, 1e-4 - 1e-4j])
     def test_hat_weights_of_one_exponential(self, rate):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -157,6 +158,82 @@ class TestConfigParsing:
     def test_roundtrip_zero_preset(self):
         cfg = parse_config(ZERO_CFG + "\n[damping]\nkind = constant\nconstant = 2.0\n")
         assert serialize_config(parse_config(serialize_config(cfg))) == serialize_config(cfg)
+
+
+FULL_ZERO = {
+    "run": {"preset": "zero", "dim": "1", "m": "8", "n": "8", "t": "1.0"},
+    "kernel": {"alpha": "1.0", "sigma": "2.0", "gamma": "1.0"},
+    "damping": {"kind": "constant", "mu1": "1.0", "mu2": "1.0", "constant": "2.0"},
+    "output": {"directory": "out", "energy": "true", "checkpoints": "0, 8"},
+}
+
+
+def _ini(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "\n"
+        for name, keys in sections.items()
+    )
+
+
+def _with(section, key, value=None):
+    """FULL_ZERO with one key set to `value`, or dropped when `value` is None."""
+    sections = {name: dict(keys) for name, keys in FULL_ZERO.items()}
+    if value is None:
+        del sections[section][key]
+    else:
+        sections[section][key] = value
+    return _ini(sections)
+
+
+class TestConfigMessages:
+    def test_full_config_parses(self):
+        cfg = parse_config(_ini(FULL_ZERO))
+        assert cfg.kernel == KernelSpec(1.0, 2.0, 1.0)
+        assert cfg.checkpoints == (0, 8)
+
+    @pytest.mark.parametrize("section, key, expected", [
+        ("run", "dim", "an integer"), ("run", "m", "an integer"),
+        ("run", "n", "an integer"), ("run", "t", "a number"),
+        ("kernel", "alpha", "a number"), ("kernel", "sigma", "a number"),
+        ("kernel", "gamma", "a number"), ("damping", "mu1", "a number"),
+        ("damping", "mu2", "a number"), ("damping", "constant", "a number"),
+    ])
+    def test_malformed_value_names_the_key(self, section, key, expected):
+        message = re.escape(f"{section}.{key}: not {expected}: 'x1'")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(_with(section, key, "x1"))
+
+    @pytest.mark.parametrize("section, key", [
+        ("run", "preset"), ("run", "dim"), ("run", "m"), ("run", "n"), ("run", "t"),
+        ("kernel", "alpha"), ("kernel", "sigma"), ("damping", "kind"),
+    ])
+    def test_missing_required_key(self, section, key):
+        with pytest.raises(ConfigError) as info:
+            parse_config(_with(section, key))
+        assert str(info.value) == f"missing required key {section}.{key}"
+
+    @pytest.mark.parametrize("section, key", [
+        ("kernel", "gamma"), ("damping", "mu1"), ("damping", "mu2"), ("damping", "constant"),
+        ("output", "directory"), ("output", "energy"), ("output", "checkpoints"),
+    ])
+    def test_optional_key_may_be_omitted(self, section, key):
+        parse_config(_with(section, key))
+
+    def test_bad_energy_flag(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(_with("output", "energy", "maybe"))
+        assert str(info.value) == "output.energy: expected a boolean, got 'maybe'"
+
+    @pytest.mark.parametrize("value, message", [
+        ("0, x", "output.checkpoints: expected comma-separated integers: '0, x'"),
+        ("0, 1.5", "output.checkpoints: expected comma-separated integers: '0, 1.5'"),
+        ("-1", "output.checkpoints: step -1 outside [0, 8]"),
+        ("0, 9", "output.checkpoints: step 9 outside [0, 8]"),
+    ])
+    def test_bad_checkpoints(self, value, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(_with("output", "checkpoints", value))
+        assert str(info.value) == message
 
 
 class TestPresets:

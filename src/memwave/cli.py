@@ -22,7 +22,7 @@ import configparser
 import io
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -40,7 +40,7 @@ from .diagnostics import (
 )
 from .fem import Mesh, assemble
 from .kernel import KernelLike, KernelSpec, constant_transform
-from .quadweights import build_weight_table
+from .quadweights import RUNNING_SUM_BOUND, build_weight_table
 from .stepper import DampingSpec, Problem, run
 
 __all__ = [
@@ -56,13 +56,6 @@ __all__ = [
 ]
 
 PRESETS = ("benchmark_1d", "benchmark_2d", "manufactured", "zero")
-
-_SCHEMA = {
-    "run": {"preset", "dim", "m", "n", "t"},
-    "kernel": {"alpha", "sigma", "gamma"},
-    "damping": {"kind", "mu1", "mu2", "constant"},
-    "output": {"directory", "energy", "checkpoints"},
-}
 
 
 class ConfigError(ValueError):
@@ -89,33 +82,82 @@ class RunConfig:
         return self.t_final / self.n
 
 
-def _parse_bool(raw: str, key: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"output.{key}: expected a boolean, got {raw!r}")
+    raise ValueError(raw)
 
 
-def _get_float(section, name: str, key: str) -> float:
+def _parse_steps(raw: str) -> tuple[int, ...]:
+    return tuple(sorted({int(tok) for tok in raw.split(",") if tok.strip()}))
+
+
+#: value types, named as the spec fields annotate them:
+#: (parse, render, the complaint printed before a value parse rejects)
+_TYPES = {
+    "str": (str, str, None),
+    "int": (int, str, "not an integer:"),
+    "float": (float, repr, "not a number:"),
+    "bool": (_parse_bool, lambda v: "true" if v else "false", "expected a boolean, got"),
+    "steps": (_parse_steps, lambda v: ",".join(map(str, v)), "expected comma-separated integers:"),
+}
+
+
+def _spec_keys(cls) -> dict:
+    """Keys of a spec section: its init fields, required when they have no default."""
+    return {f.name: (f.type, f.default is MISSING) for f in fields(cls) if f.init}
+
+
+#: section -> key -> (value type, required)
+_SCHEMA = {
+    "run": {"preset": ("str", True), "dim": ("int", True), "m": ("int", True),
+            "n": ("int", True), "t": ("float", True)},
+    "kernel": _spec_keys(KernelSpec),
+    "damping": _spec_keys(DampingSpec),
+    "output": {"directory": ("str", False), "energy": ("bool", False),
+               "checkpoints": ("steps", False)},
+}
+#: RunConfig attributes whose names differ from their [run] or [output] key
+_ATTRS = {"t": "t_final", "directory": "out_dir"}
+
+
+def _read_section(section, name: str) -> dict:
+    """The keys given in one section, converted to their types."""
+    for key in section:
+        if key not in _SCHEMA[name]:
+            raise ConfigError(f"unknown key {name}.{key}")
+    given = {}
+    for key, (kind, required) in _SCHEMA[name].items():
+        if key not in section:
+            if required:
+                raise ConfigError(f"missing required key {name}.{key}")
+            continue
+        parse, _render, complaint = _TYPES[kind]
+        try:
+            given[key] = parse(section[key])
+        except ValueError as exc:
+            raise ConfigError(f"{name}.{key}: {complaint} {section[key]!r}") from exc
+    return given
+
+
+def _build_spec(cls, name: str, values: dict):
+    """The spec a section describes, or None when the config leaves it out."""
+    if name not in values:
+        return None
     try:
-        return float(section[key])
+        return cls(**values[name])
     except ValueError as exc:
-        raise ConfigError(f"{name}.{key}: not a number: {section[key]!r}") from exc
-
-
-def _get_int(section, name: str, key: str) -> int:
-    try:
-        return int(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"{name}.{key}: not an integer: {section[key]!r}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def parse_config(source) -> RunConfig:
     """Read and validate a config from a path or from INI text.
 
-    Values are taken literally: '%' has no meaning.
+    Values are taken literally: '%' has no meaning.  Keys omitted from
+    [kernel] and [damping] take the KernelSpec and DampingSpec defaults.
     """
     parser = configparser.ConfigParser(interpolation=None)
     text = source if isinstance(source, str) and "\n" in source else None
@@ -126,134 +168,60 @@ def parse_config(source) -> RunConfig:
             path = Path(source)
             if not path.exists():
                 raise ConfigError(f"config file not found: {path}")
-            parser.read(path)
+            with open(path, encoding="utf-8") as handle:
+                parser.read_file(handle)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {source}: {exc}") from exc
 
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
-
     if "run" not in parser:
         raise ConfigError("missing required section [run]")
-    run_sec = parser["run"]
-    for key in ("preset", "dim", "m", "n", "t"):
-        if key not in run_sec:
-            raise ConfigError(f"missing required key run.{key}")
+    values = {name: _read_section(parser[name], name) for name in parser.sections()}
 
-    preset = run_sec["preset"].strip()
+    config = RunConfig(
+        kernel=_build_spec(KernelSpec, "kernel", values),
+        damping=_build_spec(DampingSpec, "damping", values),
+        **{_ATTRS.get(key, key): value
+           for name in ("run", "output") for key, value in values.get(name, {}).items()},
+    )
+    preset, dim, n = config.preset, config.dim, config.n
     if preset not in PRESETS:
         raise ConfigError(f"run.preset must be one of {PRESETS}, got {preset!r}")
-    dim = _get_int(run_sec, "run", "dim")
-    m = _get_int(run_sec, "run", "m")
-    n = _get_int(run_sec, "run", "n")
-    t_final = _get_float(run_sec, "run", "t")
     if dim not in (1, 2):
         raise ConfigError(f"run.dim must be 1 or 2, got {dim}")
-    if m < 2:
-        raise ConfigError(f"run.m must be at least 2, got {m}")
+    if config.m < 2:
+        raise ConfigError(f"run.m must be at least 2, got {config.m}")
     if n < 1:
         raise ConfigError(f"run.n must be at least 1, got {n}")
-    if not (math.isfinite(t_final) and t_final > 0.0):
-        raise ConfigError(f"run.t must be finite and positive, got {t_final}")
+    if not (math.isfinite(config.t_final) and config.t_final > 0.0):
+        raise ConfigError(f"run.t must be finite and positive, got {config.t_final}")
     expected_dim = {"benchmark_1d": 1, "benchmark_2d": 2, "manufactured": 1}.get(preset)
     if expected_dim is not None and dim != expected_dim:
         raise ConfigError(f"run.dim: preset {preset} requires dim = {expected_dim}")
-
-    kernel = None
-    if "kernel" in parser:
-        if preset == "manufactured":
-            raise ConfigError("section [kernel]: preset manufactured fixes the kernel off")
-        sec = parser["kernel"]
-        for key in ("alpha", "sigma"):
-            if key not in sec:
-                raise ConfigError(f"missing required key kernel.{key}")
-        try:
-            kernel = KernelSpec(
-                alpha=_get_float(sec, "kernel", "alpha"),
-                sigma=_get_float(sec, "kernel", "sigma"),
-                gamma=_get_float(sec, "kernel", "gamma") if "gamma" in sec else 0.0,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"kernel: {exc}") from exc
-    elif preset in ("benchmark_1d", "benchmark_2d"):
+    if config.kernel is not None and preset == "manufactured":
+        raise ConfigError("section [kernel]: preset manufactured fixes the kernel off")
+    if config.kernel is None and preset in ("benchmark_1d", "benchmark_2d"):
         raise ConfigError(f"missing section [kernel]: preset {preset} requires it")
-
-    damping = None
-    if "damping" in parser:
-        if preset in ("benchmark_1d", "benchmark_2d", "manufactured"):
-            raise ConfigError(f"section [damping]: preset {preset} fixes the damping")
-        sec = parser["damping"]
-        if "kind" not in sec:
-            raise ConfigError("missing required key damping.kind")
-        try:
-            damping = DampingSpec(
-                kind=sec["kind"].strip(),
-                mu1=_get_float(sec, "damping", "mu1") if "mu1" in sec else 1.0,
-                mu2=_get_float(sec, "damping", "mu2") if "mu2" in sec else 1.0,
-                constant=_get_float(sec, "damping", "constant") if "constant" in sec else 1.0,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"damping: {exc}") from exc
-
-    out_dir, energy, checkpoints = ".", False, ()
-    if "output" in parser:
-        sec = parser["output"]
-        out_dir = sec.get("directory", ".").strip()
-        if "energy" in sec:
-            energy = _parse_bool(sec["energy"], "energy")
-        if "checkpoints" in sec:
-            try:
-                checkpoints = tuple(
-                    sorted(int(tok) for tok in sec["checkpoints"].split(",") if tok.strip())
-                )
-            except ValueError as exc:
-                raise ConfigError(
-                    f"output.checkpoints: expected comma-separated integers: {sec['checkpoints']!r}"
-                ) from exc
-            for c in checkpoints:
-                if not 0 <= c <= n:
-                    raise ConfigError(f"output.checkpoints: step {c} outside [0, {n}]")
-
-    return RunConfig(
-        preset=preset, dim=dim, m=m, n=n, t_final=t_final,
-        kernel=kernel, damping=damping,
-        out_dir=out_dir, energy=energy, checkpoints=checkpoints,
-    )
+    if config.damping is not None and preset != "zero":
+        raise ConfigError(f"section [damping]: preset {preset} fixes the damping")
+    for c in config.checkpoints:
+        if not 0 <= c <= n:
+            raise ConfigError(f"output.checkpoints: step {c} outside [0, {n}]")
+    return config
 
 
 def serialize_config(config: RunConfig) -> str:
     """Render a config back to INI text; parse(serialize(c)) == c."""
     parser = configparser.ConfigParser(interpolation=None)
-    parser["run"] = {
-        "preset": config.preset,
-        "dim": str(config.dim),
-        "m": str(config.m),
-        "n": str(config.n),
-        "t": repr(config.t_final),
-    }
-    if config.kernel is not None:
-        parser["kernel"] = {
-            "alpha": repr(config.kernel.alpha),
-            "sigma": repr(config.kernel.sigma),
-            "gamma": repr(config.kernel.gamma),
-        }
-    if config.damping is not None:
-        parser["damping"] = {
-            "kind": config.damping.kind,
-            "mu1": repr(config.damping.mu1),
-            "mu2": repr(config.damping.mu2),
-            "constant": repr(config.damping.constant),
-        }
-    parser["output"] = {
-        "directory": config.out_dir,
-        "energy": "true" if config.energy else "false",
-    }
-    if config.checkpoints:
-        parser["output"]["checkpoints"] = ",".join(str(c) for c in config.checkpoints)
+    for name, keys in _SCHEMA.items():
+        owner = {"kernel": config.kernel, "damping": config.damping}.get(name, config)
+        if owner is not None:
+            parser[name] = {key: _TYPES[kind][1](getattr(owner, _ATTRS.get(key, key)))
+                            for key, (kind, _required) in keys.items()}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -471,7 +439,7 @@ def dump_weights(config: RunConfig, path, n_max: Optional[int] = None):
         handle.write("n,p,weight,edge_running_sum,sum_le_one\n")
         for n in range(1, n_max + 1):
             running += float(table.edge_left[n])
-            flag = running <= 1.0 + 1.0e-12
+            flag = running <= RUNNING_SUM_BOUND
             handle.write(f"{n},0,{FLOAT_FMT % table.edge_left[n]},{FLOAT_FMT % running},"
                          f"{'true' if flag else 'false'}\n")
             handle.writelines(f"{n},{p},{lags[n - p]},,\n" for p in range(1, n))

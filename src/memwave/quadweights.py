@@ -37,6 +37,9 @@ __all__ = ["WeightTable", "build_weight_table", "convolve", "hat_weights", "Quad
 #: absolute accuracy target for every stored weight
 WEIGHT_TOL = 1.0e-12
 
+#: bound on the running sum of the p = 0 weights: 1, with room for rounding
+RUNNING_SUM_BOUND = 1.0 + 1.0e-12
+
 
 @dataclass(frozen=True, eq=False)
 class WeightTable:
@@ -165,7 +168,7 @@ def build_weight_table(kernel: KernelLike, tau: float, n_max: int) -> WeightTabl
                 f"tau = {tau} is too large for this kernel"
             )
         running = np.cumsum(edge_left[1:])
-        if running.size and running.max() > 1.0 + 1.0e-12:
+        if running.size and running.max() > RUNNING_SUM_BOUND:
             raise ArithmeticError(
                 f"running sum of the p = 0 column reaches {running.max()} > 1"
             )

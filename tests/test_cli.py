@@ -5,11 +5,15 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memwave.cli import (
+    PRESETS,
     ConfigError,
     RunConfig,
     dump_weights,
@@ -25,7 +29,7 @@ from memwave import diagnostics
 from memwave.diagnostics import a_norm, discrete_energy, self_error_space, self_error_time
 from memwave.fem import Mesh, assemble
 from memwave.kernel import KernelSpec
-from memwave.stepper import run
+from memwave.stepper import DampingSpec, run
 
 BENCH_1D = """
 [run]
@@ -235,6 +239,57 @@ class TestConfigMessages:
             parse_config(_with("output", "checkpoints", value))
         assert str(info.value) == message
 
+    def test_repeated_checkpoints_collapse(self):
+        assert parse_config(_with("output", "checkpoints", "4, 4, 0")).checkpoints == (0, 4)
+
+    def test_readme_config_block_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(block)
+        assert cfg.kernel == KernelSpec(0.5, 3.0, 5.196152422706632)
+        assert cfg.damping == DampingSpec("sqrt")
+        assert cfg.checkpoints == (0, 16, 32)
+
+
+POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+# a directory name with at least one literal '%'
+DIRECTORY = st.lists(st.text("ab09._-/%", max_size=6), min_size=2, max_size=3).map("%".join)
+
+
+@st.composite
+def run_configs(draw):
+    """A valid RunConfig for any preset, following its dim, kernel and damping rules."""
+    preset = draw(st.sampled_from(PRESETS))
+    dim = {"benchmark_1d": 1, "benchmark_2d": 2, "manufactured": 1}.get(preset)
+    n = draw(st.integers(1, 10**6))
+    kernel = damping = None
+    if preset in ("benchmark_1d", "benchmark_2d") or (preset == "zero" and draw(st.booleans())):
+        sigma = draw(st.floats(min_value=1.0, max_value=1e300, exclude_min=True))
+        # gamma may be left out and take its default
+        gamma = draw(st.fixed_dictionaries(
+            {}, optional={"gamma": st.floats(0.0, math.sqrt(3.0) * sigma)}))
+        kernel = KernelSpec(alpha=draw(st.sampled_from([1.0, 0.5])), sigma=sigma, **gamma)
+    if preset == "zero" and draw(st.booleans()):
+        # every key but kind may be left out
+        weights = draw(st.fixed_dictionaries(
+            {}, optional={"mu1": POSITIVE, "mu2": POSITIVE, "constant": POSITIVE}))
+        damping = DampingSpec(draw(st.sampled_from(["affine", "sqrt", "constant"])), **weights)
+    return RunConfig(
+        preset=preset, dim=dim or draw(st.sampled_from([1, 2])),
+        m=draw(st.integers(2, 10**6)), n=n, t_final=draw(POSITIVE),
+        kernel=kernel, damping=damping, out_dir=draw(DIRECTORY), energy=draw(st.booleans()),
+        checkpoints=tuple(sorted(draw(st.sets(st.integers(0, n), max_size=5)))),
+    )
+
+
+class TestConfigRoundTrip:
+    @given(cfg=run_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_serialize_then_parse(self, cfg):
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        assert serialize_config(parse_config(text)) == text
+
 
 class TestPresets:
     def test_benchmark_1d_pins_damping(self):
@@ -285,6 +340,12 @@ class TestRunSingle:
         cfg = cfg.__class__(**{**cfg.__dict__, "out_dir": str(tmp_path)})
         record, _ = run_single(cfg, zero_forcing=True)
         assert record.energy[-1] < record.energy[0]
+
+    def test_repeated_checkpoints_are_written_once(self, tmp_path):
+        cfg = parse_config(ZERO_CFG.replace("0, 8", "4, 4, 0"))
+        _, paths = run_single(replace(cfg, out_dir=str(tmp_path)))
+        assert [p.name for p in paths] == [
+            "energy.csv", "checkpoint_000000.csv", "checkpoint_000004.csv"]
 
     def test_manufactured_tracks_exact_solution(self):
         cfg = parse_config(MANUFACTURED_CFG)
@@ -478,3 +539,13 @@ class TestMainEntry:
         path = self._write(tmp_path, BENCH_1D.replace("t = 1.0", "t = inf"))
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "run.t must be finite" in capsys.readouterr().err
+
+    def test_directory_as_config_exit_code(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: cannot read config file {tmp_path}" in capsys.readouterr().err
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "config.ini"
+        path.write_bytes(b"\xff\xfe" + BENCH_1D.encode("utf-16-le"))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: cannot read config file {path}" in capsys.readouterr().err

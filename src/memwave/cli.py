@@ -434,6 +434,7 @@ def dump_weights(config: RunConfig, path, n_max: Optional[int] = None):
     n_max = config.n if n_max is None else int(n_max)
     table = build_weight_table(config.kernel, config.tau, n_max)
     lags = [FLOAT_FMT % w for w in table.body.tolist()]  # w(n, p) = body[n - p], 0 < p < n
+    diagonal = FLOAT_FMT % table.edge_right  # w(n, n)
     running, flag = 0.0, False
     with open(path, "w", newline="") as handle:
         handle.write("n,p,weight,edge_running_sum,sum_le_one\n")
@@ -443,7 +444,7 @@ def dump_weights(config: RunConfig, path, n_max: Optional[int] = None):
             handle.write(f"{n},0,{FLOAT_FMT % table.edge_left[n]},{FLOAT_FMT % running},"
                          f"{'true' if flag else 'false'}\n")
             handle.writelines(f"{n},{p},{lags[n - p]},,\n" for p in range(1, n))
-            handle.write(f"{n},{n},{FLOAT_FMT % table.edge_right[n]},,\n")
+            handle.write(f"{n},{n},{diagonal},,\n")
     return table, n_max * (n_max + 3) // 2, flag
 
 

@@ -276,7 +276,8 @@ def constant_transform(value: float) -> Callable[[np.ndarray], np.ndarray]:
 
     Test hook: value 0.0 switches the memory term off entirely so the scheme
     reduces to a plain damped wave equation; value 1.0 makes every quadrature
-    weight a hat-function area.
+    weight a hat-function area.  A nonzero value serves weight tables, not
+    runs: a run's memory needs the exponential modes of a KernelSpec.
     """
 
     def k(t):

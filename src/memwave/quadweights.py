@@ -9,23 +9,23 @@ grid t_p = p*tau.  That turns the integral into a discrete convolution
 where w(n, p) is the exact integral of K(t_n - s) against the hat function
 centered at t_p, restricted to [0, t_n].  On a uniform grid the interior
 weights depend only on the lag n - p (Toeplitz structure), the weight at
-p = n is the same for every n, and only the p = 0 column genuinely varies
-with n.  The table stores exactly those three arrays, plus the kernel
-samples K(t_n), the derived coefficients the stepper needs and the kernel
-itself, so a built table fully describes the memory term for one step size.
+p = n is one number for every n, and only the p = 0 column genuinely varies
+with n.  The table stores exactly those two arrays and that number, plus
+the kernel samples K(t_n), the derived coefficients the stepper needs and
+the kernel itself, so a built table fully describes the memory term for one
+step size.
 It is plain data: how a run lays the weights out for its memory sum is the
 stepper's business, and no run writes into a table, so one table may serve
 many runs.
 
-For one exponential K(t) = exp(-w t) the hat integrals are exact geometric
-sequences, body[j] = c_b exp(-w j tau) and edge_left[n] = c_e exp(-w n tau);
-`hat_weights` gives c_b and c_e, which the stepper's mode memory uses for
-the lags its exact window does not hold.
+For one exponential K(t) = exp(-w t) the interior weights are an exact
+geometric sequence, body[j] = c_b exp(-w j tau); `hat_weights` gives c_b,
+which the stepper's mode memory uses for the lags its exact window does not
+hold.  The memory weights the p = 0 column from the table itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +47,15 @@ class WeightTable:
 
     body[j], j = 1..n_max : interior weight at lag j = n - p (full hat)
     edge_left[n]          : weight of the p = 0 sample (half hat at 0)
-    edge_right[n]         : weight of the p = n sample (half hat at t_n);
-                            constant in n on a uniform grid
+    edge_right            : weight of the p = n sample (half hat at t_n),
+                            one number: it is the same for every n >= 1 on
+                            a uniform grid
     k_values[n]           : K(t_n) for n = 0..n_max
     k0, mu0               : K(0) and 1 - K(0)
     kernel                : the kernel the weights integrate
 
-    Index 0 of body/edge_left/edge_right is unused padding, 0, so that
-    index n means step n throughout.  The table holds these arrays and
+    Index 0 of body/edge_left is unused padding, 0, so that index n means
+    step n throughout.  The table holds these arrays and
     nothing derived from them; no run writes into them.
     """
 
@@ -62,7 +63,7 @@ class WeightTable:
     n_max: int
     body: np.ndarray
     edge_left: np.ndarray
-    edge_right: np.ndarray
+    edge_right: float
     k_values: np.ndarray
     k0: float
     mu0: float
@@ -77,7 +78,7 @@ class WeightTable:
         if p == 0:
             return float(self.edge_left[n])
         if p == n:
-            return float(self.edge_right[n])
+            return self.edge_right
         return float(self.body[n - p])
 
     def coefficients(self, n: int) -> np.ndarray:
@@ -87,7 +88,7 @@ class WeightTable:
         out = np.empty(n + 1)
         out[0] = self.edge_left[n]
         out[1:n] = self.body[n - 1:0:-1]
-        out[n] = self.edge_right[n]
+        out[n] = self.edge_right
         return out
 
 
@@ -121,9 +122,9 @@ def _interval_moments(kernel: KernelLike, tau: float, n_intervals: int, order: i
 def _assemble(kernel: KernelLike, tau: float, n_max: int, order: int):
     flat, rise = _interval_moments(kernel, tau, n_max + 1, order)
     fall = flat - rise  # integral of K against the falling half-hat
-    body, edge_right = rise[:-1] + fall[1:], np.full(n_max + 1, fall[1])
-    body[0] = edge_right[0] = 0.0
-    return body, rise[:-1], edge_right
+    body = rise[:-1] + fall[1:]
+    body[0] = 0.0
+    return body, rise[:-1], float(fall[1])
 
 
 def build_weight_table(kernel: KernelLike, tau: float, n_max: int) -> WeightTable:
@@ -150,7 +151,7 @@ def build_weight_table(kernel: KernelLike, tau: float, n_max: int) -> WeightTabl
     else:
         which = int(np.argmax([float(d.max()) for d in deltas]))
         idx = int(np.argmax(deltas[which]))
-        n, p = (idx + 1, 1) if which == 0 else ((idx, 0) if which == 1 else (idx, idx))
+        n, p = (idx + 1, 1) if which == 0 else ((idx, 0) if which == 1 else (1, 1))
         raise QuadratureError(
             f"weight quadrature did not reach {WEIGHT_TOL} at (n, p) = ({n}, {p})"
         )
@@ -162,9 +163,9 @@ def build_weight_table(kernel: KernelLike, tau: float, n_max: int) -> WeightTabl
     if isinstance(kernel, KernelSpec):
         if not 0.0 < k0 < 1.0:
             raise ArithmeticError(f"K(0) = {k0} is outside (0, 1)")
-        if edge_right[1] <= 0.0:
+        if edge_right <= 0.0:
             raise ArithmeticError(
-                f"diagonal weight {edge_right[1]} is not positive; "
+                f"diagonal weight {edge_right} is not positive; "
                 f"tau = {tau} is too large for this kernel"
             )
         running = np.cumsum(edge_left[1:])
@@ -186,20 +187,15 @@ def build_weight_table(kernel: KernelLike, tau: float, n_max: int) -> WeightTabl
     )
 
 
-def hat_weights(rates: np.ndarray, tau: float):
-    """The hat integrals (c_b, c_e) of K(t) = exp(-w t) for each complex rate w.
+def hat_weights(rates: np.ndarray, tau: float) -> np.ndarray:
+    """The full-hat integral c_b of K(t) = exp(-w t) for each complex rate w.
 
-    For that K the weights of the table are body[j] = c_b exp(-w j tau) and
-    edge_left[n] = c_e exp(-w n tau), with c_b = tau (sinh(w tau/2) /
-    (w tau/2))**2 from the full hat and c_e = (exp(w tau) - 1 - w tau) /
-    (w**2 tau) from the half hat at p = 0.  c_e is summed as its power
-    series where |w tau| < 1, so that the difference does not cancel; w
+    For that K the interior weights of the table are body[j] =
+    c_b exp(-w j tau), with c_b = tau (sinh(w tau/2) / (w tau/2))**2; w
     must not be 0.
     """
     y = np.asarray(rates) * tau
-    series = np.polyval([1.0 / math.factorial(k + 2) for k in range(20, -1, -1)], y)
-    return (tau * (np.sinh(0.5 * y) / (0.5 * y)) ** 2,
-            tau * np.where(np.abs(y) < 1.0, series, (np.exp(y) - 1.0 - y) / (y * y)))
+    return tau * (np.sinh(0.5 * y) / (0.5 * y)) ** 2
 
 
 def convolve(table: WeightTable, n: int, samples) -> np.ndarray:

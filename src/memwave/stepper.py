@@ -26,11 +26,11 @@ table serve every step.  The history binds both when it is built, and
 problem.  The history always steps at its own last level n = n_last.
 
 The memory sum of step n weights the whole velocity history.  For a
-KernelSpec, `_Memory` forms it from an exact window of recent rows and a
-few exponential modes that hold all older ones, in storage that does not
-grow with the run; its docstring says how.  A callable kernel hook keeps
-every row and sums them directly, unless its weights are all 0, as the zero
-hook's are: then the memory keeps nothing and the sum is 0.
+KernelSpec, `_Memory` forms it from the initial velocity, an exact window
+of recent rows and a few exponential modes that hold all older ones, in
+storage that does not grow with the run; its docstring says how.  A table
+whose weights are all 0, as the zero kernel hook's are, gets a memory that
+keeps nothing and sums to 0; a history refuses any other kernel hook.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ class _StepConstants:
     def build(cls, ops: DiscreteOperators, table: WeightTable,
               initial: np.ndarray) -> "_StepConstants":
         lam, tau, mu0 = ops.eigenvalues, table.tau, table.mu0
-        w_nn = float(table.edge_right[1])
+        w_nn = table.edge_right
         elastic = 0.5 * mu0 + w_nn / (2.0 * tau)
         if elastic <= 0.0:
             raise StepError(
@@ -210,56 +210,53 @@ class _StepConstants:
 class _Memory:
     """The memory sum of one run: sum over p < n of w(n, p) * d_p for step n.
 
-    d_p is the row that push(p, row) hands over, in order of p.  Steps are
+    d_0 is the initial velocity the memory is built with, and d_p for
+    p >= 1 the row that push(p, row) hands over, in order of p.  Steps are
     taken in blocks of L0 = _MEMORY_BLOCK, aligned to multiples of L0; step
-    n = s + i of the block starting at s weights the rows p > s - L0, at
-    lags below L0 + i, with the table's exact weights.  Every older row
-    lives on in 2K real state rows, the real and imaginary parts of the K
-    complex modes H_k = sum_{p <= s - L0} a_k c_k rho_k**(s - p) d_p, with
+    n = s + i of the block starting at s weights d_0 with edge_left[n], and
+    the rows p > max(0, s - L0), at lags below L0 + i, with the table's
+    exact body weights.  Every older row p >= 1 lives on in 2K real state
+    rows, the real and imaginary parts of the K complex modes
+    H_k = sum_{1 <= p <= s - L0} a_k c_k rho_k**(s - p) d_p, with
     rho_k = exp(-w_k tau), K(t) = Re sum_k a_k exp(-w_k t) as
-    `kernel.exponential_modes` gives it and c_k the hat weight of
-    `hat_weights` (c_e for p = 0, c_b otherwise).  Step n adds
-    Re sum_k rho_k**i H_k for them, so the storage does not grow with the
-    run.  For alpha = 1/2 the modes are compressed to the tail's numerical
-    rank: K = 18 on the 2d benchmark and 27 on the 1d one, where the
-    quadrature alone gives 54 and 68, and every cost of a block below
-    scales with K.
+    `kernel.exponential_modes` gives it and c_k the full-hat weight of
+    `hat_weights`.  Step n adds Re sum_k rho_k**i H_k for them, so the
+    storage does not grow with the run.  For alpha = 1/2 the modes are
+    compressed to the tail's numerical rank: K = 18 on the 2d benchmark
+    and 27 on the 1d one, where the quadrature alone gives 54 and 68, and
+    every cost of a block below scales with K.
 
-    `_front` holds [states | ring]: the 2K state rows, then the rows
-    s - 31 .. s - 1 of the previous block and the L0 slots of the current
-    block, where push writes row p to slot p - s.  When the last row of a
-    block arrives, two GEMMs and a copy serve the next block s' = s + L0
-    in `_back`: the advance states <- `_advance` @ [states; rows
-    s - 31 .. s], which absorbs the rows leaving the window and turns each
-    mode by rho**L0; a copy of rows s + 1 .. s + 31; and the far and near
-    sums of all steps of the block, [Re rho**i | -Im rho**i |
-    body[31 + i - c]] @ [states; those 31 rows], parked in the slots, which
-    push overwrites only after step s' + i has read slot i.  Step s' + i
-    then adds its rows p >= s' with one short GEMV; the first block, which
-    has no states, takes the direct sum.  The buffers then swap.  So a
-    block costs a (2K) x (2K + 32) and a 32 x (2K + 63) GEMM against
-    buffers of (2K + 63) x ndof.
+    Both buffers hold [d_0 | states | ring]: d_0, the 2K state rows, then
+    the rows s - 31 .. s - 1 of the previous block and the L0 slots of the
+    current block, where push writes row p to slot p - s.  Two GEMMs and a
+    copy, the turn, serve each block s' in `_back`: once when the memory
+    is built, for s' = 0, and then when the last row of the block
+    s = s' - L0 arrives.  They are the advance states <- `_advance` @
+    [states; rows s - 31 .. s], which absorbs the rows leaving the window
+    and turns each mode by rho**L0; a copy of rows s + 1 .. s + 31; and
+    the far and near sums of all steps of the block, [edge_left[s' + i] |
+    Re rho**i | -Im rho**i | body[31 + i - c]] @ [d_0; states; those 31
+    rows], parked in the slots, which push overwrites only after step
+    s' + i has read slot i; then the buffers swap.  Step s' + i adds its
+    rows p >= s' with one short GEMV.  The first turn finds no rows,
+    and push never writes slot 0 of the first block, as d_0 has its own
+    row: that slot keeps the parked sum of step 0, edge_left[0] d_0 = 0,
+    which the GEMVs and the next advance read as a zero row.  So a block
+    costs a (2K) x (2K + 32) and a 32 x (2K + 64) GEMM against buffers of
+    (2K + 64) x ndof.
 
     Building the memory raises QuadratureError naming the mode if a rate
     is not finite with Re w > 0, since that mode would not decay.  It
-    then checks the mode weights against table.body and
-    table.edge_left at every lag j >= L0 the run reaches, and raises
-    QuadratureError naming the first lag off by more than _MODE_TOL *
-    tau * exp(-sigma (j - 1) tau).  The sum then differs from the direct
-    one by the rounding of its terms and that mismatch.
-
-    A callable kernel hook has no modes: its one block spans the whole run,
-    so it keeps every row and every sum is the direct one,
-    coefficients(n)[:n] @ rows.  A table whose memory weights are all 0
-    gets a `_NoMemory` instead.
+    then checks the mode weights against table.body at every lag j >= L0
+    the run reaches, and raises QuadratureError naming the first lag off
+    by more than _MODE_TOL * tau * exp(-sigma (j - 1) tau).  The sum then
+    differs from the direct one by the rounding of its terms and that
+    mismatch.  The memory needs the modes of a KernelSpec table.
     """
 
-    def __init__(self, table: WeightTable, n_steps: int, ndof: int):
+    def __init__(self, table: WeightTable, n_steps: int, initial_velocity: np.ndarray):
         tau, self._last, self._table = table.tau, n_steps - 1, table
-        if not isinstance(table.kernel, KernelSpec):
-            self._block, self._offset, self._front = n_steps + 1, 0, np.zeros((n_steps + 1, ndof))
-            return
-        block = self._block = _MEMORY_BLOCK
+        block = _MEMORY_BLOCK
         amplitudes, rates = exponential_modes(table.kernel, (block - 1) * tau,
                                               max(n_steps, block) * tau)
         decays = np.isfinite(rates) & (rates.real > 0.0)
@@ -267,65 +264,62 @@ class _Memory:
             k = int(np.argmin(decays))
             raise QuadratureError(f"exponential mode {k} has rate w = {rates[k]:.6g}; "
                                   f"every mode must decay, with finite Re w > 0")
-        body, edge = (amplitudes * c for c in hat_weights(rates, tau))
+        body = amplitudes * hat_weights(rates, tau)
         rho = np.exp(-np.outer(rates * tau, np.arange(2 * block)))  # rho_k**j, j < 2 L0
-        _check_modes(table, body, edge, rates, rho[:, :block], self._last)
+        _check_modes(table, body, rates, rho[:, :block], self._last)
         # column r of absorb takes the leaving row s' - 2 L0 + 1 + r at lag 2 L0 - 1 - r
         absorb, turn = body[:, None] * rho[:, :block - 1:-1], np.diag(rho[:, block])
         self._advance = np.block([[turn.real, -turn.imag, absorb.real],
                                   [turn.imag, turn.real, absorb.imag]])
-        self._first = np.concatenate([(edge * rho[:, block]).real, (edge * rho[:, block]).imag])
-        # lags beyond the table appear only in rows of steps past the run
+        # lags beyond the table appear only in rows of steps past the run;
+        # column 0, the weights of d_0, is filled by each turn
         lags = np.clip(block - 1 + np.arange(block)[:, None] - np.arange(2 * block - 1),
                        0, table.n_max)
-        self._weights = np.hstack([rho[:, :block].real.T, -rho[:, :block].imag.T,
-                                   table.body[lags]])
-        self._offset = 2 * rates.size + block - 1
-        self._front, self._back = np.zeros((2, self._offset + block, ndof))
+        self._weights = np.hstack([np.zeros((block, 1)), rho[:, :block].real.T,
+                                   -rho[:, :block].imag.T, table.body[lags]])
+        self._offset = 2 * rates.size + block
+        self._front, self._back = np.zeros((2, self._offset + block, initial_velocity.size))
+        self._front[0] = self._back[0] = initial_velocity
+        self._turn(0)
 
     def push(self, p: int, row: np.ndarray) -> None:
-        """Take row p, once rows 0..p-1 are in."""
-        self._front[self._offset + p % self._block] = row
-        if p % self._block == self._block - 1 and p < self._last:
+        """Take row p >= 1, once rows 1..p-1 are in."""
+        self._front[self._offset + p % _MEMORY_BLOCK] = row
+        if p % _MEMORY_BLOCK == _MEMORY_BLOCK - 1 and p < self._last:
             self._turn(p + 1)
 
     def _turn(self, start: int) -> None:
-        front, back, o, k2 = self._front, self._back, self._offset, self._first.size
-        if start == _MEMORY_BLOCK:  # H(L0) = first * d_0
-            np.outer(self._first, front[o], out=back[:k2])
-        else:
-            np.matmul(self._advance, front[:o + 1], out=back[:k2])
-        back[k2:o] = front[o + 1:]
+        front, back, o, k2 = self._front, self._back, self._offset, self._advance.shape[0]
+        np.matmul(self._advance, front[1:o + 1], out=back[1:k2 + 1])
+        back[k2 + 1:o] = front[o + 1:]
         stop = min(_MEMORY_BLOCK, self._last + 1 - start)
+        self._weights[:stop, 0] = self._table.edge_left[start:start + stop]
         np.matmul(self._weights[:stop, :o], back[:o], out=back[o:o + stop])
         self._front, self._back = back, front
 
     def __call__(self, n: int) -> np.ndarray:
-        """The memory sum of step n, once rows 0..n-1 are pushed."""
-        front, o, i = self._front, self._offset, n % self._block
-        if n < self._block:
-            return self._table.coefficients(n)[:n] @ front[o:o + n]
+        """The memory sum of step n, once rows 1..n-1 are pushed."""
+        front, o, i = self._front, self._offset, n % _MEMORY_BLOCK
         return front[o + i] + self._weights[i, o:o + i] @ front[o:o + i]
 
 
-def _check_modes(table: WeightTable, body: np.ndarray, edge: np.ndarray,
-                 rates: np.ndarray, inner: np.ndarray, last: int) -> None:
+def _check_modes(table: WeightTable, body: np.ndarray, rates: np.ndarray,
+                 inner: np.ndarray, last: int) -> None:
     """Raise QuadratureError unless Re sum_k body_k rho_k**j matches
-    table.body[j], and the same with edge for table.edge_left[j], within
-    _MODE_TOL * tau * exp(-sigma (j - 1) tau) at every lag L0 <= j <= last.
-    rho**j is formed by its factors rho**(L0 q) and inner = rho**r, j = L0 q + r."""
+    table.body[j] within _MODE_TOL * tau * exp(-sigma (j - 1) tau) at
+    every lag L0 <= j <= last.  rho**j is formed by its factors
+    rho**(L0 q) and inner = rho**r, j = L0 q + r."""
     tau, block = table.tau, _MEMORY_BLOCK
     lags = np.arange(block, last + 1)
     outer = np.exp(-np.outer(np.arange(1, last // block + 1) * (block * tau), rates))
     bound = _MODE_TOL * tau * np.exp(-table.kernel.sigma * tau * (lags - 1))
-    for coef, column in ((body, table.body), (edge, table.edge_left)):
-        off = np.abs(((outer * coef) @ inner).real.ravel()[:lags.size] - column[lags])
-        ratio = off / np.maximum(bound, np.finfo(float).tiny)
-        if lags.size and not ratio.max() <= 1.0:
-            raise QuadratureError(
-                f"exponential modes miss the weight at lag {lags[ratio.argmax()]} by "
-                f"{ratio.max():.3g} times {_MODE_TOL:g} * tau * exp(-sigma * (lag - 1) * tau)"
-            )
+    off = np.abs(((outer * body) @ inner).real.ravel()[:lags.size] - table.body[lags])
+    ratio = off / np.maximum(bound, np.finfo(float).tiny)
+    if lags.size and not ratio.max() <= 1.0:
+        raise QuadratureError(
+            f"exponential modes miss the weight at lag {lags[ratio.argmax()]} by "
+            f"{ratio.max():.3g} times {_MODE_TOL:g} * tau * exp(-sigma * (lag - 1) * tau)"
+        )
 
 
 class _NoMemory:
@@ -353,11 +347,13 @@ class SimulationHistory:
     coefficients, and initial_velocity the discrete initial velocity.  The
     memory sum weights the rows d_0 = initial_velocity and, for p >= 1, the
     centered differences d_p = (U^{p+1} - U^{p-1}) / (2 tau), also modal,
-    and the step scales the result by the eigenvalues.  push hands each
-    new d_p to the run's memory, which keeps what later sums need: a
-    `_Memory` of O(ndof) rows for a KernelSpec table, every row for a
-    callable hook, and none (`_NoMemory`) when the table's memory weights
-    are all 0.  The nodal initial data u0 and u1h are kept as given.
+    and the step scales the result by the eigenvalues.  The run's memory
+    is built with d_0, and push hands it each new d_p; it keeps what later
+    sums need: none (`_NoMemory`) when the table's memory weights are all
+    0, as the zero kernel hook's are, and otherwise a `_Memory` of O(ndof)
+    rows, which needs a KernelSpec table.  A table of any other kernel
+    hook raises ValueError.  The nodal initial data u0 and u1h are kept as
+    given.
 
     observe(n, coeffs) is called with U^0 here and with every pushed level.
     Without an observer the history records the whole trajectory, which
@@ -387,11 +383,13 @@ class SimulationHistory:
         self.previous = self.current = self.initial
         self.constants = _StepConstants.build(ops, table, self.initial)
         self._count = 1
-        if table.body.any() or table.edge_left.any():
-            self._memory = _Memory(table, self.n_steps, self.u0.size)
-        else:
+        if not (table.body.any() or table.edge_left.any()):
             self._memory = _NoMemory(self.u0.size)
-        self._memory.push(0, self.initial_velocity)
+        elif isinstance(table.kernel, KernelSpec):
+            self._memory = _Memory(table, self.n_steps, self.initial_velocity)
+        else:
+            raise ValueError("the memory of a kernel hook with nonzero weights has no "
+                             "exponential modes; give a KernelSpec")
         self._trajectory = Trajectory(n_steps, self.u0.size) if observe is None else None
         self._observe = self._trajectory if observe is None else observe
         self._observe(0, self.initial)

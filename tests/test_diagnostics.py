@@ -34,7 +34,8 @@ SINE_PROBLEM = Problem(
 
 
 def _stationary_history(mesh, ops, state, tau=0.1, mu0=0.75, steps=3):
-    table = build_weight_table(constant_transform(1.0 - mu0), tau, max(1, steps))
+    # alpha = 1, gamma = 0: K(0) = 1/sigma = 1 - mu0
+    table = build_weight_table(KernelSpec(1.0, 1.0 / (1.0 - mu0)), tau, max(1, steps))
     hist = SimulationHistory(mesh, ops, table, state, np.zeros_like(state), steps)
     for _ in range(steps):
         hist.push(hist.coefficients[0].copy())

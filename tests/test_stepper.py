@@ -376,7 +376,7 @@ def _dense_direct(ops, mesh, problem, damping, table, tau, n_steps):
         if n >= 2:
             vel.append((states[n] - states[n - 2]) / (2.0 * tau))
         q_n = q(states[n])
-        w_nn = table.edge_right[n]
+        w_nn = table.edge_right
         lhs = (1.0 / tau**2 + q_n / (2.0 * tau)) * mass + (0.5 * mu0 + w_nn / (2.0 * tau)) * stiff
         memory = stiff @ (table.coefficients(n)[:n] @ np.array(vel))
         rhs = (
@@ -451,6 +451,14 @@ class TestBlockedMemorySum:
         assert table.n_max == n_steps - 1
         self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"), table, n_steps)
 
+    def test_run_shorter_than_one_block(self):
+        # the turn that serves the first block is clipped at the run's
+        # last step, which the table ends at
+        n_steps = 20
+        tau = 1.0 / n_steps
+        table = build_weight_table(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
+        self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"), table, n_steps)
+
     def test_2d(self):
         # the table reaches past the run, whose last step clips the last block
         n_steps = 2 * _MEMORY_BLOCK + 13
@@ -477,7 +485,7 @@ class TestBlockedMemorySum:
         table = build_weight_table(KernelSpec(1.0, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
         mesh, problem = (Mesh(1, 16), SINE_PROBLEM) if dim == 1 else (Mesh(2, 8), BUMP_PROBLEM)
         hist = self._step_and_compare(mesh, problem, DampingSpec("sqrt"), table, n_steps)
-        assert hist._memory._offset == 2 + _MEMORY_BLOCK - 1
+        assert hist._memory._offset == 1 + 2 + _MEMORY_BLOCK - 1
 
     def test_block_operand_reads_the_body_weights(self):
         # the near columns of the block operand: entry [i, c] is
@@ -564,7 +572,7 @@ class TestMemoryWindow:
         assert np.all(hist.coefficients == 0.0)
         assert not hist._memory._front.any() and not hist._memory._back.any()
 
-    @pytest.mark.parametrize("column, lag", [("body", 40), ("edge_left", _MEMORY_BLOCK)])
+    @pytest.mark.parametrize("column, lag", [("body", 40)])
     def test_mode_misfit_raises_quadrature_error(self, column, lag):
         # a weight the modes do not reproduce, at a lag the modes serve, is
         # refused when the history is built; inside the exact window it is not
@@ -580,6 +588,36 @@ class TestMemoryWindow:
                     SimulationHistory(mesh, assemble(mesh), bad, u0, u1, 101)
             else:
                 SimulationHistory(mesh, assemble(mesh), bad, u0, u1, 101)
+
+    def test_edge_column_is_read_from_the_table(self):
+        # the modes serve body alone, and d_0 takes edge_left[n] from the
+        # table at every step: an edge weight off by far more than the
+        # modes' tolerance is accepted, and moves the memory sum of its
+        # step by delta * d_0
+        mesh, damping, at, delta = Mesh(1, 8), DampingSpec("sqrt"), 40, 1e-11 * self.TAU
+        table = build_weight_table(self.KERNEL, self.TAU, 100)
+        edge = table.edge_left.copy()
+        edge[at] += delta
+        sums = []
+        for weights in (table, dataclasses.replace(table, edge_left=edge)):
+            hist = SimulationHistory(mesh, assemble(mesh), weights,
+                                     interpolate(mesh, SINE_PROBLEM.u0),
+                                     interpolate(mesh, SINE_PROBLEM.u1), 101)
+            taylor_start(hist, damping, SINE_PROBLEM)
+            while hist.n_last < at:
+                step(hist, damping, SINE_PROBLEM)
+            sums.append(hist.memory_sum())
+        scale = np.abs(table.coefficients(at)[:at]) @ np.abs(_velocity_rows(hist))
+        moved = sums[1] - sums[0] - delta * hist.initial_velocity
+        assert np.all(np.abs(moved) <= 4.0 * np.finfo(float).eps * scale)
+
+    def test_nonzero_kernel_hook_is_refused(self):
+        # a callable hook has no exponential modes; only the zero hook,
+        # whose memory keeps nothing, may drive a run
+        mesh = Mesh(1, 8)
+        table = build_weight_table(constant_transform(0.5), 0.1, 4)
+        with pytest.raises(ValueError, match="KernelSpec"):
+            SimulationHistory(mesh, assemble(mesh), table, np.zeros(7), np.zeros(7), 5)
 
     @pytest.mark.parametrize("real", [0.0, -0.5])
     def test_growing_mode_raises_quadrature_error(self, monkeypatch, real):

@@ -80,7 +80,7 @@ class TestUnitHook:
         table = build_weight_table(constant_transform(1.0), tau, 10)
         assert np.allclose(table.body[1:], tau, atol=1e-12)
         assert np.allclose(table.edge_left[1:], tau / 2.0, atol=1e-12)
-        assert np.allclose(table.edge_right[1:], tau / 2.0, atol=1e-12)
+        assert table.edge_right == pytest.approx(tau / 2.0, abs=1e-12)
 
     def test_zero_hook(self):
         table = build_weight_table(constant_transform(0.0), 0.1, 5)
@@ -106,7 +106,7 @@ class TestConstruction:
     def test_diagonal_weight_positive(self):
         for spec in (KernelSpec(1.0, 2.0, 2.0), KernelSpec(0.5, 3.0, 3.0 * ROOT3)):
             table = build_weight_table(spec, 1.0 / 64.0, 16)
-            assert table.edge_right[1] > 0.0
+            assert table.edge_right > 0.0
 
     @pytest.mark.parametrize(
         "spec",
@@ -223,10 +223,10 @@ class TestAdmissibleBox:
         tau = step / abs(z)
         table = build_weight_table(spec, tau, n_max)
         assert 0.0 < table.k0 < 1.0
-        assert table.edge_right[1] > 0.0
+        assert table.edge_right > 0.0
         assert np.cumsum(table.edge_left[1:]).max() <= 1.0 + 1e-12
         # a history on the table checks the memory's mode weights against
-        # body and edge_left at every lag from L0 on, and raises if one is off
+        # body at every lag from L0 on, and raises if one is off
         mesh = Mesh(1, 4)
         SimulationHistory(mesh, assemble(mesh), table, np.zeros(3), np.zeros(3), n_max + 1)
         if alpha == 0.5:
@@ -279,18 +279,16 @@ class TestExponentialModes:
 
     @pytest.mark.parametrize("rate", [2.0 - 1.5j, 0.05 + 0.0j, 40.0 + 20.0j, 1e-4 - 1e-4j])
     def test_hat_weights_of_one_exponential(self, rate):
-        # c_b and c_e against 30-point Gauss on each half hat of exp(-w (tau - s)):
-        # a full hat at lag 1 and the half hat at p = 0, n = 1; the series
-        # (|w tau| < 1) and the closed form both
+        # c_b against 30-point Gauss on each half of the full hat at lag 1
+        # of exp(-w (tau - s))
         tau = 0.1
         x, w = np.polynomial.legendre.leggauss(30)
         s = 0.5 * tau * (x + 1.0)  # nodes on [0, tau]
         falling = 0.5 * tau * np.sum(w * np.exp(-rate * (tau - s)) * (1.0 - s / tau))
         rising = 0.5 * tau * np.sum(w * np.exp(-rate * (tau - s + tau)) * (s / tau))
-        body, edge = hat_weights(np.array([rate]), tau)
+        body = hat_weights(np.array([rate]), tau)
         scale = tau * abs(np.exp(-rate * tau))
         assert abs(body[0] * np.exp(-rate * tau) - (falling + rising)) <= 1e-14 * scale
-        assert abs(edge[0] * np.exp(-rate * tau) - falling) <= 1e-14 * scale
 
 
 class TestConvolve:

@@ -55,8 +55,8 @@ class WeightTable:
     kernel                : the kernel the weights integrate
 
     Index 0 of body/edge_left is unused padding, 0, so that index n means
-    step n throughout.  The table holds these arrays and
-    nothing derived from them; no run writes into them.
+    step n throughout.  The table holds these arrays and nothing derived
+    from them; no run writes into them.
     """
 
     tau: float

@@ -22,6 +22,7 @@ from .fem import (
 )
 from .stepper import (
     DampingSpec,
+    LevelNorms,
     Problem,
     SimulationHistory,
     SolverError,

@@ -1,11 +1,12 @@
 """Measured quantities: discrete energy, stability norm, self-convergence.
 
 A run's diagnostics are computed as its levels arrive.  `RunDiagnostics` is
-an observer for `stepper.run`: it reduces a block of levels at a time to the
-energy and stability series with vectorized formulas, maps checkpoints to
+an observer for `stepper.run`: it keeps the squared norms each level arrives
+with (`stepper.LevelNorms`), forms the energy and stability series from them
+in one vectorized pass when the last level arrives, maps checkpoints to
 nodal values when their step is reached and keeps the terminal gradient, so
-no state buffer outlives the run.  `discrete_energy` and `a_norm` evaluate
-one step of a recorded trajectory.
+it holds no state buffer and reads no level a second time.
+`discrete_energy` and `a_norm` evaluate one step of a recorded trajectory.
 
 The model problems have no closed-form solutions, so convergence is measured
 by comparing runs on successive refinements: `self_error_time` contrasts the
@@ -27,7 +28,7 @@ import numpy as np
 
 from .fem import DiscreteOperators, Mesh, gradient_array, interpolate
 from .quadweights import WeightTable
-from .stepper import Problem, SimulationHistory
+from .stepper import LevelNorms, Problem, SimulationHistory
 
 __all__ = [
     "DiagnosticsRecord",
@@ -45,10 +46,8 @@ __all__ = [
 #: fixed formatting for all emitted floating-point values
 FLOAT_FMT = "%.17g"
 
-#: entries per block of levels that RunDiagnostics reduces at once (1 MiB of float64);
-#: BLAS rounds a row by its place in the block, so the block edges set the last
-#: bits of the series and energy.csv
-_BLOCK_VALUES = 1 << 17
+#: one row of energy.csv, ended as csv.writer ends its rows
+_ENERGY_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"
 
 
 def discrete_energy(history: SimulationHistory, ops: DiscreteOperators, n: int) -> float:
@@ -99,7 +98,7 @@ class TerminalGradient:
         self.n_last = int(n_steps)
         self.gradient: Optional[np.ndarray] = None
 
-    def __call__(self, n: int, coeffs: np.ndarray) -> None:
+    def __call__(self, n: int, coeffs: np.ndarray, norms: LevelNorms) -> None:
         if n == self.n_last:
             self.gradient = gradient_array(self.mesh, self.ops.to_nodal(coeffs))
 
@@ -180,12 +179,13 @@ class RunDiagnostics(TerminalGradient):
 
     Step n of the series is `discrete_energy` and `a_norm` at n; it needs
     U^{n-1}, U^n and U^{n+1}, so a run of n_steps steps gives n_steps
-    entries.  Levels are copied into a block of about _BLOCK_VALUES entries.
-    When the block is full, one vectorized pass forms the series for its
-    steps, and its two newest levels carry over into the next block.  The
-    initial data come from `problem`: the nodal u0 is checkpoint 0, and the
-    initial velocity enters the energy at n = 0.  The run's weight table
-    gives tau and mu0.
+    entries.  Each level arrives with its `LevelNorms`; level k gives the
+    elastic norm of U^k, the velocity of step k - 1 (the initial velocity
+    at k = 1) and the increment U^k - U^{k-1}.  Until the last level
+    arrives, `energy` and `a_norms` hold the squared velocity and increment
+    norms of each step; then one vectorized pass turns them into the series
+    with the elastic norms.  The nodal u0 of `problem` is checkpoint 0, and
+    the run's weight table gives tau and mu0.
     """
 
     def __init__(self, mesh: Mesh, ops: DiscreteOperators, problem: Problem,
@@ -197,34 +197,20 @@ class RunDiagnostics(TerminalGradient):
         self.checkpoints: dict[int, np.ndarray] = {}
         self._wanted = frozenset(checkpoints)
         self._u0 = interpolate(mesh, problem.u0)
-        self._v1 = ops.to_modal(interpolate(mesh, problem.u1))
-        self._rows = max(1, _BLOCK_VALUES // mesh.n_interior)
-        # row j holds U^{start - 1 + j} for the block of steps start..stop-1
-        self._levels = np.zeros((self._rows + 2, mesh.n_interior))
-        self._start, self._stop = 0, min(self._rows, self.n_last)
+        self._elastic = np.empty(self.n_last + 1)
 
-    def __call__(self, n: int, coeffs: np.ndarray) -> None:
-        self._levels[n - self._start + 1] = coeffs
+    def __call__(self, n: int, coeffs: np.ndarray, norms: LevelNorms) -> None:
+        self._elastic[n] = norms.elastic
+        if n:
+            self.energy[n - 1], self.a_norms[n - 1] = norms.velocity, norms.increment
         if n in self._wanted:
             self.checkpoints[n] = self._u0.copy() if n == 0 else self.ops.to_nodal(coeffs)
-        if n == self._stop:
-            self._reduce()
-        super().__call__(n, coeffs)
-
-    def _reduce(self) -> None:
-        start, stop = self._start, self._stop
-        rows, levels = stop - start, self._levels
-        c = levels[1:rows + 2]  # U^start..U^stop
-        elastic = (c * c) @ self.ops.eigenvalues  # ||U^k||_A^2
-        vel = (levels[2:rows + 2] - levels[:rows]) / (2.0 * self.tau)
-        if start == 0:
-            vel[0] = self._v1
-        dt = (c[1:] - c[:-1]) / self.tau
-        self.energy[start:stop] = 0.5 * np.einsum("ij,ij->i", vel, vel) + 0.5 * elastic[:-1]
-        self.a_norms[start:stop] = np.sqrt(np.einsum("ij,ij->i", dt, dt)
-                                           + 0.5 * self.mu0 * (elastic[1:] + elastic[:-1]))
-        levels[:2] = levels[rows:rows + 2]
-        self._start, self._stop = stop, min(stop + self._rows, self.n_last)
+        if n == self.n_last:
+            elastic = self._elastic
+            self.energy[:] = 0.5 * self.energy + 0.5 * elastic[:-1]
+            self.a_norms[:] = np.sqrt(self.a_norms / self.tau**2
+                                      + 0.5 * self.mu0 * (elastic[1:] + elastic[:-1]))
+        super().__call__(n, coeffs, norms)
 
     def record(self, run_id: str, **meta) -> DiagnosticsRecord:
         """The measurement bundle of the finished run."""
@@ -236,13 +222,13 @@ class RunDiagnostics(TerminalGradient):
 
 
 def write_energy_csv(path, record: DiagnosticsRecord) -> None:
-    """Energy series as CSV with fixed columns n, t, energy, a_norm."""
+    """Energy series as CSV with fixed columns n, t, energy, a_norm, in the
+    bytes csv.writer gives: no field needs quoting, rows end in CRLF."""
+    tau = record.meta["tau"]
+    rows = enumerate(zip(record.energy.tolist(), record.a_norms.tolist()))
+    text = "".join(_ENERGY_ROW % (n, n * tau, e, a) for n, (e, a) in rows)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["n", "t", "energy", "a_norm"])
-        tau = record.meta["tau"]
-        for n, (e, a) in enumerate(zip(record.energy, record.a_norms)):
-            writer.writerow([n, FLOAT_FMT % (n * tau), FLOAT_FMT % e, FLOAT_FMT % a])
+        handle.write("n,t,energy,a_norm\r\n" + text)
 
 
 def write_convergence_csv(path, rows) -> None:

@@ -17,8 +17,12 @@ states a caller reads back.
 A run streams: a step reads U^0, U^{n-1}, U^n and the memory sum over the
 velocity differences, and the history keeps only those and what the memory
 sum needs.  Every new level goes to an observer, a callable
-observe(n, coeffs); without one the history records the whole trajectory
-through the `Trajectory` observer.
+observe(n, coeffs, norms), with the `LevelNorms` that push forms from the
+arrays it already holds: the squared mass and elastic norms of the level,
+which also give the damping coefficient of the next step, the squared norm
+of the memory row it hands over and that of the increment.  Without an
+observer the history records the whole trajectory through the `Trajectory`
+observer.
 
 The step size is fixed for the whole run, so one modal basis and one weight
 table serve every step.  The history binds both when it is built, and
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,6 +51,7 @@ from .quadweights import WeightTable, build_weight_table, hat_weights
 
 __all__ = [
     "DampingSpec",
+    "LevelNorms",
     "Problem",
     "SimulationHistory",
     "SolverError",
@@ -139,14 +144,34 @@ class Problem:
     f: Optional[Callable] = None
 
 
-def damping_value(spec: DampingSpec, ops: DiscreteOperators, coeffs: np.ndarray) -> float:
-    """q = G(mu1 * ||u||_M^2 + mu2 * ||u||_A^2) for the current state.
+class LevelNorms(NamedTuple):
+    """Squared norms of the level U^k, formed by `SimulationHistory.push`
+    from arrays it holds anyway, in the modal basis where ||v||_M^2 =
+    sum(v^2) and ||v||_A^2 = sum(eigenvalues * v^2).
 
-    `coeffs` holds the state in the modal basis of ops, where the two norms
-    are sum(coeffs^2) and sum(eigenvalues * coeffs^2).
+    mass      : ||U^k||_M^2
+    elastic   : ||U^k||_A^2
+    velocity  : ||d_{k-1}||_M^2 of the memory row handed over with U^k, the
+                initial velocity at k = 1 and (U^k - U^{k-2}) / (2 tau)
+                after, so it lags the level by one; nan at k = 0
+    increment : ||U^k - U^{k-1}||_M^2; nan at k = 0
     """
-    lam = ops.eigenvalues
-    z = spec.mu1 * float(coeffs @ coeffs) + spec.mu2 * float((lam * coeffs) @ coeffs)
+
+    mass: float
+    elastic: float
+    velocity: float
+    increment: float
+
+
+def _state_norms(eigenvalues: np.ndarray, coeffs: np.ndarray) -> tuple[float, float]:
+    """||u||_M^2 and ||u||_A^2 of the modal coefficients of u."""
+    return float(coeffs @ coeffs), float((eigenvalues * coeffs) @ coeffs)
+
+
+def damping_value(spec: DampingSpec, norms: LevelNorms) -> float:
+    """q = G(mu1 * ||u||_M^2 + mu2 * ||u||_A^2) for a state whose squared
+    norms are norms.mass and norms.elastic."""
+    z = spec.mu1 * norms.mass + spec.mu2 * norms.elastic
     q = spec.value(z)
     if not q >= spec.g0:
         raise StepError(
@@ -155,9 +180,10 @@ def damping_value(spec: DampingSpec, ops: DiscreteOperators, coeffs: np.ndarray)
     return q
 
 
-# observe(n, coeffs) receives the modal coefficients of U^n, which the
-# stepper goes on reading: an observer copies what it keeps and writes nothing
-Observer = Callable[[int, np.ndarray], None]
+# observe(n, coeffs, norms) receives the modal coefficients of U^n, which the
+# stepper goes on reading (an observer copies what it keeps and writes
+# nothing), and their LevelNorms
+Observer = Callable[[int, np.ndarray, LevelNorms], None]
 
 
 class Trajectory:
@@ -166,7 +192,7 @@ class Trajectory:
     def __init__(self, n_steps: int, ndof: int):
         self.coefficients = np.zeros((int(n_steps) + 1, ndof))
 
-    def __call__(self, n: int, coeffs: np.ndarray) -> None:
+    def __call__(self, n: int, coeffs: np.ndarray, norms: LevelNorms) -> None:
         self.coefficients[n] = coeffs
 
 
@@ -355,9 +381,11 @@ class SimulationHistory:
     hook raises ValueError.  The nodal initial data u0 and u1h are kept as
     given.
 
-    observe(n, coeffs) is called with U^0 here and with every pushed level.
-    Without an observer the history records the whole trajectory, which
-    `coefficients`, `states` and `state` then read.
+    observe(n, coeffs, norms) is called with U^0 here and with every pushed
+    level; `norms` holds the `LevelNorms` of U^n_last, which the next step
+    reads for its damping coefficient.  Without an observer the history
+    records the whole trajectory, which `coefficients`, `states` and
+    `state` then read.
 
     The terms of a step that do not change with n are formed here once, as
     `constants`: w(n, n) is the same for every n >= 1.  Building a history
@@ -381,6 +409,7 @@ class SimulationHistory:
         self.initial = ops.to_modal(self.u0)
         self.initial_velocity = ops.to_modal(self.u1h)
         self.previous = self.current = self.initial
+        self.norms = LevelNorms(*_state_norms(ops.eigenvalues, self.initial), math.nan, math.nan)
         self.constants = _StepConstants.build(ops, table, self.initial)
         self._count = 1
         if not (table.body.any() or table.edge_left.any()):
@@ -392,7 +421,7 @@ class SimulationHistory:
                              "exponential modes; give a KernelSpec")
         self._trajectory = Trajectory(n_steps, self.u0.size) if observe is None else None
         self._observe = self._trajectory if observe is None else observe
-        self._observe(0, self.initial)
+        self._observe(0, self.initial, self.norms)
 
     @property
     def n_last(self) -> int:
@@ -438,19 +467,29 @@ class SimulationHistory:
 
     def push(self, coeffs: np.ndarray) -> None:
         """Append the modal coefficients of U^{n+1}, hand its memory-sum row
-        d_n to the memory and pass the level to the observer.  The history
-        keeps `coeffs` itself as U^{n+1}, not a copy; a level that is not
-        finite raises StepError before anything is written."""
+        d_n to the memory and pass the level with its `LevelNorms` to the
+        observer.  The history keeps `coeffs` itself as U^{n+1}, not a copy;
+        a level that is not finite raises StepError before anything is
+        written.  The check reads the squared norm: only when that is not
+        finite are the entries themselves tested, so a finite level whose
+        squared norm overflows is let through, and its step raises
+        SolverError."""
         k = self._count
         if k > self.n_steps:
             raise IndexError(f"the history was sized for {self.n_steps} steps")
-        if not np.isfinite(coeffs).all():
+        mass, elastic = _state_norms(self.ops.eigenvalues, coeffs)
+        if not math.isfinite(mass) and not np.isfinite(coeffs).all():
             raise StepError(f"state U^{k} computed at step {k - 1} is not finite")
         if k >= 2:
-            self._memory.push(k - 1, (coeffs - self.previous) / (2.0 * self.tau))
+            row = (coeffs - self.previous) / (2.0 * self.tau)
+            self._memory.push(k - 1, row)
+        else:
+            row = self.initial_velocity
+        increment = coeffs - self.current
+        self.norms = LevelNorms(mass, elastic, float(row @ row), float(increment @ increment))
         self.previous, self.current = self.current, coeffs
         self._count = k + 1
-        self._observe(k, coeffs)
+        self._observe(k, coeffs, self.norms)
 
 
 def taylor_start(history: SimulationHistory, damping: DampingSpec,
@@ -469,7 +508,7 @@ def taylor_start(history: SimulationHistory, damping: DampingSpec,
         )
     ops, tau = history.ops, history.tau
     c0, v1 = history.initial, history.initial_velocity
-    q0 = damping_value(damping, ops, c0)
+    q0 = damping_value(damping, history.norms)
     a0 = -q0 * v1 - ops.eigenvalues * c0
     if problem.f is not None:
         a0 += ops.project(load_vector(history.mesh, problem.f, 0.0))
@@ -487,7 +526,8 @@ def step(history: SimulationHistory, damping: DampingSpec, problem: Problem) -> 
     and the right-hand side collects the two known levels, the accumulated
     memory sum, the forcing, and the elastic contribution of the initial
     state carried by K(t_n).  In the modal basis S is diagonal.  Only q_n
-    changes from step to step; the rest is the history's `constants`.
+    changes from step to step, formed from the history's `norms` of U^n;
+    the rest is the history's `constants`.
     """
     n = history.n_last
     if n < 1:
@@ -499,7 +539,7 @@ def step(history: SimulationHistory, damping: DampingSpec, problem: Problem) -> 
     ops, tau, consts = history.ops, history.tau, history.constants
     c_n, c_nm1 = history.current, history.previous
 
-    half_q = damping_value(damping, ops, c_n) / (2.0 * tau)
+    half_q = damping_value(damping, history.norms) / (2.0 * tau)
     smallest = consts.smallest + half_q
     if not (smallest > 0.0 and math.isfinite(smallest)):
         raise SolverError(
@@ -521,10 +561,11 @@ def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
         ops: Optional[DiscreteOperators] = None,
         table: Optional[WeightTable] = None,
         observe: Optional[Observer] = None) -> SimulationHistory:
-    """Step U^0..U^{n_steps}, passing each level to observe(n, coeffs).
+    """Step U^0..U^{n_steps}, passing each level to observe(n, coeffs, norms).
 
-    observe sees the modal coefficients of U^n for n = 0..n_steps in order;
-    without it the returned history records the whole trajectory.
+    observe sees the modal coefficients of U^n for n = 0..n_steps in order,
+    with their `LevelNorms`; without it the returned history records the
+    whole trajectory.
     Prebuilt operators and weight tables may be passed in so refinement
     ladders can share them; otherwise they are assembled here (the table
     then requires a kernel).

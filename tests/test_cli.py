@@ -25,7 +25,6 @@ from memwave.cli import (
     run_single,
     serialize_config,
 )
-from memwave import diagnostics
 from memwave.diagnostics import a_norm, discrete_energy, self_error_space, self_error_time
 from memwave.fem import Mesh, assemble
 from memwave.kernel import KernelSpec
@@ -362,13 +361,11 @@ class TestStreamedOutputs:
     read from a recorded trajectory of the same run."""
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_energy_and_checkpoints_match_recorded_run(self, tmp_path, monkeypatch, dim):
+    def test_energy_and_checkpoints_match_recorded_run(self, tmp_path, dim):
         preset, m, n = ("benchmark_1d", 16, 41) if dim == 1 else ("benchmark_2d", 16, 23)
         cfg = replace(parse_config(BENCH_1D), preset=preset, dim=dim, m=m, n=n,
                       kernel=KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)),
                       out_dir=str(tmp_path), checkpoints=(0, 1, 5, 6, n))
-        # blocks of six steps, so the series cross several block edges
-        monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", 6 * (m - 1) ** dim)
         run_single(cfg)
 
         problem, kernel, damping = preset_problem(cfg)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memwave import diagnostics
 from memwave.diagnostics import (
     DiagnosticsRecord,
     RunDiagnostics,
@@ -24,7 +23,7 @@ from memwave.diagnostics import (
 from memwave.fem import Mesh, assemble, gradient_array, interpolate
 from memwave.kernel import KernelSpec, constant_transform
 from memwave.quadweights import build_weight_table
-from memwave.stepper import DampingSpec, Problem, SimulationHistory, run
+from memwave.stepper import DampingSpec, LevelNorms, Problem, SimulationHistory, run
 
 SINE_PROBLEM = Problem(
     u0=lambda x: np.sin(np.pi * x),
@@ -48,25 +47,6 @@ def _observed_and_recorded(problem, mesh, ops, kernel, damping, tau, steps, chec
     observer = RunDiagnostics(mesh, ops, problem, table, steps, checkpoints)
     run(problem, mesh, tau, steps, damping=damping, ops=ops, table=table, observe=observer)
     return observer, run(problem, mesh, tau, steps, damping=damping, ops=ops, table=table)
-
-
-def _swept_series(hist, lam, rows):
-    """The series as a sweep of the recorded history forms them, `rows` steps per block."""
-    count = hist.n_last
-    coeffs = hist.coefficients
-    # the centered differences of the trajectory, with the initial velocity at n = 0
-    diffs = np.vstack([hist.initial_velocity, (coeffs[2:] - coeffs[:-2]) / (2.0 * hist.tau)])
-    energy, norms = np.empty(count), np.empty(count)
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        c = coeffs[start:stop + 1]
-        elastic = (c * c) @ lam
-        vel = diffs[start:stop]
-        dt = (c[1:] - c[:-1]) / hist.tau
-        energy[start:stop] = 0.5 * np.einsum("ij,ij->i", vel, vel) + 0.5 * elastic[:-1]
-        norms[start:stop] = (np.einsum("ij,ij->i", dt, dt)
-                             + 0.5 * hist.mu0 * (elastic[1:] + elastic[:-1]))
-    return energy, np.sqrt(norms)
 
 
 class TestEnergy:
@@ -199,7 +179,7 @@ class TestRunDiagnostics:
     recorded trajectory of the same run."""
 
     @pytest.mark.parametrize("case", ["1d_lumped_half", "1d_consistent_one", "2d_consistent_half"])
-    def test_matches_recorded_trajectory(self, case, monkeypatch):
+    def test_matches_recorded_trajectory(self, case):
         kernel = KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0))
         damping = DampingSpec("sqrt")
         if case == "1d_lumped_half":
@@ -213,18 +193,11 @@ class TestRunDiagnostics:
             mesh, lumped, tau, steps = Mesh(2, 16), False, 0.5 / 23, 23
             problem = Problem(u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
                               u1=lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
-        # blocks of five steps; no step count is a multiple, so the last block is clipped
-        rows = 5
-        monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", rows * mesh.n_interior)
         ops = assemble(mesh, lumped_mass=lumped)
-        marks = (0, 1, rows - 1, rows, rows + 1, steps - 1, steps)
+        marks = (0, 1, 4, 5, 6, steps - 1, steps)
         observer, hist = _observed_and_recorded(problem, mesh, ops, kernel, damping, tau,
                                                 steps, marks)
 
-        # bit for bit against the same block formulas swept over the trajectory
-        energy, norms = _swept_series(hist, ops.eigenvalues, rows)
-        assert np.array_equal(observer.energy, energy)
-        assert np.array_equal(observer.a_norms, norms)
         # the per-step formulas add in another order
         per_step = [discrete_energy(hist, ops, n) for n in range(steps)]
         assert observer.energy == pytest.approx(per_step, rel=1e-13, abs=0.0)
@@ -240,7 +213,7 @@ class TestRunDiagnostics:
         mesh = Mesh(1, 8)
         table = build_weight_table(constant_transform(0.5), 0.1, 4)
         observer = RunDiagnostics(mesh, assemble(mesh), SINE_PROBLEM, table, 4)
-        observer(0, np.zeros(7))
+        observer(0, np.zeros(7), LevelNorms(0.0, 0.0, math.nan, math.nan))
         with pytest.raises(ValueError, match="last step 4"):
             observer.record("unfinished")
 
@@ -300,9 +273,7 @@ class TestRecordAndCsv:
         with pytest.raises(ValueError, match="nonnegative numbers"):
             DiagnosticsRecord("r", np.zeros(2), nan, np.zeros(3), {})
 
-    def test_series_match_per_step_and_nodal_forms(self, monkeypatch):
-        # blocks of three rows, so the series cross several block edges
-        monkeypatch.setattr(diagnostics, "_BLOCK_VALUES", 3 * 49)
+    def test_series_match_per_step_and_nodal_forms(self):
         mesh = Mesh(2, 8)
         ops = assemble(mesh)
         tau, steps = 0.05, 11
@@ -326,6 +297,24 @@ class TestRecordAndCsv:
             nodal = dt @ (mass @ dt) + 0.5 * hist.mu0 * (
                 states[n + 1] @ (stiff @ states[n + 1]) + states[n] @ (stiff @ states[n]))
             assert norms[n] == pytest.approx(math.sqrt(nodal), rel=1e-12)
+
+    def test_energy_csv_bytes_match_csv_writer(self, tmp_path):
+        # the header, CRLF row ends, a value that needs 17 digits and a tiny tail
+        energy = np.array([0.1 + 0.2, 1.0, 2.5e-7, 1e-43])
+        a_norms = np.array([1.0 / 3.0, 0.0, 123456.789, 1.0000000000000002e-43])
+        tau = 0.1
+        record = DiagnosticsRecord("pin", energy, a_norms, np.zeros(3), {"tau": tau})
+        write_energy_csv(tmp_path / "energy.csv", record)
+        with open(tmp_path / "reference.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["n", "t", "energy", "a_norm"])
+            for n, (e, a) in enumerate(zip(energy, a_norms)):
+                writer.writerow([n, "%.17g" % (n * tau), "%.17g" % e, "%.17g" % a])
+        written = (tmp_path / "energy.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written.startswith(b"n,t,energy,a_norm\r\n0,0,0.30000000000000004,")
+        assert written.endswith(b"\r\n3,0.30000000000000004,1.0000000000000001e-43,"
+                                b"1.0000000000000003e-43\r\n")
 
     def test_collect_and_write(self, tmp_path):
         mesh = Mesh(1, 16)

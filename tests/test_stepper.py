@@ -14,6 +14,7 @@ from memwave.quadweights import build_weight_table
 from memwave.stepper import (
     _MEMORY_BLOCK,
     DampingSpec,
+    LevelNorms,
     Problem,
     SimulationHistory,
     SolverError,
@@ -41,6 +42,12 @@ def _velocity_rows(hist):
 def _direct_memory_sum(hist):
     """The direct sum coefficients(n)[:n] @ rows of step n = n_last."""
     return hist.table.coefficients(hist.n_last)[:hist.n_last] @ _velocity_rows(hist)
+
+
+def _norms(ops, coeffs):
+    """LevelNorms of a state with its mass and elastic norms only."""
+    return LevelNorms(float(coeffs @ coeffs), float((ops.eigenvalues * coeffs) @ coeffs),
+                      math.nan, math.nan)
 
 
 def _memory_arrays(hist):
@@ -100,12 +107,13 @@ class TestDampingSpec:
 class TestDampingValue:
     def test_zero_state(self):
         ops = assemble(Mesh(1, 8))
-        assert damping_value(DampingSpec("sqrt"), ops, np.zeros(7)) == 1.0
+        assert damping_value(DampingSpec("sqrt"), _norms(ops, np.zeros(7))) == 1.0
 
     def test_constant_ignores_state(self):
         ops = assemble(Mesh(1, 8))
         rng = np.random.default_rng(0)
-        assert damping_value(DampingSpec("constant", constant=2.5), ops, rng.standard_normal(7)) == 2.5
+        assert damping_value(DampingSpec("constant", constant=2.5),
+                             _norms(ops, rng.standard_normal(7))) == 2.5
 
     def test_nan_state_raises_step_error(self):
         ops = assemble(Mesh(1, 8))
@@ -113,7 +121,7 @@ class TestDampingValue:
         coeffs[3] = np.nan
         for kind in ("sqrt", "affine"):
             with pytest.raises(StepError, match="q = nan at argument z = nan"):
-                damping_value(DampingSpec(kind), ops, coeffs)
+                damping_value(DampingSpec(kind), _norms(ops, coeffs))
 
     def test_modal_norms_match_nodal(self):
         mesh = Mesh(2, 8)
@@ -121,7 +129,7 @@ class TestDampingValue:
         u = np.random.default_rng(3).standard_normal(mesh.n_interior)
         spec = DampingSpec("affine", mu1=0.3, mu2=0.7)
         nodal = spec.value(0.3 * float(u @ (ops.mass @ u)) + 0.7 * float(u @ (ops.stiffness @ u)))
-        modal = damping_value(spec, ops, ops.to_modal(u))
+        modal = damping_value(spec, _norms(ops, ops.to_modal(u)))
         assert modal == pytest.approx(nodal, rel=1e-13)
 
     def test_sine_state_matches_continuous_norms(self):
@@ -131,7 +139,7 @@ class TestDampingValue:
         u = interpolate(mesh, lambda x: np.sin(np.pi * x))
         expected = math.sqrt(1.0 + 0.5 + np.pi**2 / 2.0)
         coeffs = ops.to_modal(u)
-        assert damping_value(DampingSpec("sqrt"), ops, coeffs) == pytest.approx(expected, abs=1e-3)
+        assert damping_value(DampingSpec("sqrt"), _norms(ops, coeffs)) == pytest.approx(expected, abs=1e-3)
 
 
 class TestTaylorStart:
@@ -153,7 +161,7 @@ class TestTaylorStart:
         damping = DampingSpec("sqrt")
         hist = _start_history(ops, mesh, prob, tau)
         _, a0 = taylor_start(hist, damping, prob)
-        q0 = damping_value(damping, ops, hist.coefficients[0])
+        q0 = damping_value(damping, _norms(ops, hist.coefficients[0]))
         assert q0 == 1.0
         u1h, u2h = hist.u1h, ops.to_nodal(a0)
         assert u2h == pytest.approx(-q0 * u1h, abs=1e-12)
@@ -166,7 +174,7 @@ class TestTaylorStart:
         damping = DampingSpec("sqrt")
         hist = _start_history(ops, mesh, SINE_PROBLEM, 0.01)
         _, a0 = taylor_start(hist, damping, SINE_PROBLEM)
-        q0 = damping_value(damping, ops, hist.coefficients[0])
+        q0 = damping_value(damping, _norms(ops, hist.coefficients[0]))
         u2h = ops.to_nodal(a0)
         expected = interpolate(
             mesh, lambda x: -q0 * np.sin(2 * np.pi * x) - np.pi**2 * np.sin(np.pi * x)
@@ -260,10 +268,13 @@ class TestStepping:
         mesh = Mesh(1, 8)
         ops = assemble(mesh)
         table = build_weight_table(KernelSpec(1.0, 2.0, 1.0), 0.1, 4)
-        hist = SimulationHistory(mesh, ops, table, np.full(7, 1e200), np.zeros(7), 4)
-        hist.push(hist.coefficients[0].copy())
-        with np.errstate(over="ignore"), pytest.raises(SolverError, match="step 1 .* smallest entry inf"):
-            step(hist, DampingSpec("sqrt"), SINE_PROBLEM)
+        # the squared norms overflow when the history forms them, at U^0 and
+        # in push; the finite level passes push and its step raises
+        with np.errstate(over="ignore"):
+            hist = SimulationHistory(mesh, ops, table, np.full(7, 1e200), np.zeros(7), 4)
+            hist.push(hist.coefficients[0].copy())
+            with pytest.raises(SolverError, match="step 1 .* smallest entry inf"):
+                step(hist, DampingSpec("sqrt"), SINE_PROBLEM)
 
     def test_non_finite_state_raises_step_error(self):
         # constant damping never looks at the state, so only the finiteness
@@ -654,13 +665,48 @@ class TestObservedRun:
         kernel, damping = KernelSpec(0.5, 3.0, 3.0), DampingSpec("sqrt")
         seen = []
         hist = run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping,
-                   observe=lambda n, coeffs: seen.append((n, coeffs.copy())))
+                   observe=lambda n, coeffs, norms: seen.append((n, coeffs.copy())))
         recorded = run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping)
         assert [n for n, _ in seen] == list(range(n_steps + 1))
         assert np.array_equal(np.array([c for _, c in seen]), recorded.coefficients)
         assert all(np.array_equal(a, b)
                    for a, b in zip(_memory_arrays(hist), _memory_arrays(recorded)))
         assert np.array_equal(hist.state(n_steps), recorded.state(n_steps))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_norms_match_recorded_trajectory(self, dim):
+        # each level's norms are, bit for bit, the same expressions applied
+        # to the recorded trajectory; the velocity is that of the memory row
+        # d_{n-1}, the initial velocity at n = 1
+        mesh, problem, tau, n_steps = self._case(dim)
+        kernel, damping = KernelSpec(0.5, 3.0, 3.0), DampingSpec("sqrt")
+        seen = []
+        run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping,
+            observe=lambda n, coeffs, norms: seen.append(norms))
+        recorded = run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping)
+        lam, c = recorded.ops.eigenvalues, recorded.coefficients
+        rows = _velocity_rows(recorded)
+        expected = [LevelNorms(float(c[n] @ c[n]), float((lam * c[n]) @ c[n]),
+                               float(rows[n - 1] @ rows[n - 1]),
+                               float((c[n] - c[n - 1]) @ (c[n] - c[n - 1])))
+                    for n in range(1, n_steps + 1)]
+        assert seen[1:] == expected
+        assert seen[0][:2] == (float(c[0] @ c[0]), float((lam * c[0]) @ c[0]))
+        assert math.isnan(seen[0].velocity) and math.isnan(seen[0].increment)
+
+    def test_damping_value_once_per_step(self, monkeypatch):
+        # taylor_start and each step read q through the module's damping_value
+        calls = []
+
+        def counted(spec, norms):
+            calls.append(norms)
+            return damping_value(spec, norms)
+
+        monkeypatch.setattr(stepper, "damping_value", counted)
+        mesh, problem, tau, n_steps = self._case(1)
+        run(problem, mesh, tau, n_steps, kernel=KernelSpec(0.5, 3.0, 3.0),
+            damping=DampingSpec("sqrt"), observe=lambda n, coeffs, norms: None)
+        assert len(calls) == n_steps
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_observed_history_holds_one_row_buffer(self, dim):
@@ -672,7 +718,7 @@ class TestObservedRun:
         held = {}
         for n_steps in (1024, 8192):
             hist = run(problem, mesh, tau, n_steps, kernel=KernelSpec(0.5, 3.0, 3.0),
-                       damping=DampingSpec("sqrt"), observe=lambda n, coeffs: None)
+                       damping=DampingSpec("sqrt"), observe=lambda n, coeffs, norms: None)
             memory = hist._memory
             arrays = [v for owner in (hist, hist.constants, memory) for v in vars(owner).values()
                       if isinstance(v, np.ndarray)]
@@ -698,7 +744,7 @@ class TestObservedRun:
                                      build_weight_table(ZERO_KERNEL, 1.0 / 64, n_steps - 1),
                                      interpolate(mesh, SINE_PROBLEM.u0),
                                      interpolate(mesh, SINE_PROBLEM.u1), n_steps,
-                                     observe=lambda n, coeffs: None)
+                                     observe=lambda n, coeffs, norms: None)
             taylor_start(hist, damping, SINE_PROBLEM)
             for _ in range(1, n_steps):
                 assert np.array_equal(hist.memory_sum(), np.zeros(mesh.n_interior))

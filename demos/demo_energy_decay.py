@@ -27,8 +27,9 @@ for alpha in (1.0, 0.5):
     problem, kernel, damping = preset_problem(config, zero_forcing=True)
     mesh = Mesh(1, M)
     ops = assemble(mesh, lumped_mass=True)
-    # the observer forms the series as the steps arrive, reading tau and mu0
-    # from the run's weight table; no trajectory is kept
+    # the observer is called as observe(n, coeffs, norms) and forms the series
+    # from the squared norms each level arrives with (memwave.LevelNorms),
+    # reading tau and mu0 from the run's weight table; no trajectory is kept
     table = build_weight_table(kernel, 1.0 / N, N)
     observer = RunDiagnostics(mesh, ops, problem, table, N + 1)
     run(problem, mesh, 1.0 / N, N + 1, damping=damping, ops=ops, table=table, observe=observer)

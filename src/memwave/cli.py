@@ -332,9 +332,12 @@ def run_single(config: RunConfig, zero_forcing: bool = False):
     """
     problem, kernel, damping = preset_problem(config, zero_forcing=zero_forcing)
     mesh = Mesh(config.dim, config.m)
-    ops = assemble(mesh, lumped_mass=preset_uses_lumped_mass(config.preset))
     n_steps = config.n + 1 if config.energy else config.n
+    # the table first, so that the run's multithreaded LAPACK calls, the
+    # lumped eigh in `assemble` and the mode compression, come back to back:
+    # the OpenBLAS worker they wake then spins once, not through the table
     table = build_weight_table(kernel, config.tau, max(1, n_steps - 1))
+    ops = assemble(mesh, lumped_mass=preset_uses_lumped_mass(config.preset))
     diagnostics = RunDiagnostics(mesh, ops, problem, table, n_steps, config.checkpoints)
     run(problem, mesh, config.tau, n_steps, damping=damping, ops=ops, table=table,
         observe=diagnostics)
@@ -420,32 +423,33 @@ def run_convergence(config: RunConfig, mode: str, ladder) -> list[tuple]:
 
 
 def dump_weights(config: RunConfig, path, n_max: Optional[int] = None):
-    """Write the weight table to `path` as CSV rows (n, p, weight, running
-    edge sum, bound flag); returns (table, row count, final flag).
+    """Write the weight table to `path` as CSV, one row per step n
+    (n, edge_left, body, edge_right, running edge sum, bound flag); returns
+    (table, row count, final flag).
 
-    The running sum column tracks the accumulated p = 0 weights and the flag
-    records whether it still satisfies the theoretical bound of 1.  The rows
-    of each n are written straight from the table, and each lag's weight is
-    formatted once, so the dump holds O(n_max) values however many rows it
-    writes.
+    Every weight of Q_n is in its row's table: w(n, 0) = edge_left[n],
+    w(n, p) = body[n - p] for 0 < p < n, found in row n - p, and
+    w(n, n) = edge_right, the same in every row.  The running sum column
+    accumulates the p = 0 weights and the flag records whether it still
+    satisfies the theoretical bound of 1.
     """
     if config.kernel is None:
         raise ConfigError("missing section [kernel]: the weights dump requires it")
     n_max = config.n if n_max is None else int(n_max)
     table = build_weight_table(config.kernel, config.tau, n_max)
-    lags = [FLOAT_FMT % w for w in table.body.tolist()]  # w(n, p) = body[n - p], 0 < p < n
-    diagonal = FLOAT_FMT % table.edge_right  # w(n, n)
-    running, flag = 0.0, False
+    running = np.cumsum(table.edge_left[1:])
+    flags = running <= RUNNING_SUM_BOUND
+    diagonal = FLOAT_FMT % table.edge_right
     with open(path, "w", newline="") as handle:
-        handle.write("n,p,weight,edge_running_sum,sum_le_one\n")
-        for n in range(1, n_max + 1):
-            running += float(table.edge_left[n])
-            flag = running <= RUNNING_SUM_BOUND
-            handle.write(f"{n},0,{FLOAT_FMT % table.edge_left[n]},{FLOAT_FMT % running},"
-                         f"{'true' if flag else 'false'}\n")
-            handle.writelines(f"{n},{p},{lags[n - p]},,\n" for p in range(1, n))
-            handle.write(f"{n},{n},{diagonal},,\n")
-    return table, n_max * (n_max + 3) // 2, flag
+        handle.write("n,edge_left,body,edge_right,edge_running_sum,sum_le_one\n")
+        handle.writelines(
+            f"{n},{FLOAT_FMT % left},{FLOAT_FMT % lag},{diagonal},{FLOAT_FMT % total},"
+            f"{'true' if flag else 'false'}\n"
+            for n, left, lag, total, flag in zip(
+                range(1, n_max + 1), table.edge_left[1:].tolist(), table.body[1:].tolist(),
+                running.tolist(), flags.tolist())
+        )
+    return table, n_max, bool(flags[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +515,8 @@ def main(argv=None) -> int:
         else:
             path = out / "weights.csv"
             _table, rows, flag = dump_weights(config, path)
-            print(f"{rows} weights, final running-sum flag: {'true' if flag else 'false'}")
+            print(f"{rows} rows of weights, final running-sum flag: "
+                  f"{'true' if flag else 'false'}")
             print(f"wrote {path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

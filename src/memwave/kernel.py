@@ -246,10 +246,11 @@ def kernel_transform(kernel: KernelLike, t):
         from scipy.special import erfc
 
         z = complex(sigma, -gamma)
-        # the weight table evaluates K at millions of nodes, so sqrt and
-        # erfc work in place.  A scalar goes through the same 1-d array
-        # loops: numpy rounds a complex product of two scalars differently,
-        # and an in-place product of a 1-element array differently again
+        # the weight table evaluates K at 10 nodes per step, 164k for the
+        # long 1d benchmark run (N = 16384), so sqrt and erfc work in place.
+        # A scalar goes through the same 1-d array loops: numpy rounds a
+        # complex product of two scalars differently, and an in-place
+        # product of a 1-element array differently again
         work = z * arr.ravel()
         erfc(np.sqrt(work, out=work), out=work)
         out = (np.sqrt(1.0 / z) * work).real.reshape(arr.shape)

@@ -14,6 +14,10 @@ with n.  The table stores exactly those two arrays and that number, plus
 the kernel samples K(t_n), the derived coefficients the stepper needs and
 the kernel itself, so a built table fully describes the memory term for one
 step size.
+Every weight is a sum of integrals of K against half hats, one per grid
+interval, formed in one Gauss pass whose order follows from tau |z| by the
+Bernstein-ellipse bound (`_gauss_order`): 10 points per interval on both
+benchmark workloads, within 1e-13 tau e^(-sigma (j-1) tau) of order 56.
 It is plain data: how a run lays the weights out for its memory sum is the
 stepper's business, and no run writes into a table, so one table may serve
 many runs.
@@ -26,6 +30,7 @@ hold.  The memory weights the p = 0 column from the table itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,14 @@ __all__ = ["WeightTable", "build_weight_table", "convolve", "hat_weights", "Quad
 
 #: absolute accuracy target for every stored weight
 WEIGHT_TOL = 1.0e-12
+
+# each half-hat moment is held to this much of tau e^(-sigma t) at its
+# interval's start t; a weight sums two moments, so it is within 1e-13 of that
+_MOMENT_TOL = 0.5e-13
+# the largest tau |z| whose Gauss orders are checked against order 56
+_MAX_TAU_Z = 6.0
+# Gauss points per interval for a bare-callable kernel hook
+_HOOK_ORDER = 14
 
 #: bound on the running sum of the p = 0 weights: 1, with room for rounding
 RUNNING_SUM_BOUND = 1.0 + 1.0e-12
@@ -119,44 +132,76 @@ def _interval_moments(kernel: KernelLike, tau: float, n_intervals: int, order: i
     return flat, rise
 
 
-def _assemble(kernel: KernelLike, tau: float, n_max: int, order: int):
-    flat, rise = _interval_moments(kernel, tau, n_max + 1, order)
-    fall = flat - rise  # integral of K against the falling half-hat
-    body = rise[:-1] + fall[1:]
-    body[0] = 0.0
-    return body, rise[:-1], float(fall[1])
+def _gauss_order(kernel: KernelLike, tau: float) -> int:
+    """Gauss points per interval for the single moment pass.
+
+    A bare-callable hook's smoothness is unknown, so it gets _HOOK_ORDER.
+    For a KernelSpec let z = sigma - i gamma, a = tau |z|, and map each
+    interval [t_{i-1}, t_i] to x in [-1, 1].  Inside the Bernstein ellipse
+    E_rho, |x + 1|/2 and |1 - x|/2 are at most s = (rho + 1/rho + 2)/4, and
+    |K(u)| <= |z|^(-alpha) |e^(-z u)| <= e^(-sigma t_{i-1}) e^(a s) (for
+    alpha = 1/2 because |erfcx| <= 1 on the right half plane).  m Gauss
+    points miss the integral of a function bounded by M in E_rho by at most
+    (64/15) M rho^(2-2m) / (rho^2 - 1) (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 19.3), so each moment is off by at most
+
+        tau e^(-sigma t_{i-1}) (32/15) s e^(a s) rho^(2-2m) / (rho^2 - 1),
+
+    for any rho when alpha = 1, and for rho < 3 + sqrt(8) when alpha = 1/2,
+    whose branch point u = 0 sits at x = -3 from the second interval.  The
+    first interval of alpha = 1/2 is integrated in w = sqrt(u), where the
+    integrand is entire and at most 4 s^3 (2 + e^(a s^2)), so its moments
+    are off by at most tau (128/15) s^3 (2 + e^(a s^2)) rho^(2-2m) /
+    (rho^2 - 1).  The order is the fewest m whose bounds all reach
+    _MOMENT_TOL at some rho on a grid.  Orders past a = _MAX_TAU_Z are not
+    checked against order 56, so such a step raises QuadratureError.
+    """
+    if not isinstance(kernel, KernelSpec):
+        return _HOOK_ORDER
+    a = tau * abs(complex(kernel.sigma, -kernel.gamma))
+    if a > _MAX_TAU_Z:
+        raise QuadratureError(
+            f"tau |z| = {a:.6g} exceeds {_MAX_TAU_Z}, the largest step the "
+            f"weight quadrature is verified for"
+        )
+    rho = np.geomspace(1.01, 1.0e3, 600)[:, None]
+    s = 0.25 * (rho + 1.0 / rho + 2.0)
+    orders = np.arange(2, 41)
+
+    def fewest(log_scale):
+        log_bound = log_scale + (2.0 - 2.0 * orders) * np.log(rho) - np.log(rho * rho - 1.0)
+        return int(orders[np.argmax(log_bound.min(axis=0) <= math.log(_MOMENT_TOL))])
+
+    later = math.log(32.0 / 15.0) + np.log(s) + a * s
+    if kernel.alpha == 1.0:
+        return fewest(later)
+    first = math.log(128.0 / 15.0) + 3.0 * np.log(s) + np.logaddexp(math.log(2.0), a * s * s)
+    return max(fewest(np.where(rho < 3.0 + math.sqrt(8.0), later, np.inf)), fewest(first))
 
 
 def build_weight_table(kernel: KernelLike, tau: float, n_max: int) -> WeightTable:
     """Build the weight table for step size tau up to step index n_max.
 
-    Each weight is the exact hat-function integral of K to absolute accuracy
-    WEIGHT_TOL; the Gauss order is raised, from 10, until two successive
-    computations agree.  Kernel-class invariants (positive weight at the diagonal, the
-    running bound on the p = 0 column) are checked for KernelSpec kernels;
-    bare-callable test hooks skip them.
+    One pass of `_interval_moments` at the Gauss order `_gauss_order`
+    derives from tau |z| integrates K against every half hat; each lag's
+    weight sums two of those moments, so body and edge_left stay within
+    1e-13 tau e^(-sigma (j-1) tau) of the exact integrals and edge_right
+    within 1e-13 tau, which is below WEIGHT_TOL for tau |z| <= _MAX_TAU_Z.
+    A larger tau |z| raises QuadratureError.  Kernel-class invariants
+    (positive weight at the diagonal, the running bound on the p = 0
+    column) are checked for KernelSpec kernels; bare-callable test hooks
+    skip them.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
 
-    prev = _assemble(kernel, tau, n_max, 10)
-    for order in (14, 20, 28, 40, 56):
-        cur = _assemble(kernel, tau, n_max, order)
-        deltas = [np.abs(a - b) for a, b in zip(cur, prev)]
-        if max(float(d.max()) for d in deltas) <= WEIGHT_TOL:
-            break
-        prev = cur
-    else:
-        which = int(np.argmax([float(d.max()) for d in deltas]))
-        idx = int(np.argmax(deltas[which]))
-        n, p = (idx + 1, 1) if which == 0 else ((idx, 0) if which == 1 else (1, 1))
-        raise QuadratureError(
-            f"weight quadrature did not reach {WEIGHT_TOL} at (n, p) = ({n}, {p})"
-        )
-
-    body, edge_left, edge_right = cur
+    flat, rise = _interval_moments(kernel, tau, n_max + 1, _gauss_order(kernel, tau))
+    fall = flat - rise  # integral of K against the falling half-hat
+    body = rise[:-1] + fall[1:]
+    body[0] = 0.0
+    edge_left, edge_right = rise[:-1], float(fall[1])
     k_values = kernel_transform(kernel, tau * np.arange(n_max + 1, dtype=float))
     k0 = float(k_values[0])
 

@@ -574,12 +574,12 @@ def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     if damping is None:
         raise ValueError("a damping spec is required")
-    if ops is None:
-        ops = assemble(mesh)
     if table is None:
         if kernel is None:
             raise ValueError("either a kernel or a prebuilt weight table is required")
         table = build_weight_table(kernel, tau, max(1, n_steps - 1))
+    if ops is None:
+        ops = assemble(mesh)  # after the table, in the order `cli.run_single` keeps
     if abs(table.tau - tau) > 1.0e-14 * max(1.0, tau):
         raise ValueError(f"table step {table.tau} does not match tau = {tau}")
 

@@ -3,7 +3,6 @@
 import csv
 import math
 import re
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import memwave.cli as cli
 from memwave.cli import (
     PRESETS,
     ConfigError,
@@ -346,6 +346,20 @@ class TestRunSingle:
         assert [p.name for p in paths] == [
             "energy.csv", "checkpoint_000000.csv", "checkpoint_000004.csv"]
 
+    def test_table_is_built_before_the_operators(self, tmp_path, monkeypatch):
+        # the lumped eigh in `assemble` wakes OpenBLAS's worker thread, which
+        # then spins for about 0.13 s of CPU; built first, the table keeps
+        # its 40-100 ms out of that spin, and the eigh and the mode
+        # compression run back to back, under one spin
+        calls = []
+        for name in ("build_weight_table", "assemble"):
+            def recorded(*args, _name=name, _call=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(cli, name, recorded)
+        run_single(replace(parse_config(BENCH_1D), out_dir=str(tmp_path)))
+        assert calls == ["build_weight_table", "assemble"]
+
     def test_manufactured_tracks_exact_solution(self):
         cfg = parse_config(MANUFACTURED_CFG)
         record, _ = run_single(cfg)
@@ -432,13 +446,16 @@ class TestWeightsDump:
         table, count, flag = dump_weights(cfg, path, n_max=12)
         with open(path) as handle:
             rows = list(csv.reader(handle))[1:]
-        assert count == len(rows) == sum(n + 1 for n in range(1, 13))
-        flags = [r[4] for r in rows if r[4]]
-        assert flag is True and flags[-1] == "true" and len(flags) == 12
-        # spot-check a row against the table accessor
-        n, p, w = rows[5][:3]
-        assert float(w) == table.weight(int(n), int(p))
-        assert rows[7][:2] == ["3", "2"] and rows[7][3:] == ["", ""]
+        assert count == len(rows) == 12
+        assert [int(r[0]) for r in rows] == list(range(1, 13))
+        left, body, right = ([0.0] + [float(r[col]) for r in rows] for col in (1, 2, 3))
+        # every w(n, p) of the table, rebuilt from the rows
+        for n in range(1, 13):
+            for p in range(n + 1):
+                w = left[n] if p == 0 else right[n] if p == n else body[n - p]
+                assert w == table.weight(n, p), (n, p)
+        assert [float(r[4]) for r in rows] == np.cumsum(table.edge_left[1:]).tolist()
+        assert flag is True and [r[5] for r in rows] == ["true"] * 12
 
     def test_requires_kernel(self, tmp_path):
         cfg = parse_config(ZERO_CFG)
@@ -447,17 +464,17 @@ class TestWeightsDump:
             dump_weights(cfg, tmp_path / "weights.csv", 4)
         assert not (tmp_path / "weights.csv").exists()
 
-    def test_dump_streams_its_rows(self, tmp_path):
-        # N = 1000 gives 501,500 rows; held as tuples they took about 70 MB
-        cfg = replace(parse_config(BENCH_1D), n=1000)
-        tracemalloc.start()
-        try:
-            _, count, _ = dump_weights(cfg, tmp_path / "weights.csv")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert count == 501_500
-        assert peak < 16 * 2**20
+    def test_long_1d_dump_has_n_rows(self, tmp_path):
+        # the long 1d benchmark's table, N = 16384, is one row per step
+        cfg = replace(parse_config(BENCH_1D), n=16384, t_final=100.0,
+                      kernel=KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)))
+        path = tmp_path / "weights.csv"
+        _, count, flag = dump_weights(cfg, path)
+        with open(path) as handle:
+            lines = handle.readlines()
+        assert count == len(lines) - 1 == 16384
+        assert flag is True and lines[-1].startswith("16384,")
+
 
 class TestMainEntry:
     def _write(self, tmp_path, text):
@@ -493,8 +510,9 @@ class TestMainEntry:
         path = self._write(tmp_path, BENCH_1D)
         code = main(["weights", "--config", path, "--out", str(tmp_path / "w")])
         assert code == 0
-        text = (tmp_path / "w" / "weights.csv").read_text()
-        assert text.startswith("n,p,weight,edge_running_sum,sum_le_one")
+        lines = (tmp_path / "w" / "weights.csv").read_text().splitlines()
+        assert lines[0] == "n,edge_left,body,edge_right,edge_running_sum,sum_le_one"
+        assert len(lines) == 17
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = self._write(tmp_path, BENCH_1D + "\nbogus = 1\n")

@@ -188,22 +188,60 @@ class TestBruteForce:
         kfun = lambda t: _k_singular(sigma, gamma, t)
         _check_against_brute_force(table, kfun)
 
-    def test_coarse_step_escalates_the_gauss_order(self, monkeypatch):
-        # at tau = 1 Gauss orders 10 and 14 differ by more than WEIGHT_TOL
-        # (order 10 is 8e-11 off), so the build goes on to order 20
-        sigma, gamma, tau = 3.0, 3.0 * ROOT3, 1.0
-        orders = []
-        assemble = quadweights._assemble
 
-        def recorded(kernel, tau, n_max, order):
-            orders.append(order)
-            return assemble(kernel, tau, n_max, order)
+def _order_56_table(spec, tau, n_max):
+    """(body, edge_left, edge_right) from 56 Gauss points per interval."""
+    flat, rise = quadweights._interval_moments(spec, tau, n_max + 1, 56)
+    fall = flat - rise
+    return rise[:-1] + fall[1:], rise[:-1], fall[1]
 
-        monkeypatch.setattr(quadweights, "_assemble", recorded)
-        table = build_weight_table(KernelSpec(0.5, sigma, gamma), tau, 8)
-        assert orders == [10, 14, 20]
-        kfun = lambda t: _k_singular(sigma, gamma, t)
-        _check_against_brute_force(table, kfun)
+
+class TestSinglePass:
+    """One Gauss pass, at the order the Bernstein-ellipse bound gives for tau |z|."""
+
+    @given(alpha=st.sampled_from([1.0, 0.5]),
+           sigma=st.floats(min_value=1.0, max_value=10.0, exclude_min=True),
+           ratio=st.floats(min_value=0.0, max_value=ROOT3),
+           step=st.floats(min_value=1e-3, max_value=quadweights._MAX_TAU_Z))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_order_56(self, alpha, sigma, ratio, step):
+        spec = KernelSpec(alpha, sigma, ratio * sigma)
+        tau = step / abs(complex(sigma, -ratio * sigma))
+        n_max = 40
+        body, edge_left, edge_right = _order_56_table(spec, tau, n_max)
+        if edge_right <= 0.0:
+            # a coarse step can turn an oscillating kernel's diagonal weight
+            # negative, and then the build refuses
+            with pytest.raises(ArithmeticError, match="diagonal weight"):
+                build_weight_table(spec, tau, n_max)
+            return
+        table = build_weight_table(spec, tau, n_max)
+        envelope = tau * np.exp(-sigma * tau * np.arange(n_max))  # tau e^(-sigma (j-1) tau)
+        assert np.all(np.abs(table.body[1:] - body[1:]) <= 1e-13 * envelope)
+        assert np.all(np.abs(table.edge_left[1:] - edge_left[1:]) <= 1e-13 * envelope)
+        assert abs(table.edge_right - edge_right) <= 1e-13 * tau
+
+    @pytest.mark.parametrize("kernel", [KernelSpec(0.5, 3.0, 3.0 * ROOT3), KernelSpec(1.0, 2.0, 1.0),
+                                        constant_transform(1.0)],
+                             ids=["alpha=0.5", "alpha=1", "hook"])
+    def test_one_moment_pass_per_build(self, monkeypatch, kernel):
+        passes = []
+        moments = quadweights._interval_moments
+
+        def counted(kernel, tau, n_intervals, order):
+            passes.append(order)
+            return moments(kernel, tau, n_intervals, order)
+
+        monkeypatch.setattr(quadweights, "_interval_moments", counted)
+        build_weight_table(kernel, 100.0 / 16384, 64)
+        assert len(passes) == 1
+
+    def test_step_past_the_verified_range_raises(self):
+        # |z| = 6, so tau |z| is 1.01 times the largest verified step
+        spec = KernelSpec(0.5, 3.0, 3.0 * ROOT3)
+        tau = 1.01 * quadweights._MAX_TAU_Z / 6.0
+        with pytest.raises(quadweights.QuadratureError, match=r"tau \|z\| = 6\.06 exceeds 6"):
+            build_weight_table(spec, tau, 8)
 
 
 class TestAdmissibleBox:

@@ -246,7 +246,7 @@ def kernel_transform(kernel: KernelLike, t):
         from scipy.special import erfc
 
         z = complex(sigma, -gamma)
-        # the weight table evaluates K at 10 nodes per step, 164k for the
+        # the weight table evaluates K at about 4 nodes per step, 66k for the
         # long 1d benchmark run (N = 16384), so sqrt and erfc work in place.
         # A scalar goes through the same 1-d array loops: numpy rounds a
         # complex product of two scalars differently, and an in-place

@@ -191,13 +191,35 @@ class TestBruteForce:
 
 def _order_56_table(spec, tau, n_max):
     """(body, edge_left, edge_right) from 56 Gauss points per interval."""
-    flat, rise = quadweights._interval_moments(spec, tau, n_max + 1, 56)
+    flat, rise = (np.concatenate(([0.0], m))
+                  for m in quadweights._interval_moments(spec, tau, n_max + 1, 56))
     fall = flat - rise
     return rise[:-1] + fall[1:], rise[:-1], fall[1]
 
 
-class TestSinglePass:
-    """One Gauss pass, at the order the Bernstein-ellipse bound gives for tau |z|."""
+def _needed_points(a, j):
+    """The fewest Gauss points whose bound in `_gauss_passes` holds one
+    interval's moments to _MOMENT_TOL at tau |z| = a, read one rho at a time:
+    j = None for alpha = 1, j = 0 for the sqrt(u)-mapped first interval of
+    alpha = 1/2, and j >= 1 for its interval j + 1, whose branch point sits
+    at x = -(2j + 1)."""
+    for m in range(2, 41):
+        for rho in np.geomspace(1.01, 1.0e3, 600):
+            s = (rho + 1.0 / rho + 2.0) / 4.0
+            if j == 0:
+                log_scale = math.log(128.0 / 15.0 * s**3) + np.logaddexp(math.log(2.0), a * s * s)
+            elif j is None or rho < 2 * j + 1 + math.sqrt((2 * j + 1) ** 2 - 1):
+                log_scale = math.log(32.0 / 15.0 * s) + a * s
+            else:
+                break
+            if (log_scale + (2 - 2 * m) * math.log(rho) - math.log(rho * rho - 1.0)
+                    <= math.log(quadweights._MOMENT_TOL)):
+                return m
+    raise AssertionError(f"no order up to 40 holds the bound at tau |z| = {a}")
+
+
+class TestGaussPasses:
+    """Gauss passes at the orders the Bernstein-ellipse bound gives for tau |z|."""
 
     @given(alpha=st.sampled_from([1.0, 0.5]),
            sigma=st.floats(min_value=1.0, max_value=10.0, exclude_min=True),
@@ -221,20 +243,39 @@ class TestSinglePass:
         assert np.all(np.abs(table.edge_left[1:] - edge_left[1:]) <= 1e-13 * envelope)
         assert abs(table.edge_right - edge_right) <= 1e-13 * tau
 
-    @pytest.mark.parametrize("kernel", [KernelSpec(0.5, 3.0, 3.0 * ROOT3), KernelSpec(1.0, 2.0, 1.0),
-                                        constant_transform(1.0)],
+    @pytest.mark.parametrize("kernel,n_passes",
+                             [(KernelSpec(0.5, 3.0, 3.0 * ROOT3), 2), (KernelSpec(1.0, 2.0, 1.0), 1),
+                              (constant_transform(1.0), 1)],
                              ids=["alpha=0.5", "alpha=1", "hook"])
-    def test_one_moment_pass_per_build(self, monkeypatch, kernel):
+    def test_moment_passes_per_build(self, monkeypatch, kernel, n_passes):
         passes = []
         moments = quadweights._interval_moments
 
-        def counted(kernel, tau, n_intervals, order):
-            passes.append(order)
-            return moments(kernel, tau, n_intervals, order)
+        def counted(kernel, tau, n_intervals, order, start=0):
+            passes.append((start, n_intervals, order))
+            return moments(kernel, tau, n_intervals, order, start)
 
         monkeypatch.setattr(quadweights, "_interval_moments", counted)
         build_weight_table(kernel, 100.0 / 16384, 64)
-        assert len(passes) == 1
+        assert len(passes) == n_passes
+        # the passes cover intervals 1..65 once each, in order
+        assert [start for start, _, _ in passes] == [0] + [stop for _, stop, _ in passes[:-1]]
+        assert passes[-1][1] == 65
+        if n_passes == 2:
+            # alpha = 1/2 at long_1d's tau |z|: the far intervals take fewer points
+            assert passes[1][2] < passes[0][2]
+
+    @pytest.mark.parametrize("step", [100.0 * 6.0 / 16384, 0.6, 3.0, 6.0])
+    def test_pass_orders_follow_the_bound(self, step):
+        # |z| = 6, so tau |z| = step
+        tau = step / 6.0
+        (start, k, near), (far_start, stop, far) = quadweights._gauss_passes(
+            KernelSpec(0.5, 3.0, 3.0 * ROOT3), tau, 200)
+        assert (start, far_start, stop) == (0, k, 200)
+        assert near == max(_needed_points(step, 0), _needed_points(step, 1))
+        assert far == _needed_points(step, k)
+        assert quadweights._gauss_passes(KernelSpec(1.0, 3.0, 3.0 * ROOT3), tau, 200) == [
+            (0, 200, _needed_points(step, None))]
 
     def test_step_past_the_verified_range_raises(self):
         # |z| = 6, so tau |z| is 1.01 times the largest verified step

@@ -29,13 +29,13 @@ for alpha in (1.0, 0.5):
     ops = assemble(mesh, lumped_mass=True)
     # the observer is called as observe(n, coeffs, norms) and forms the series
     # from the squared norms each level arrives with (memwave.LevelNorms),
-    # reading tau and mu0 from the run's weight table; no trajectory is kept
+    # reading tau and mu0 from the run's weight table; no trajectory is kept.
+    # After the last level it is the run's record: energy and a_norms are set
     table = build_weight_table(kernel, 1.0 / N, N)
     observer = RunDiagnostics(mesh, ops, problem, table, N + 1)
     run(problem, mesh, 1.0 / N, N + 1, damping=damping, ops=ops, table=table, observe=observer)
-    record = observer.record(f"energy_alpha_{alpha}")
 
-    energies = record.energy
+    energies = observer.energy
     drops = np.diff(energies)
     print(f"alpha = {alpha}:")
     print(f"  energy at t=0 : {energies[0]:.6f}")
@@ -47,5 +47,5 @@ for alpha in (1.0, 0.5):
     print(f"  +{'-' * len(energies)}+  (t from 0 to 1)\n")
 
     path = OUT / f"energy_alpha_{alpha:.1f}.csv"
-    write_energy_csv(path, record)
+    write_energy_csv(path, observer.tau, energies, observer.a_norms)
     print(f"  wrote {path}\n")

@@ -34,7 +34,6 @@ from .stepper import (
     taylor_start,
 )
 from .diagnostics import (
-    DiagnosticsRecord,
     RunDiagnostics,
     TerminalGradient,
     a_norm,

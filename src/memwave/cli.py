@@ -13,6 +13,12 @@ Subcommands:
     convergence  time- or space-refinement ladder, CSV table of errors/rates
     weights      dump of the memory quadrature weights with the running
                  edge-column sum and its bound flag
+
+`run_single` returns the run's `RunDiagnostics` observer, which holds the
+series, checkpoints and terminal gradient the files are written from; every
+file goes through `diagnostics.write_csv`.  `main` reports a bad config on
+stderr with exit code 2, and a failed run or an output path it cannot
+write (say, an `--out` that is a regular file) with exit code 1.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import io
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -36,6 +43,7 @@ from .diagnostics import (
     self_error_space,
     self_error_time,
     write_convergence_csv,
+    write_csv,
     write_energy_csv,
 )
 from .fem import Mesh, assemble
@@ -232,12 +240,8 @@ def serialize_config(config: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _zero_1d(x, t=None):
-    return np.zeros(np.shape(x))
-
-
-def _zero_2d(x, y, t=None):
-    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+def _zero(*coords):
+    return np.zeros(np.broadcast_shapes(*map(np.shape, coords)))
 
 
 def preset_problem(config: RunConfig, zero_forcing: bool = False):
@@ -287,12 +291,7 @@ def preset_problem(config: RunConfig, zero_forcing: bool = False):
     # zero preset: quiescent data, any kernel/damping
     kernel: KernelLike = config.kernel if config.kernel is not None else KernelSpec(1.0, 2.0, 0.0)
     damping = config.damping if config.damping is not None else DampingSpec("sqrt")
-    problem = Problem(
-        u0=_zero_1d if config.dim == 1 else _zero_2d,
-        u1=_zero_1d if config.dim == 1 else _zero_2d,
-        f=None,
-    )
-    return problem, kernel, damping
+    return Problem(u0=_zero, u1=_zero, f=None), kernel, damping
 
 
 def manufactured_solution(x, t):
@@ -315,15 +314,9 @@ def preset_uses_lumped_mass(preset: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _write_checkpoint(path, state: np.ndarray) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write("node,value\n")
-        for idx, val in enumerate(state):
-            handle.write(f"{idx},{FLOAT_FMT % val}\n")
-
-
 def run_single(config: RunConfig, zero_forcing: bool = False):
-    """Execute one run and write its diagnostics; returns (record, paths).
+    """Execute one run and write its diagnostics; returns the run's
+    `RunDiagnostics` and the paths written.
 
     When the energy series is requested the run is extended one step past
     the final time so the centered velocity exists at the terminal index.
@@ -342,21 +335,20 @@ def run_single(config: RunConfig, zero_forcing: bool = False):
     run(problem, mesh, config.tau, n_steps, damping=damping, ops=ops, table=table,
         observe=diagnostics)
 
-    record = diagnostics.record(
-        config.preset, preset=config.preset, t_final=config.t_final, n=config.n,
-    )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     if config.energy:
         energy_path = out / "energy.csv"
-        write_energy_csv(energy_path, record)
+        write_energy_csv(energy_path, diagnostics.tau, diagnostics.energy,
+                         diagnostics.a_norms)
         paths.append(energy_path)
     for c in config.checkpoints:
         cp_path = out / f"checkpoint_{c:06d}.csv"
-        _write_checkpoint(cp_path, diagnostics.checkpoints[c])
+        write_csv(cp_path, "node,value", f"%d,{FLOAT_FMT}",
+                  enumerate(diagnostics.checkpoints[c].tolist()), "\n")
         paths.append(cp_path)
-    return record, paths
+    return diagnostics, paths
 
 
 def _validate_ladder(ladder, mode: str) -> tuple[int, ...]:
@@ -439,16 +431,11 @@ def dump_weights(config: RunConfig, path, n_max: Optional[int] = None):
     table = build_weight_table(config.kernel, config.tau, n_max)
     running = np.cumsum(table.edge_left[1:])
     flags = running <= RUNNING_SUM_BOUND
-    diagonal = FLOAT_FMT % table.edge_right
-    with open(path, "w", newline="") as handle:
-        handle.write("n,edge_left,body,edge_right,edge_running_sum,sum_le_one\n")
-        handle.writelines(
-            f"{n},{FLOAT_FMT % left},{FLOAT_FMT % lag},{diagonal},{FLOAT_FMT % total},"
-            f"{'true' if flag else 'false'}\n"
-            for n, left, lag, total, flag in zip(
-                range(1, n_max + 1), table.edge_left[1:].tolist(), table.body[1:].tolist(),
-                running.tolist(), flags.tolist())
-        )
+    rows = zip(range(1, n_max + 1), table.edge_left[1:].tolist(), table.body[1:].tolist(),
+               repeat(float(table.edge_right)), running.tolist(),
+               np.where(flags, "true", "false").tolist())
+    write_csv(path, "n,edge_left,body,edge_right,edge_running_sum,sum_le_one",
+              f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT},%s", rows, "\n")
     return table, n_max, bool(flags[-1])
 
 
@@ -489,15 +476,15 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
 
         if args.command == "run":
-            record, paths = run_single(config)
-            print(f"run {config.preset}: {record.meta['n_steps']} steps completed")
+            diagnostics, paths = run_single(config)
+            print(f"run {config.preset}: {diagnostics.n_last} steps completed")
             for p in paths:
                 print(f"wrote {p}")
         elif args.command == "energy":
             config = replace(config, energy=True)
-            record, paths = run_single(config, zero_forcing=True)
-            print(f"energy study {config.preset}: start {FLOAT_FMT % record.energy[0]}, "
-                  f"end {FLOAT_FMT % record.energy[-1]}")
+            diagnostics, paths = run_single(config, zero_forcing=True)
+            print(f"energy study {config.preset}: start {FLOAT_FMT % diagnostics.energy[0]}, "
+                  f"end {FLOAT_FMT % diagnostics.energy[-1]}")
             for p in paths:
                 print(f"wrote {p}")
         elif args.command == "convergence":
@@ -521,7 +508,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

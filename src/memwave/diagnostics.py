@@ -1,12 +1,13 @@
 """Measured quantities: discrete energy, stability norm, self-convergence.
 
 A run's diagnostics are computed as its levels arrive.  `RunDiagnostics` is
-an observer for `stepper.run`: it keeps the squared norms each level arrives
-with (`stepper.LevelNorms`), forms the energy and stability series from them
-in one vectorized pass when the last level arrives, maps checkpoints to
-nodal values when their step is reached and keeps the terminal gradient, so
-it holds no state buffer and reads no level a second time.
-`discrete_energy` and `a_norm` evaluate one step of a recorded trajectory.
+an observer for `stepper.run` and, once the run is done, its record: it
+keeps the squared norms each level arrives with (`stepper.LevelNorms`),
+forms the energy and stability series from them in one vectorized pass when
+the last level arrives, maps checkpoints to nodal values when their step is
+reached and keeps the terminal gradient, so it holds no state buffer and
+reads no level a second time.  `discrete_energy` and `a_norm` evaluate one
+step of a recorded trajectory.
 
 The model problems have no closed-form solutions, so convergence is measured
 by comparing runs on successive refinements: `self_error_time` contrasts the
@@ -15,13 +16,16 @@ terminal gradient fields of an N-step and a 2N-step run on one mesh, and
 nodes.  A ladder keeps each rung's terminal gradient through the
 `TerminalGradient` observer.  Rates are base-2 logarithms of successive
 error ratios.
+
+Every CSV file of the program is written by `write_csv`: a header, then
+one %-formatted line per row, with floats in `FLOAT_FMT`.  The energy and
+convergence files end their lines in CRLF, as csv.writer does; checkpoints
+and the weight dump end them in LF.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,7 +35,6 @@ from .quadweights import WeightTable
 from .stepper import LevelNorms, Problem, SimulationHistory
 
 __all__ = [
-    "DiagnosticsRecord",
     "RunDiagnostics",
     "TerminalGradient",
     "discrete_energy",
@@ -39,15 +42,13 @@ __all__ = [
     "self_error_time",
     "self_error_space",
     "rate",
+    "write_csv",
     "write_energy_csv",
     "write_convergence_csv",
 ]
 
 #: fixed formatting for all emitted floating-point values
 FLOAT_FMT = "%.17g"
-
-#: one row of energy.csv, ended as csv.writer ends its rows
-_ENERGY_ROW = f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\r\n"
 
 
 def discrete_energy(history: SimulationHistory, ops: DiscreteOperators, n: int) -> float:
@@ -156,91 +157,75 @@ def rate(e_coarse: float, e_fine: float) -> float:
     return math.log2(e_coarse / e_fine)
 
 
-@dataclass(frozen=True, eq=False)
-class DiagnosticsRecord:
-    """Per-run measurement bundle: energy/stability series and metadata."""
-
-    run_id: str
-    energy: np.ndarray
-    a_norms: np.ndarray
-    terminal_gradient: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.energy.shape != self.a_norms.shape:
-            raise ValueError("energy and stability series must align")
-        if not (np.all(self.energy >= 0.0) and np.all(self.a_norms >= 0.0)):
-            raise ValueError("recorded norms must be nonnegative numbers")
-
-
 class RunDiagnostics(TerminalGradient):
     """Observer that computes a run's energy and stability series, nodal
-    checkpoints and terminal gradient as the levels arrive.
+    checkpoints and terminal gradient as the levels arrive: the run's record.
 
     Step n of the series is `discrete_energy` and `a_norm` at n; it needs
     U^{n-1}, U^n and U^{n+1}, so a run of n_steps steps gives n_steps
     entries.  Each level arrives with its `LevelNorms`; level k gives the
     elastic norm of U^k, the velocity of step k - 1 (the initial velocity
-    at k = 1) and the increment U^k - U^{k-1}.  Until the last level
-    arrives, `energy` and `a_norms` hold the squared velocity and increment
-    norms of each step; then one vectorized pass turns them into the series
-    with the elastic norms.  The nodal u0 of `problem` is checkpoint 0, and
-    the run's weight table gives tau and mu0.
+    at k = 1) and the increment U^k - U^{k-1}.  When the last level
+    arrives, one vectorized pass turns the kept norms into `energy` and
+    `a_norms` and checks that they are nonnegative numbers; until then both
+    are None, as `gradient` is.  The nodal u0 of `problem` is checkpoint 0,
+    and the run's weight table gives tau and mu0.
     """
 
     def __init__(self, mesh: Mesh, ops: DiscreteOperators, problem: Problem,
                  table: WeightTable, n_steps: int, checkpoints=()):
         super().__init__(mesh, ops, table.tau, n_steps)
         self.mu0 = table.mu0
-        self.energy = np.empty(self.n_last)
-        self.a_norms = np.empty(self.n_last)
+        self.energy: Optional[np.ndarray] = None
+        self.a_norms: Optional[np.ndarray] = None
         self.checkpoints: dict[int, np.ndarray] = {}
         self._wanted = frozenset(checkpoints)
         self._u0 = interpolate(mesh, problem.u0)
         self._elastic = np.empty(self.n_last + 1)
+        self._velocity = np.empty(self.n_last)
+        self._increment = np.empty(self.n_last)
 
     def __call__(self, n: int, coeffs: np.ndarray, norms: LevelNorms) -> None:
         self._elastic[n] = norms.elastic
         if n:
-            self.energy[n - 1], self.a_norms[n - 1] = norms.velocity, norms.increment
+            self._velocity[n - 1], self._increment[n - 1] = norms.velocity, norms.increment
         if n in self._wanted:
             self.checkpoints[n] = self._u0.copy() if n == 0 else self.ops.to_nodal(coeffs)
         if n == self.n_last:
             elastic = self._elastic
-            self.energy[:] = 0.5 * self.energy + 0.5 * elastic[:-1]
-            self.a_norms[:] = np.sqrt(self.a_norms / self.tau**2
-                                      + 0.5 * self.mu0 * (elastic[1:] + elastic[:-1]))
+            energy = 0.5 * self._velocity + 0.5 * elastic[:-1]
+            a_norms = np.sqrt(self._increment / self.tau**2
+                              + 0.5 * self.mu0 * (elastic[1:] + elastic[:-1]))
+            if not (np.all(energy >= 0.0) and np.all(a_norms >= 0.0)):
+                raise ValueError("recorded norms must be nonnegative numbers")
+            self.energy, self.a_norms = energy, a_norms
         super().__call__(n, coeffs, norms)
 
-    def record(self, run_id: str, **meta) -> DiagnosticsRecord:
-        """The measurement bundle of the finished run."""
-        if self.gradient is None:
-            raise ValueError(f"the run has not reached its last step {self.n_last}")
-        meta = {"tau": self.tau, "dim": self.mesh.dim, "m": self.mesh.m,
-                "n_steps": self.n_last, **meta}
-        return DiagnosticsRecord(run_id, self.energy, self.a_norms, self.gradient, meta)
+
+def write_csv(path, header: str, row_format: str, rows, end: str) -> None:
+    """Write `header` and each row rendered by `row_format` (a %-format over
+    the row's tuple), every line ended in `end`."""
+    line = row_format + end
+    with open(path, "w", newline="") as handle:
+        handle.write(header + end + "".join([line % row for row in rows]))
 
 
-def write_energy_csv(path, record: DiagnosticsRecord) -> None:
+def write_energy_csv(path, tau: float, energy: np.ndarray, a_norms: np.ndarray) -> None:
     """Energy series as CSV with fixed columns n, t, energy, a_norm, in the
     bytes csv.writer gives: no field needs quoting, rows end in CRLF."""
-    tau = record.meta["tau"]
-    rows = enumerate(zip(record.energy.tolist(), record.a_norms.tolist()))
-    text = "".join(_ENERGY_ROW % (n, n * tau, e, a) for n, (e, a) in rows)
-    with open(path, "w", newline="") as handle:
-        handle.write("n,t,energy,a_norm\r\n" + text)
+    steps = np.arange(len(energy))
+    rows = zip(steps.tolist(), (steps * tau).tolist(), energy.tolist(), a_norms.tolist())
+    write_csv(path, "n,t,energy,a_norm", f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}", rows,
+              "\r\n")
 
 
 def write_convergence_csv(path, rows) -> None:
-    """Convergence table as CSV with fixed columns M, N, E, CR.
+    """Convergence table as CSV with fixed columns M, N, E, CR, in the bytes
+    csv.writer gives.
 
     Each row is (M, N, error, rate-or-None); the first refinement has no
     rate and emits an empty field.
     """
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["M", "N", "E", "CR"])
-        for m, n, err, cr in rows:
-            writer.writerow(
-                [m, n, FLOAT_FMT % err, "" if cr is None else FLOAT_FMT % cr]
-            )
+    write_csv(path, "M,N,E,CR", f"%d,%d,{FLOAT_FMT},%s",
+              ((m, n, err, "" if cr is None else FLOAT_FMT % cr) for m, n, err, cr in rows),
+              "\r\n")

@@ -26,7 +26,7 @@ from memwave.cli import (
     serialize_config,
 )
 from memwave.diagnostics import a_norm, discrete_energy, self_error_space, self_error_time
-from memwave.fem import Mesh, assemble
+from memwave.fem import Mesh, assemble, interpolate
 from memwave.kernel import KernelSpec
 from memwave.stepper import DampingSpec, run
 
@@ -325,8 +325,8 @@ class TestRunSingle:
     def test_zero_preset_produces_zero_series(self, tmp_path):
         cfg = parse_config(ZERO_CFG)
         cfg = cfg.__class__(**{**cfg.__dict__, "out_dir": str(tmp_path)})
-        record, paths = run_single(cfg)
-        assert np.all(record.energy == 0.0)
+        diagnostics, paths = run_single(cfg)
+        assert np.all(diagnostics.energy == 0.0)
         names = {p.name for p in paths}
         assert "energy.csv" in names and "checkpoint_000000.csv" in names
         with open(tmp_path / "checkpoint_000008.csv") as handle:
@@ -337,14 +337,32 @@ class TestRunSingle:
     def test_benchmark_energy_decreases(self, tmp_path):
         cfg = parse_config(BENCH_1D)
         cfg = cfg.__class__(**{**cfg.__dict__, "out_dir": str(tmp_path)})
-        record, _ = run_single(cfg, zero_forcing=True)
-        assert record.energy[-1] < record.energy[0]
+        diagnostics, _ = run_single(cfg, zero_forcing=True)
+        assert diagnostics.energy[-1] < diagnostics.energy[0]
 
     def test_repeated_checkpoints_are_written_once(self, tmp_path):
         cfg = parse_config(ZERO_CFG.replace("0, 8", "4, 4, 0"))
         _, paths = run_single(replace(cfg, out_dir=str(tmp_path)))
         assert [p.name for p in paths] == [
             "energy.csv", "checkpoint_000000.csv", "checkpoint_000004.csv"]
+
+    def test_checkpoint_csv_bytes(self, tmp_path):
+        # a header, one row per interior node, values in 17 significant
+        # digits and rows ended in LF
+        cfg = replace(parse_config(BENCH_1D), out_dir=str(tmp_path), checkpoints=(0, 16))
+        run_single(cfg)
+        nodal = interpolate(Mesh(1, 16), lambda x: np.sin(np.pi * x))
+        expected = "node,value\n" + "".join(
+            "%d,%.17g\n" % (i, v) for i, v in enumerate(nodal.tolist()))
+        written = (tmp_path / "checkpoint_000000.csv").read_bytes()
+        assert written == expected.encode()
+        assert written.startswith(b"node,value\n0,0.19509032201612825\n1,")
+        assert written.endswith(b"\n14,0.19509032201612861\n")
+        text = (tmp_path / "checkpoint_000016.csv").read_bytes().decode()
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == 15 and "\r" not in text
+        assert text == "node,value\n" + "".join(
+            "%d,%.17g\n" % (int(i), float(v)) for i, v in rows)
 
     def test_table_is_built_before_the_operators(self, tmp_path, monkeypatch):
         # the lumped eigh in `assemble` wakes OpenBLAS's worker thread, which
@@ -362,11 +380,11 @@ class TestRunSingle:
 
     def test_manufactured_tracks_exact_solution(self):
         cfg = parse_config(MANUFACTURED_CFG)
-        record, _ = run_single(cfg)
+        diagnostics, _ = run_single(cfg)
         mesh_h = 1.0 / cfg.m
         xs = mesh_h * np.arange(1, cfg.m)
         exact_grad = np.pi * math.exp(-1.0) * np.cos(np.pi * (xs - mesh_h / 2.0))
-        err = math.sqrt(mesh_h * float(np.sum((record.terminal_gradient - exact_grad) ** 2)))
+        err = math.sqrt(mesh_h * float(np.sum((diagnostics.gradient - exact_grad) ** 2)))
         assert err < 0.05
 
 
@@ -457,6 +475,19 @@ class TestWeightsDump:
         assert [float(r[4]) for r in rows] == np.cumsum(table.edge_left[1:]).tolist()
         assert flag is True and [r[5] for r in rows] == ["true"] * 12
 
+    def test_weights_csv_bytes(self, tmp_path):
+        # values in 17 significant digits, the flag in lower case, rows ended in LF
+        path = tmp_path / "weights.csv"
+        table, _, _ = dump_weights(parse_config(BENCH_1D), path, n_max=4)
+        running = np.cumsum(table.edge_left[1:]).tolist()
+        expected = "n,edge_left,body,edge_right,edge_running_sum,sum_le_one\n" + "".join(
+            "%d,%.17g,%.17g,%.17g,%.17g,true\n"
+            % (n, table.edge_left[n], table.body[n], table.edge_right, running[n - 1])
+            for n in range(1, 5))
+        written = path.read_bytes()
+        assert written == expected.encode()
+        assert b"\r" not in written and written.endswith(b",true\n")
+
     def test_requires_kernel(self, tmp_path):
         cfg = parse_config(ZERO_CFG)
         assert cfg.kernel is None
@@ -506,6 +537,21 @@ class TestMainEntry:
         assert rows[0] == ["M", "N", "E", "CR"]
         assert len(rows) == 3
 
+    def test_convergence_csv_bytes(self, tmp_path):
+        # the bytes csv.writer gives: CRLF row ends, an empty first rate
+        path = self._write(tmp_path, BENCH_1D)
+        assert main(["convergence", "--config", path, "--mode", "space",
+                     "--ladder", "4,8", "--out", str(tmp_path / "conv")]) == 0
+        rows = run_convergence(parse_config(BENCH_1D), "space", [4, 8])
+        with open(tmp_path / "reference.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["M", "N", "E", "CR"])
+            for m, n, err, cr in rows:
+                writer.writerow([m, n, "%.17g" % err, "" if cr is None else "%.17g" % cr])
+        written = (tmp_path / "conv" / "convergence_space.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written.startswith(b"M,N,E,CR\r\n4,16,") and written.count(b"\r\n") == 3
+
     def test_weights_command(self, tmp_path):
         path = self._write(tmp_path, BENCH_1D)
         code = main(["weights", "--config", path, "--out", str(tmp_path / "w")])
@@ -513,6 +559,18 @@ class TestMainEntry:
         lines = (tmp_path / "w" / "weights.csv").read_text().splitlines()
         assert lines[0] == "n,edge_left,body,edge_right,edge_running_sum,sum_le_one"
         assert len(lines) == 17
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_under_a_file_exit_code(self, tmp_path, capsys, below):
+        # a regular file as the output directory, or as one of its parents
+        path = self._write(tmp_path, ZERO_CFG)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = str(taken / below) if below else str(taken)
+        assert main(["run", "--config", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(taken) in err
+        assert taken.read_text() == ""
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = self._write(tmp_path, BENCH_1D + "\nbogus = 1\n")

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memwave.diagnostics import (
-    DiagnosticsRecord,
     RunDiagnostics,
     TerminalGradient,
     a_norm,
@@ -47,6 +46,14 @@ def _observed_and_recorded(problem, mesh, ops, kernel, damping, tau, steps, chec
     observer = RunDiagnostics(mesh, ops, problem, table, steps, checkpoints)
     run(problem, mesh, tau, steps, damping=damping, ops=ops, table=table, observe=observer)
     return observer, run(problem, mesh, tau, steps, damping=damping, ops=ops, table=table)
+
+
+def _observer_by_hand(steps):
+    """A RunDiagnostics on a 1d mesh of 8 cells, tau = 0.1 and mu0 = 0.5, to be
+    called level by level with made-up norms."""
+    mesh = Mesh(1, 8)
+    table = build_weight_table(constant_transform(0.5), 0.1, steps)
+    return RunDiagnostics(mesh, assemble(mesh), SINE_PROBLEM, table, steps)
 
 
 class TestEnergy:
@@ -210,12 +217,16 @@ class TestRunDiagnostics:
         assert np.array_equal(observer.gradient, gradient_array(mesh, hist.state(steps)))
 
     def test_record_needs_the_last_step(self):
-        mesh = Mesh(1, 8)
-        table = build_weight_table(constant_transform(0.5), 0.1, 4)
-        observer = RunDiagnostics(mesh, assemble(mesh), SINE_PROBLEM, table, 4)
-        observer(0, np.zeros(7), LevelNorms(0.0, 0.0, math.nan, math.nan))
-        with pytest.raises(ValueError, match="last step 4"):
-            observer.record("unfinished")
+        # the series and the gradient read None until the last level arrives
+        observer = _observer_by_hand(steps=4)
+        for n in range(4):
+            observer(n, np.zeros(7), LevelNorms(1.0, 2.0, 3.0, 4.0))
+            assert observer.energy is None and observer.a_norms is None
+            assert observer.gradient is None
+        observer(4, np.zeros(7), LevelNorms(1.0, 2.0, 3.0, 4.0))
+        assert observer.energy.tolist() == [0.5 * 3.0 + 0.5 * 2.0] * 4
+        assert observer.a_norms.tolist() == [math.sqrt(4.0 / 0.1**2 + 0.5 * 0.5 * 4.0)] * 4
+        assert observer.gradient is not None
 
     def test_terminal_gradient_stands_in_for_the_history(self):
         mesh = Mesh(1, 16)
@@ -262,16 +273,18 @@ class TestRate:
 
 class TestRecordAndCsv:
     def test_record_validation(self):
-        with pytest.raises(ValueError):
-            DiagnosticsRecord("r", np.array([1.0, -2.0]), np.array([0.0, 0.0]),
-                              np.zeros(3), {"tau": 0.1})
-        with pytest.raises(ValueError):
-            DiagnosticsRecord("r", np.zeros(3), np.zeros(2), np.zeros(3), {})
-        nan = np.array([1.0, np.nan])
-        with pytest.raises(ValueError, match="nonnegative numbers"):
-            DiagnosticsRecord("r", nan, np.zeros(2), np.zeros(3), {})
-        with pytest.raises(ValueError, match="nonnegative numbers"):
-            DiagnosticsRecord("r", np.zeros(2), nan, np.zeros(3), {})
+        # the last level's pass checks the series it forms; LevelNorms fields
+        # are (mass, elastic, velocity, increment)
+        for last in (LevelNorms(0.0, 0.0, math.nan, 0.0),     # energy nan
+                     LevelNorms(0.0, 0.0, 0.0, math.nan),     # a_norm nan
+                     LevelNorms(0.0, math.nan, 0.0, 0.0),     # a_norm nan, by U^2
+                     LevelNorms(0.0, 0.0, -9.0, 0.0)):        # energy negative
+            observer = _observer_by_hand(steps=2)
+            observer(0, np.zeros(7), LevelNorms(0.0, 1.0, math.nan, math.nan))
+            observer(1, np.zeros(7), LevelNorms(0.0, 1.0, 1.0, 1.0))
+            with pytest.raises(ValueError, match="recorded norms must be nonnegative numbers"):
+                observer(2, np.zeros(7), last)
+            assert observer.energy is None and observer.a_norms is None
 
     def test_series_match_per_step_and_nodal_forms(self):
         mesh = Mesh(2, 8)
@@ -281,11 +294,10 @@ class TestRecordAndCsv:
                        u1=lambda x, y: np.sin(2 * np.pi * x) * y * (1.0 - y), f=None)
         observer, hist = _observed_and_recorded(prob, mesh, ops, KernelSpec(0.5, 3.0, 3.0),
                                                 DampingSpec("sqrt"), tau, steps)
-        record = observer.record("series")
         energy = [discrete_energy(hist, ops, n) for n in range(steps)]
         norms = [a_norm(hist, ops, m) for m in range(steps)]
-        assert record.energy == pytest.approx(energy, rel=1e-13, abs=0.0)
-        assert record.a_norms == pytest.approx(norms, rel=1e-13, abs=0.0)
+        assert observer.energy == pytest.approx(energy, rel=1e-13, abs=0.0)
+        assert observer.a_norms == pytest.approx(norms, rel=1e-13, abs=0.0)
 
         states = hist.states
         mass, stiff = ops.mass, ops.stiffness
@@ -303,8 +315,7 @@ class TestRecordAndCsv:
         energy = np.array([0.1 + 0.2, 1.0, 2.5e-7, 1e-43])
         a_norms = np.array([1.0 / 3.0, 0.0, 123456.789, 1.0000000000000002e-43])
         tau = 0.1
-        record = DiagnosticsRecord("pin", energy, a_norms, np.zeros(3), {"tau": tau})
-        write_energy_csv(tmp_path / "energy.csv", record)
+        write_energy_csv(tmp_path / "energy.csv", tau, energy, a_norms)
         with open(tmp_path / "reference.csv", "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["n", "t", "energy", "a_norm"])
@@ -316,22 +327,28 @@ class TestRecordAndCsv:
         assert written.endswith(b"\r\n3,0.30000000000000004,1.0000000000000001e-43,"
                                 b"1.0000000000000003e-43\r\n")
 
+    def test_convergence_csv_bytes_match_csv_writer(self, tmp_path):
+        write_convergence_csv(tmp_path / "table.csv",
+                              [(32, 16, 1.25e-2, None), (32, 32, 3.1e-3, 2.01)])
+        assert (tmp_path / "table.csv").read_bytes() == (
+            b"M,N,E,CR\r\n32,16,0.012500000000000001,\r\n"
+            b"32,32,0.0030999999999999999,2.0099999999999998\r\n")
+
     def test_collect_and_write(self, tmp_path):
         mesh = Mesh(1, 16)
         ops = assemble(mesh)
         observer, _ = _observed_and_recorded(SINE_PROBLEM, mesh, ops, KernelSpec(1.0, 2.0, 1.0),
                                              DampingSpec("sqrt"), 0.05, 11)
-        record = observer.record("demo")
-        assert record.energy.shape == (11,)
-        assert np.all(record.a_norms >= 0.0)
+        assert observer.energy.shape == (11,)
+        assert np.all(observer.a_norms >= 0.0)
 
         energy_path = tmp_path / "energy.csv"
-        write_energy_csv(energy_path, record)
+        write_energy_csv(energy_path, observer.tau, observer.energy, observer.a_norms)
         with open(energy_path) as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["n", "t", "energy", "a_norm"]
         assert len(rows) == 12
-        assert float(rows[1][2]) == pytest.approx(record.energy[0])
+        assert float(rows[1][2]) == pytest.approx(observer.energy[0])
 
         table_path = tmp_path / "table.csv"
         write_convergence_csv(table_path, [(32, 16, 1.25e-2, None), (32, 32, 3.1e-3, 2.01)])

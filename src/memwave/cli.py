@@ -375,7 +375,9 @@ def run_convergence(config: RunConfig, mode: str, ladder) -> list[tuple]:
     Each rung's error compares the run at the rung with the run at twice the
     refinement, so one extra run beyond the ladder is executed and shared
     operators/tables are reused across rungs.  Each run keeps only its
-    terminal gradient.
+    terminal gradient.  A rung has no rate (None) when it is the first, or
+    when its error or the previous rung's is exactly 0, as quiescent data
+    gives.
     """
     if mode not in ("time", "space"):
         raise ConfigError(f"mode must be 'time' or 'space', got {mode!r}")
@@ -409,7 +411,7 @@ def run_convergence(config: RunConfig, mode: str, ladder) -> list[tuple]:
 
     rows = []
     for i, ((m_val, n_val), err) in enumerate(zip(labels, errors)):
-        cr = rate(errors[i - 1], err) if i > 0 else None
+        cr = rate(errors[i - 1], err) if i > 0 and 0.0 not in (errors[i - 1], err) else None
         rows.append((m_val, n_val, err, cr))
     return rows
 

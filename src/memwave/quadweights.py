@@ -169,7 +169,7 @@ def _gauss_passes(kernel: KernelLike, tau: float, n_intervals: int) -> list:
     a = tau * abs(complex(kernel.sigma, -kernel.gamma))
     if a > _MAX_TAU_Z:
         raise QuadratureError(
-            f"tau |z| = {a:.6g} exceeds {_MAX_TAU_Z}, the largest step the "
+            f"tau |z| = {a!r} exceeds {_MAX_TAU_Z}, the largest step the "
             f"weight quadrature is verified for"
         )
     rho = np.geomspace(1.01, 1.0e3, 600)

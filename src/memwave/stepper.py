@@ -14,13 +14,14 @@ division.
 Nodal values appear only at the edges: initial data, forcing, and the
 states a caller reads back.
 
-A run streams: a step reads U^0, U^{n-1}, U^n and the memory sum over the
-velocity differences, and the history keeps only those and what the memory
-sum needs.  Every new level goes to an observer, a callable
-observe(n, coeffs, norms), with the `LevelNorms` that push forms from the
-arrays it already holds: the squared mass and elastic norms of the level,
-which also give the damping coefficient of the next step, the squared norm
-of the memory row it hands over and that of the increment.  Without an
+A run streams: a step reads U^{n-1}, U^n and the history term, the memory
+sum over the velocity differences plus K(t_n) U^0, and the history keeps
+only those and what the history term needs.  Every new level goes to an
+observer, a callable observe(n, coeffs, norms), with the `LevelNorms` that
+push forms from the arrays it already holds: the squared mass and elastic
+norms of the level, which also give the damping coefficient of the next
+step, the squared norm of the memory row it writes and that of the
+increment.  Without an
 observer the history records the whole trajectory through the `Trajectory`
 observer.
 
@@ -29,12 +30,13 @@ table serve every step.  The history binds both when it is built, and
 `step` and `taylor_start` take only what is not stored: the damping and the
 problem.  The history always steps at its own last level n = n_last.
 
-The memory sum of step n weights the whole velocity history.  For a
-KernelSpec, `_Memory` forms it from the initial velocity, an exact window
-of recent rows and a few exponential modes that hold all older ones, in
-storage that does not grow with the run; its docstring says how.  A table
-whose weights are all 0, as the zero kernel hook's are, gets a memory that
-keeps nothing and sums to 0; a history refuses any other kernel hook.
+The history term of step n weights the whole velocity history and the
+initial state.  For a KernelSpec, `_Memory` forms it from the initial
+velocity, U^0, an exact window of recent rows and a few exponential modes
+that hold all older ones, in storage that does not grow with the run; its
+docstring says how.  A table whose weights and kernel samples are all 0, as
+the zero kernel hook's are, gets a memory that keeps nothing and sums to 0;
+a history refuses any other kernel hook.
 """
 
 from __future__ import annotations
@@ -202,18 +204,18 @@ class _StepConstants:
 
     With e = mu0/2 + w(n,n)/(2 tau), the system diagonal of step n is
     `diagonal` + q_n/(2 tau), `smallest` is the least entry of `diagonal`,
-    U^{n-1} enters the right-hand side with the factor
-    q_n/(2 tau) - `previous`, and K(t_n) scales `initial`.
+    U^n enters the right-hand side with the factor `inertia` and U^{n-1}
+    with q_n/(2 tau) - `previous`.
     """
 
     diagonal: np.ndarray  # 1/tau^2 + e * lambda
     smallest: float
     previous: np.ndarray  # 1/tau^2 + (mu0/2 - w(n,n)/(2 tau)) * lambda
-    initial: np.ndarray   # lambda * U^0
+    inertia: float        # 2/tau^2
+    two_tau: float
 
     @classmethod
-    def build(cls, ops: DiscreteOperators, table: WeightTable,
-              initial: np.ndarray) -> "_StepConstants":
+    def build(cls, ops: DiscreteOperators, table: WeightTable) -> "_StepConstants":
         lam, tau, mu0 = ops.eigenvalues, table.tau, table.mu0
         w_nn = table.edge_right
         elastic = 0.5 * mu0 + w_nn / (2.0 * tau)
@@ -230,19 +232,21 @@ class _StepConstants:
                 f"smallest entry {smallest}"
             )
         previous = 1.0 / tau**2 + (0.5 * mu0 - w_nn / (2.0 * tau)) * lam
-        return cls(diagonal, smallest, previous, lam * initial)
+        return cls(diagonal, smallest, previous, 2.0 / tau**2, 2.0 * tau)
 
 
 class _Memory:
-    """The memory sum of one run: sum over p < n of w(n, p) * d_p for step n.
+    """The history term of one run: sum over p < n of w(n, p) * d_p, plus
+    K(t_n) U^0, for step n.
 
     d_0 is the initial velocity the memory is built with, and d_p for
-    p >= 1 the row that push(p, row) hands over, in order of p.  Steps are
-    taken in blocks of L0 = _MEMORY_BLOCK, aligned to multiples of L0; step
-    n = s + i of the block starting at s weights d_0 with edge_left[n], and
-    the rows p > max(0, s - L0), at lags below L0 + i, with the table's
-    exact body weights.  Every older row p >= 1 lives on in 2K real state
-    rows, the real and imaginary parts of the K complex modes
+    p >= 1 the row written into row(p) before push(p), in order of p.
+    Steps are taken in blocks of L0 = _MEMORY_BLOCK, aligned to multiples
+    of L0; step n = s + i of the block starting at s weights d_0 with
+    edge_left[n], U^0 with k_values[n] = K(t_n), and the rows
+    p > max(0, s - L0), at lags below L0 + i, with the table's exact body
+    weights.  Every older row p >= 1 lives on in 2K real state rows, the
+    real and imaginary parts of the K complex modes
     H_k = sum_{1 <= p <= s - L0} a_k c_k rho_k**(s - p) d_p, with
     rho_k = exp(-w_k tau), K(t) = Re sum_k a_k exp(-w_k t) as
     `kernel.exponential_modes` gives it and c_k the full-hat weight of
@@ -252,24 +256,27 @@ class _Memory:
     and 27 on the 1d one, where the quadrature alone gives 54 and 68, and
     every cost of a block below scales with K.
 
-    Both buffers hold [d_0 | states | ring]: d_0, the 2K state rows, then
-    the rows s - 31 .. s - 1 of the previous block and the L0 slots of the
-    current block, where push writes row p to slot p - s.  Two GEMMs and a
-    copy, the turn, serve each block s' in `_back`: once when the memory
-    is built, for s' = 0, and then when the last row of the block
-    s = s' - L0 arrives.  They are the advance states <- `_advance` @
-    [states; rows s - 31 .. s], which absorbs the rows leaving the window
-    and turns each mode by rho**L0; a copy of rows s + 1 .. s + 31; and
-    the far and near sums of all steps of the block, [edge_left[s' + i] |
-    Re rho**i | -Im rho**i | body[31 + i - c]] @ [d_0; states; those 31
-    rows], parked in the slots, which push overwrites only after step
-    s' + i has read slot i; then the buffers swap.  Step s' + i adds its
-    rows p >= s' with one short GEMV.  The first turn finds no rows,
-    and push never writes slot 0 of the first block, as d_0 has its own
-    row: that slot keeps the parked sum of step 0, edge_left[0] d_0 = 0,
-    which the GEMVs and the next advance read as a zero row.  So a block
-    costs a (2K) x (2K + 32) and a 32 x (2K + 64) GEMM against buffers of
-    (2K + 64) x ndof.
+    Both buffers hold [d_0 | U^0 | states | ring]: d_0 and U^0, fixed
+    rows, the 2K state rows, then the rows s - 31 .. s - 1 of the previous
+    block and the L0 slots of the current block, where row p is written
+    to slot p - s.  Two GEMMs and a copy, the turn, serve each block s' in
+    `_back`: once when the memory is built, for s' = 0, and then when the
+    last row of the block s = s' - L0 arrives.  They are the advance
+    states <- `_advance` @ [states; rows s - 31 .. s], which absorbs the
+    rows leaving the window and turns each mode by rho**L0; a copy of rows
+    s + 1 .. s + 31; and the far and near sums of all steps of the block,
+    [edge_left[s' + i] | k_values[s' + i] | Re rho**i | -Im rho**i |
+    body[31 + i - c]] @ [d_0; U^0; states; those 31 rows], parked in the
+    slots, which a row overwrites only after step s' + i has read slot i;
+    then the buffers swap.  Row i of the weights holds a 1 at lag 0, the
+    column of slot i, so step s' + i reads its parked sum and adds its
+    rows p >= s' in one GEMV.  The first turn finds no rows, and no row is
+    written to slot 0 of the first block, as d_0 has its own row: the turn
+    parks K(0) U^0 there, the sum of step 0, which no step reads, and the
+    memory sets that slot to 0 so that the GEMVs of steps 1 .. 31 and the
+    next advance read it as a zero row.  So a block costs a
+    (2K) x (2K + 32) and a 32 x (2K + 65) GEMM against buffers of
+    (2K + 65) x ndof.
 
     Building the memory raises QuadratureError naming the mode if a rate
     is not finite with Re w > 0, since that mode would not decay.  It
@@ -280,7 +287,8 @@ class _Memory:
     mismatch.  The memory needs the modes of a KernelSpec table.
     """
 
-    def __init__(self, table: WeightTable, n_steps: int, initial_velocity: np.ndarray):
+    def __init__(self, table: WeightTable, n_steps: int, initial_velocity: np.ndarray,
+                 initial: np.ndarray):
         tau, self._last, self._table = table.tau, n_steps - 1, table
         block = _MEMORY_BLOCK
         amplitudes, rates = exponential_modes(table.kernel, (block - 1) * tau,
@@ -298,35 +306,42 @@ class _Memory:
         self._advance = np.block([[turn.real, -turn.imag, absorb.real],
                                   [turn.imag, turn.real, absorb.imag]])
         # lags beyond the table appear only in rows of steps past the run;
-        # column 0, the weights of d_0, is filled by each turn
-        lags = np.clip(block - 1 + np.arange(block)[:, None] - np.arange(2 * block - 1),
-                       0, table.n_max)
-        self._weights = np.hstack([np.zeros((block, 1)), rho[:, :block].real.T,
-                                   -rho[:, :block].imag.T, table.body[lags]])
-        self._offset = 2 * rates.size + block
+        # lag 0 takes the step's parked sum; columns 0 and 1, the weights of
+        # d_0 and U^0, are filled by each turn
+        lags = block - 1 + np.arange(block)[:, None] - np.arange(2 * block - 1)
+        near = np.where(lags == 0, 1.0, table.body[np.clip(lags, 0, table.n_max)])
+        self._weights = np.hstack([np.zeros((block, 2)), rho[:, :block].real.T,
+                                   -rho[:, :block].imag.T, near])
+        self._offset = 2 * rates.size + block + 1
         self._front, self._back = np.zeros((2, self._offset + block, initial_velocity.size))
         self._front[0] = self._back[0] = initial_velocity
+        self._front[1] = self._back[1] = initial
         self._turn(0)
+        self._front[self._offset] = 0.0  # slot 0 of the first block holds no row
 
-    def push(self, p: int, row: np.ndarray) -> None:
-        """Take row p >= 1, once rows 1..p-1 are in."""
-        self._front[self._offset + p % _MEMORY_BLOCK] = row
+    def row(self, p: int) -> np.ndarray:
+        """The slot that row p >= 1 is written into, before push(p)."""
+        return self._front[self._offset + p % _MEMORY_BLOCK]
+
+    def push(self, p: int) -> None:
+        """Take row p >= 1, written into row(p), once rows 1..p-1 are in."""
         if p % _MEMORY_BLOCK == _MEMORY_BLOCK - 1 and p < self._last:
             self._turn(p + 1)
 
     def _turn(self, start: int) -> None:
         front, back, o, k2 = self._front, self._back, self._offset, self._advance.shape[0]
-        np.matmul(self._advance, front[1:o + 1], out=back[1:k2 + 1])
-        back[k2 + 1:o] = front[o + 1:]
+        np.matmul(self._advance, front[2:o + 1], out=back[2:k2 + 2])
+        back[k2 + 2:o] = front[o + 1:]
         stop = min(_MEMORY_BLOCK, self._last + 1 - start)
         self._weights[:stop, 0] = self._table.edge_left[start:start + stop]
+        self._weights[:stop, 1] = self._table.k_values[start:start + stop]
         np.matmul(self._weights[:stop, :o], back[:o], out=back[o:o + stop])
         self._front, self._back = back, front
 
     def __call__(self, n: int) -> np.ndarray:
-        """The memory sum of step n, once rows 1..n-1 are pushed."""
-        front, o, i = self._front, self._offset, n % _MEMORY_BLOCK
-        return front[o + i] + self._weights[i, o:o + i] @ front[o:o + i]
+        """The history term of step n, once rows 1..n-1 are pushed."""
+        o, i = self._offset, n % _MEMORY_BLOCK
+        return self._weights[i, o:o + i + 1] @ self._front[o:o + i + 1]
 
 
 def _check_modes(table: WeightTable, body: np.ndarray, rates: np.ndarray,
@@ -349,37 +364,43 @@ def _check_modes(table: WeightTable, body: np.ndarray, rates: np.ndarray,
 
 
 class _NoMemory:
-    """The memory of a table whose body and edge_left weights are all 0,
-    as the zero kernel hook's are: it keeps no rows, and every sum is 0."""
+    """The memory of a table whose body and edge_left weights and kernel
+    samples k_values are all 0, as the zero kernel hook's are: it keeps no
+    rows, and every history term is 0."""
 
     def __init__(self, ndof: int):
         self._zero = np.zeros(ndof)
         self._zero.flags.writeable = False
 
-    def push(self, p: int, row: np.ndarray) -> None:
+    def row(self, p: int) -> np.ndarray:
+        """A new array for row p, which the memory does not keep."""
+        return np.empty_like(self._zero)
+
+    def push(self, p: int) -> None:
         """Take row p and keep nothing of it."""
 
     def __call__(self, n: int) -> np.ndarray:
-        """The memory sum of step n: 0."""
+        """The history term of step n: 0."""
         return self._zero
 
 
 class SimulationHistory:
-    """What the next step reads: U^0, U^{n-1}, U^n and the memory sum.
+    """What the next step reads: U^{n-1}, U^n and the history term.
 
     ops and table are the run's modal basis and weight table; tau and mu0
     are the table's.  The table must reach step n_steps - 1, the last step
     taken.  initial, previous and current hold U^0, U^{n-1} and U^n as modal
     coefficients, and initial_velocity the discrete initial velocity.  The
     memory sum weights the rows d_0 = initial_velocity and, for p >= 1, the
-    centered differences d_p = (U^{p+1} - U^{p-1}) / (2 tau), also modal,
-    and the step scales the result by the eigenvalues.  The run's memory
-    is built with d_0, and push hands it each new d_p; it keeps what later
-    sums need: none (`_NoMemory`) when the table's memory weights are all
-    0, as the zero kernel hook's are, and otherwise a `_Memory` of O(ndof)
-    rows, which needs a KernelSpec table.  A table of any other kernel
-    hook raises ValueError.  The nodal initial data u0 and u1h are kept as
-    given.
+    centered differences d_p = (U^{p+1} - U^{p-1}) / (2 tau), also modal;
+    the history term adds K(t_n) U^0 to that sum, and the step scales the
+    result by the eigenvalues.  The run's memory is built with d_0 and U^0,
+    and push writes each new d_p into it; it keeps what later terms need:
+    none (`_NoMemory`) when the table's memory weights and kernel samples
+    are all 0, as the zero kernel hook's are, and otherwise a `_Memory` of
+    O(ndof) rows, which needs a KernelSpec table.  A table of any other
+    kernel hook raises ValueError.  The nodal initial data u0 and u1h are
+    kept as given.
 
     observe(n, coeffs, norms) is called with U^0 here and with every pushed
     level; `norms` holds the `LevelNorms` of U^n_last, which the next step
@@ -410,12 +431,12 @@ class SimulationHistory:
         self.initial_velocity = ops.to_modal(self.u1h)
         self.previous = self.current = self.initial
         self.norms = LevelNorms(*_state_norms(ops.eigenvalues, self.initial), math.nan, math.nan)
-        self.constants = _StepConstants.build(ops, table, self.initial)
+        self.constants = _StepConstants.build(ops, table)
         self._count = 1
-        if not (table.body.any() or table.edge_left.any()):
+        if not (table.body.any() or table.edge_left.any() or table.k_values.any()):
             self._memory = _NoMemory(self.u0.size)
         elif isinstance(table.kernel, KernelSpec):
-            self._memory = _Memory(table, self.n_steps, self.initial_velocity)
+            self._memory = _Memory(table, self.n_steps, self.initial_velocity, self.initial)
         else:
             raise ValueError("the memory of a kernel hook with nonzero weights has no "
                              "exponential modes; give a KernelSpec")
@@ -461,13 +482,14 @@ class SimulationHistory:
         nodal[0] = self.u0
         return nodal
 
-    def memory_sum(self) -> np.ndarray:
-        """Sum over p < n of w(n, p) * d_p for the next step, n = n_last."""
+    def history_term(self) -> np.ndarray:
+        """Sum over p < n of w(n, p) * d_p, plus K(t_n) U^0, for the next
+        step, n = n_last; a new array, or the zero memory's read-only 0."""
         return self._memory(self.n_last)
 
     def push(self, coeffs: np.ndarray) -> None:
-        """Append the modal coefficients of U^{n+1}, hand its memory-sum row
-        d_n to the memory and pass the level with its `LevelNorms` to the
+        """Append the modal coefficients of U^{n+1}, write its memory row d_n
+        into the memory and pass the level with its `LevelNorms` to the
         observer.  The history keeps `coeffs` itself as U^{n+1}, not a copy;
         a level that is not finite raises StepError before anything is
         written.  The check reads the squared norm: only when that is not
@@ -481,8 +503,10 @@ class SimulationHistory:
         if not math.isfinite(mass) and not np.isfinite(coeffs).all():
             raise StepError(f"state U^{k} computed at step {k - 1} is not finite")
         if k >= 2:
-            row = (coeffs - self.previous) / (2.0 * self.tau)
-            self._memory.push(k - 1, row)
+            row = self._memory.row(k - 1)
+            np.subtract(coeffs, self.previous, out=row)
+            row /= self.constants.two_tau
+            self._memory.push(k - 1)
         else:
             row = self.initial_velocity
         increment = coeffs - self.current
@@ -523,11 +547,12 @@ def step(history: SimulationHistory, damping: DampingSpec, problem: Problem) -> 
 
     The system matrix is
         S = (1/tau^2 + q_n/(2 tau)) M + (mu0/2 + w(n,n)/(2 tau)) A
-    and the right-hand side collects the two known levels, the accumulated
-    memory sum, the forcing, and the elastic contribution of the initial
-    state carried by K(t_n).  In the modal basis S is diagonal.  Only q_n
+    and the right-hand side collects the two known levels, the history
+    term (the accumulated memory sum and the initial state weighted by
+    K(t_n)) and the forcing.  In the modal basis S is diagonal.  Only q_n
     changes from step to step, formed from the history's `norms` of U^n;
-    the rest is the history's `constants`.
+    the rest is the history's `constants`.  The right-hand side is summed
+    in place, in the order of the terms above, and divided in place.
     """
     n = history.n_last
     if n < 1:
@@ -536,24 +561,27 @@ def step(history: SimulationHistory, damping: DampingSpec, problem: Problem) -> 
         raise IndexError(f"step {n} would pass the {history.n_steps} steps "
                          f"the history was sized for")
 
-    ops, tau, consts = history.ops, history.tau, history.constants
-    c_n, c_nm1 = history.current, history.previous
+    ops, consts = history.ops, history.constants
 
-    half_q = damping_value(damping, history.norms) / (2.0 * tau)
+    half_q = damping_value(damping, history.norms) / consts.two_tau
     smallest = consts.smallest + half_q
     if not (smallest > 0.0 and math.isfinite(smallest)):
         raise SolverError(
             f"system diagonal at step {n} is not positive and finite: smallest entry {smallest}"
         )
 
-    rhs = ((2.0 / tau**2) * c_n + (half_q - consts.previous) * c_nm1
-           - ops.eigenvalues * history.memory_sum()
-           - float(history.table.k_values[n]) * consts.initial)
+    rhs = consts.inertia * history.current
+    scratch = half_q - consts.previous
+    scratch *= history.previous
+    rhs += scratch
+    np.multiply(ops.eigenvalues, history.history_term(), out=scratch)
+    rhs -= scratch
     if problem.f is not None:
-        rhs += ops.project(load_vector(history.mesh, problem.f, n * tau))
-    c_next = rhs / (consts.diagonal + half_q)
-    history.push(c_next)
-    return c_next
+        rhs += ops.project(load_vector(history.mesh, problem.f, n * history.tau))
+    np.add(consts.diagonal, half_q, out=scratch)
+    rhs /= scratch
+    history.push(rhs)
+    return rhs
 
 
 def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,

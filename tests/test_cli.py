@@ -552,6 +552,22 @@ class TestMainEntry:
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert written.startswith(b"M,N,E,CR\r\n4,16,") and written.count(b"\r\n") == 3
 
+    @pytest.mark.parametrize("mode", ["time", "space"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_convergence_of_zero_data(self, tmp_path, capsys, dim, mode):
+        # quiescent data: every rung's error is exactly 0, and a rung pair
+        # with a zero error gets no rate, an empty field and '*' on stdout
+        path = self._write(tmp_path, ZERO_CFG.replace("dim = 1", f"dim = {dim}"))
+        assert main(["convergence", "--config", path, "--mode", mode,
+                     "--ladder", "4,8", "--out", str(tmp_path / "conv")]) == 0
+        with open(tmp_path / "conv" / f"convergence_{mode}.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["M", "N", "E", "CR"]
+        assert [row[2:] for row in rows[1:]] == [["0", ""], ["0", ""]]
+        printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("M=")]
+        assert len(printed) == 2
+        assert all(line.endswith("E=0.0000e+00 CR=*") for line in printed)
+
     def test_weights_command(self, tmp_path):
         path = self._write(tmp_path, BENCH_1D)
         code = main(["weights", "--config", path, "--out", str(tmp_path / "w")])

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc
@@ -225,10 +225,15 @@ class TestGaussPasses:
            sigma=st.floats(min_value=1.0, max_value=10.0, exclude_min=True),
            ratio=st.floats(min_value=0.0, max_value=ROOT3),
            step=st.floats(min_value=1e-3, max_value=quadweights._MAX_TAU_Z))
+    @example(alpha=1.0, sigma=1.03125, ratio=1.0, step=6.0)
     @settings(max_examples=80, deadline=None)
     def test_matches_order_56(self, alpha, sigma, ratio, step):
         spec = KernelSpec(alpha, sigma, ratio * sigma)
-        tau = step / abs(complex(sigma, -ratio * sigma))
+        z = abs(complex(sigma, -ratio * sigma))
+        tau = step / z
+        while tau * z > quadweights._MAX_TAU_Z:
+            # step / z * z can round above step: keep tau |z| in the contract
+            tau = np.nextafter(tau, 0.0)
         n_max = 40
         body, edge_left, edge_right = _order_56_table(spec, tau, n_max)
         if edge_right <= 0.0:
@@ -281,7 +286,9 @@ class TestGaussPasses:
         # |z| = 6, so tau |z| is 1.01 times the largest verified step
         spec = KernelSpec(0.5, 3.0, 3.0 * ROOT3)
         tau = 1.01 * quadweights._MAX_TAU_Z / 6.0
-        with pytest.raises(quadweights.QuadratureError, match=r"tau \|z\| = 6\.06 exceeds 6"):
+        # the message shows tau |z| in full, so that an excess in the last bit shows
+        with pytest.raises(quadweights.QuadratureError,
+                           match=r"tau \|z\| = 6\.0600000000000005 exceeds 6\.0,"):
             build_weight_table(spec, tau, 8)
 
 

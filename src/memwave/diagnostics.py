@@ -132,7 +132,8 @@ def self_error_space(run_coarse, run_fine) -> float:
 
     Each run is a SimulationHistory or a TerminalGradient observer.
     Coarse node j aligns with fine node 2j (both meshes cover the unit
-    domain), so the fine gradient field is subsampled at the odd strides.
+    domain), so the fine gradient field is subsampled at the odd entries
+    along each axis.
     """
     mc, mf = run_coarse.mesh, run_fine.mesh
     if mc.dim != mf.dim:
@@ -145,8 +146,7 @@ def self_error_space(run_coarse, run_fine) -> float:
         raise ValueError("runs must share the step size")
     grad_c = _terminal_gradients(run_coarse)
     grad_f = _terminal_gradients(run_fine)
-    sub = grad_f[1::2] if mc.dim == 1 else grad_f[1::2, 1::2]
-    diff = grad_c - sub
+    diff = grad_c - grad_f[(slice(1, None, 2),) * mc.dim]
     return math.sqrt(mc.h**mc.dim * float(np.sum(diff * diff)))
 
 

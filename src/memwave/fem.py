@@ -9,7 +9,10 @@ eigenvectors of the 1d pair therefore diagonalize both operators, per axis,
 so `DiscreteOperators` holds only the 1d pair and that basis; the time
 stepper works in the basis.  The consistent 1d pair is tridiagonal Toeplitz,
 so its basis is the sine modes in closed form; the lumped 1d pair takes one
-symmetric eigensolve.  Only numpy is needed.
+symmetric eigensolve.  Interpolation and the load vector are the 1d rule
+along each axis as well: interpolation evaluates on the tensor grid of the
+1d nodes, and the load vector applies the 1d Gauss rule of each hat to one
+axis, then the other.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -174,53 +177,51 @@ def assemble(mesh: Mesh, lumped_mass: bool = False) -> DiscreteOperators:
     return DiscreteOperators(mesh.dim, mass1, stiff1, vectors, vectors.T @ mass1, values)
 
 
-def _broadcast_field(values, like: np.ndarray) -> np.ndarray:
+def _broadcast_field(values, shape: tuple) -> np.ndarray:
     out = np.asarray(values, dtype=float)
-    if out.shape != like.shape:
-        out = np.broadcast_to(out, like.shape).astype(float)
+    if out.shape != shape:
+        out = np.broadcast_to(out, shape).astype(float)
     return out
 
 
+def _to_nodes(cells: np.ndarray, h: float) -> np.ndarray:
+    """Gauss values on the last two axes (cell, point) to the interior nodes.
+
+    Node j takes the rising half of cell j - 1 and the falling half of
+    cell j: the 1d load rule, applied along one axis."""
+    w = h * _GWTS
+    return cells[..., :-1, :] @ (w * _GPTS) + cells[..., 1:, :] @ (w * (1.0 - _GPTS))
+
+
 def interpolate(mesh: Mesh, g) -> np.ndarray:
-    """Nodal values of g at the interior nodes (boundary values are 0)."""
+    """Nodal values of g at the interior nodes (boundary values are 0).
+
+    g receives one open array of node coordinates per axis, in 2d of shapes
+    (M-1, 1) and (1, M-1), and its value broadcasts to the grid."""
     xs = mesh.interior_coords()
-    if mesh.dim == 1:
-        return _broadcast_field(g(xs), xs).copy()
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    return _broadcast_field(g(gx, gy), gx).ravel().copy()
+    values = g(*np.ix_(*[xs] * mesh.dim))
+    return _broadcast_field(values, (xs.size,) * mesh.dim).ravel().copy()
 
 
 def load_vector(mesh: Mesh, f, t: float) -> np.ndarray:
     """Entries (f(., t), phi_j) for each interior basis function.
 
-    Per-cell Gauss quadrature, exact through degree 5.  `f = None` means a
-    zero forcing term and skips the quadrature entirely.
+    Per-cell Gauss quadrature, exact through degree 5.  The 2d basis
+    functions are products of 1d hats, so the 2d vector is the 1d rule
+    applied along each axis of the Gauss values, y first.  f receives the
+    Gauss points as (cell, point) arrays: one of shape (M, 3) in 1d; in 2d
+    open arrays of shapes (M, 3, 1, 1) and (M, 3), and its value broadcasts
+    to the (M, 3, M, 3) grid.
+    `f = None` means a zero forcing term and skips the quadrature entirely.
     """
     m, h = mesh.m, mesh.h
     if f is None:
         return np.zeros(mesh.n_interior)
-    cells = h * np.arange(m)
-    pts = cells[:, None] + h * _GPTS[None, :]  # (m, 3)
+    pts = h * np.arange(m)[:, None] + h * _GPTS  # (cell, point)
     if mesh.dim == 1:
-        fv = _broadcast_field(f(pts, t), pts)
-        w_lo = h * _GWTS * (1.0 - _GPTS)
-        w_hi = h * _GWTS * _GPTS
-        full = np.zeros(m + 1)
-        full[:-1] += fv @ w_lo
-        full[1:] += fv @ w_hi
-        return full[1:m].copy()
-
-    x4 = pts[:, :, None, None]
-    y4 = pts[None, None, :, :]
-    fv = _broadcast_field(f(x4, y4, t), np.broadcast_arrays(x4, y4)[0])
-    w0 = _GWTS * (1.0 - _GPTS)
-    w1 = _GWTS * _GPTS
-    full = np.zeros((m + 1, m + 1))
-    for a, wa in ((0, w0), (1, w1)):
-        for b, wb in ((0, w0), (1, w1)):
-            contrib = h * h * np.einsum("kqlr,q,r->kl", fv, wa, wb)
-            full[a:m + a, b:m + b] += contrib
-    return full[1:m, 1:m].ravel().copy()
+        return _to_nodes(_broadcast_field(f(pts, t), pts.shape), h)
+    values = _broadcast_field(f(pts[:, :, None, None], pts, t), pts.shape * 2)
+    return _to_nodes(_to_nodes(values, h).transpose(2, 0, 1), h).T.ravel()
 
 
 def gradient_array(mesh: Mesh, u: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -189,10 +190,8 @@ def transform_by_quadrature(spec: KernelSpec, t: float) -> float:
     t_cut = _tail_cut(sigma, t)
     scale = sigma + gamma + 1.0
     tol = TRANSFORM_TOL / 4.0
+    f = partial(beta, spec)
     if spec.alpha == 1.0:
-        def f(s):
-            return np.exp(-sigma * s) * np.cos(gamma * s)
-
         panels0 = max(4, int((t_cut - t) * scale / 4.0) + 1)
         return _adaptive_gl(f, t, t_cut, tol, panels0)
 
@@ -207,9 +206,6 @@ def transform_by_quadrature(spec: KernelSpec, t: float) -> float:
         total += _adaptive_gl(g, a, b, tol, max(4, int((b - a) * scale) + 1))
     lo = max(t, knee)
     if lo < t_cut:
-        def f(s):
-            return np.exp(-sigma * s) * np.cos(gamma * s) / np.sqrt(np.pi * s)
-
         panels0 = max(4, int((t_cut - lo) * scale / 4.0) + 1)
         total += _adaptive_gl(f, lo, t_cut, tol, panels0)
     return total

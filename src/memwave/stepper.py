@@ -139,6 +139,10 @@ class Problem:
 
     u0, u1 : callables of the space coordinates (x) or (x, y)
     f      : callable of (x, t) or (x, y, t); None means zero forcing
+
+    The coordinates are numpy arrays.  In 2d they are open per-axis arrays,
+    such as x of shape (M-1, 1) and y of shape (1, M-1), and the value must
+    broadcast to the grid they span; a scalar value is broadcast too.
     """
 
     u0: Callable
@@ -490,7 +494,9 @@ class SimulationHistory:
     def push(self, coeffs: np.ndarray) -> None:
         """Append the modal coefficients of U^{n+1}, write its memory row d_n
         into the memory and pass the level with its `LevelNorms` to the
-        observer.  The history keeps `coeffs` itself as U^{n+1}, not a copy;
+        observer.  The velocity norm is read from the row's slot before the
+        memory takes the row, since taking it may turn the block.  The
+        history keeps `coeffs` itself as U^{n+1}, not a copy;
         a level that is not finite raises StepError before anything is
         written.  The check reads the squared norm: only when that is not
         finite are the entries themselves tested, so a finite level whose
@@ -506,11 +512,12 @@ class SimulationHistory:
             row = self._memory.row(k - 1)
             np.subtract(coeffs, self.previous, out=row)
             row /= self.constants.two_tau
+            velocity = float(row @ row)
             self._memory.push(k - 1)
         else:
-            row = self.initial_velocity
+            velocity = float(self.initial_velocity @ self.initial_velocity)
         increment = coeffs - self.current
-        self.norms = LevelNorms(mass, elastic, float(row @ row), float(increment @ increment))
+        self.norms = LevelNorms(mass, elastic, velocity, float(increment @ increment))
         self.previous, self.current = self.current, coeffs
         self._count = k + 1
         self._observe(k, coeffs, self.norms)

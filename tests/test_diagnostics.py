@@ -180,6 +180,23 @@ class TestSelfErrors:
         hist_f3 = _stationary_history(mesh_f, ops_f, interpolate(mesh_f, linear), steps=2)
         assert self_error_space(hist_c3, hist_f3) <= 1e-13
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_space_error_reads_the_fine_gradient_at_the_coarse_nodes(self, dim):
+        # coarse node j is fine node 2j, entry 2j - 1 of the fine gradient
+        # along each axis; fields not symmetric in the axes show a swap
+        mesh_c, mesh_f = Mesh(dim, 4), Mesh(dim, 8)
+        coarse = TerminalGradient(mesh_c, None, 0.1, 2)
+        fine = TerminalGradient(mesh_f, None, 0.1, 2)
+        rng = np.random.default_rng(dim)
+        coarse.gradient = rng.standard_normal((3,) * dim)
+        fine.gradient = rng.standard_normal((7,) * dim)
+        sub = fine.gradient[1::2] if dim == 1 else fine.gradient[1::2, 1::2]
+        expected = math.sqrt(mesh_c.h**dim * float(np.sum((coarse.gradient - sub) ** 2)))
+        assert self_error_space(coarse, fine) == expected
+        fine.gradient = np.zeros((7,) * dim)
+        fine.gradient[(slice(1, None, 2),) * dim] = coarse.gradient
+        assert self_error_space(coarse, fine) == 0.0
+
 
 class TestRunDiagnostics:
     """The streamed series, checkpoints and terminal gradient against the

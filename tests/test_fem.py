@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memwave.fem import (
     Mesh,
@@ -20,6 +22,9 @@ from memwave.fem import (
 )
 
 GAUSS5_X, GAUSS5_W = np.polynomial.legendre.leggauss(5)
+# the shipped 3-point Gauss rule on [0, 1], restated for the reference forms
+GAUSS3_X = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
+GAUSS3_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -302,3 +307,101 @@ class TestGradients:
         w = gradient_array(mesh, u)
         # away from the boundary the backward differences see slopes (1, 2)
         assert w[4:-1, 4:-1] == pytest.approx(np.sqrt(5.0), abs=1e-12)
+
+
+def _field(dim):
+    """A field of exact arithmetic, not symmetric in x and y, whose values
+    do not depend on how the coordinates are batched."""
+    if dim == 1:
+        return lambda x: x * (1.0 - x) + 0.25 * x * x * x
+    return lambda x, y: x * (1.0 - y) + 2.0 * y * y - x * y * x
+
+
+def _interpolate_per_node(mesh, g):
+    """Nodal values by one call of g per interior node, i slow."""
+    nodes = [mesh.h * i for i in range(1, mesh.m)]
+    if mesh.dim == 1:
+        return np.array([g(x) for x in nodes])
+    return np.array([g(x, y) for x in nodes for y in nodes])
+
+
+def _gradient_padded(mesh, u):
+    """Backward differences from a zero-padded copy of the state."""
+    m, h = mesh.m, mesh.h
+    if mesh.dim == 1:
+        return np.diff(np.concatenate(([0.0], u))) / h
+    full = np.zeros((m + 1, m + 1))
+    full[1:m, 1:m] = u.reshape(m - 1, m - 1)
+    dx = (full[1:m, 1:m] - full[0:m - 1, 1:m]) / h
+    dy = (full[1:m, 1:m] - full[1:m, 0:m - 1]) / h
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _gauss_points(mesh):
+    """The (cell, point) array of Gauss points along one axis."""
+    return mesh.h * np.arange(mesh.m)[:, None] + mesh.h * GAUSS3_X
+
+
+def _load_padded_1d(mesh, f, t):
+    """The 1d load vector summed into a zero-padded node array."""
+    m, h = mesh.m, mesh.h
+    fv = f(_gauss_points(mesh), t)
+    full = np.zeros(m + 1)
+    full[:-1] += fv @ (h * GAUSS3_W * (1.0 - GAUSS3_X))
+    full[1:] += fv @ (h * GAUSS3_W * GAUSS3_X)
+    return full[1:m]
+
+
+def _load_einsum_2d(mesh, f, t):
+    """The 2d load vector as four corner passes into a zero-padded grid."""
+    m, h = mesh.m, mesh.h
+    pts = _gauss_points(mesh)
+    fv = f(pts[:, :, None, None], pts[None, None, :, :], t)
+    w0, w1 = GAUSS3_W * (1.0 - GAUSS3_X), GAUSS3_W * GAUSS3_X
+    full = np.zeros((m + 1, m + 1))
+    for a, wa in ((0, w0), (1, w1)):
+        for b, wb in ((0, w0), (1, w1)):
+            full[a:m + a, b:m + b] += h * h * np.einsum("kqlr,q,r->kl", fv, wa, wb)
+    return full[1:m, 1:m].ravel()
+
+
+class TestTensorGrid:
+    """Interpolation, gradients and load vectors against per-node and
+    zero-padded reference forms."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 40), dim=st.sampled_from([1, 2]))
+    def test_interpolate_and_gradient_match_references(self, m, dim):
+        mesh = Mesh(dim, m)
+        u = interpolate(mesh, _field(dim))
+        assert np.array_equal(u, _interpolate_per_node(mesh, _field(dim)))
+        assert np.array_equal(gradient_array(mesh, u), _gradient_padded(mesh, u))
+
+    @pytest.mark.parametrize("m", [3, 4, 7, 16, 33, 64, 128, 256])
+    def test_1d_load_matches_padded_form(self, m):
+        mesh = Mesh(1, m)
+        f = lambda x, t: np.exp(-t) * np.sin(np.pi * x) + x * x
+        assert np.array_equal(load_vector(mesh, f, 0.3), _load_padded_1d(mesh, f, 0.3))
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 17, 32])
+    def test_2d_load_matches_einsum_form(self, m):
+        # exp(xy + t) is not separable, and x (1 + x) y^2 is not symmetric
+        # in x and y, so a swapped axis shows
+        mesh = Mesh(2, m)
+        for f in (lambda x, y, t: np.exp(x * y + t), lambda x, y, t: x * (1.0 + x) * y * y):
+            vals, ref = load_vector(mesh, f, 0.25), _load_einsum_2d(mesh, f, 0.25)
+            assert np.abs(vals - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_2d_fields_receive_open_axes(self):
+        # g sees one open array per axis, which broadcast to the grid
+        shapes = []
+
+        def g(x, y):
+            shapes.append((x.shape, y.shape))
+            return x * y
+
+        mesh = Mesh(2, 6)
+        vals = interpolate(mesh, g)
+        assert shapes == [((5, 1), (1, 5))]
+        xs = mesh.interior_coords()
+        assert np.array_equal(vals, np.outer(xs, xs).ravel())

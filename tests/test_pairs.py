@@ -2,8 +2,11 @@
 
 import importlib.util
 import json
+import subprocess
 import textwrap
 from pathlib import Path
+
+import pytest
 
 PAIRS = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
 
@@ -40,6 +43,7 @@ def test_seeds_and_order():
     pairs = _load_pairs()
     assert pairs.seeds("1-8") == list(range(1, 9))
     assert pairs.seeds("1,4,7") == [1, 4, 7]
+    assert pairs.seeds("3-3") == [3]
     assert [pairs.order(s) for s in (1, 2, 3)] == [("A", "B"), ("B", "A"), ("A", "B")]
 
 
@@ -62,9 +66,9 @@ def test_summary_of_canned_pairs():
     ]
 
 
-def test_main_alternates_the_trees(tmp_path, capsys):
-    # two stand-in trees whose run.py logs its tree and seed and prints a
-    # canned result: A runs first on odd seeds, B on even ones
+def _stand_in_trees(tmp_path):
+    """Two stand-in trees whose run.py logs its tree and seed to the returned
+    path and prints a canned result."""
     log = tmp_path / "log"
     for name, wall in (("a", 0.3), ("b", 0.2)):
         script = tmp_path / name / "perfbench" / "run.py"
@@ -77,6 +81,12 @@ def test_main_alternates_the_trees(tmp_path, capsys):
             print("provenance {{}}")
             print({json.dumps(_result(wall, 80.0))!r})
         """))
+    return log
+
+
+def test_main_alternates_the_trees(tmp_path, capsys):
+    # A runs first on odd seeds, B on even ones
+    log = _stand_in_trees(tmp_path)
     pairs = _load_pairs()
     assert pairs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "wide_2d",
                        "--seeds", "1-3", "--seconds", "1"]) == 0
@@ -95,3 +105,31 @@ def test_main_reports_a_run_that_fails(tmp_path, capsys):
     assert _load_pairs().main([str(tmp_path / "a"), str(tmp_path / "b"),
                                "--workload", "wide_2d", "--seeds", "1"]) == 1
     assert "exited 2" in capsys.readouterr().err
+
+
+def test_main_refuses_a_range_without_seeds(tmp_path, capsys):
+    # '8-1' holds no seed: argparse refuses it before any run starts
+    log = _stand_in_trees(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        _load_pairs().main([str(tmp_path / "a"), str(tmp_path / "b"),
+                            "--workload", "wide_2d", "--seeds", "8-1"])
+    assert exc.value.code == 2
+    assert "argument --seeds: '8-1' holds no seed" in capsys.readouterr().err
+    assert not log.exists()
+
+
+def test_timeout_grows_with_the_window(tmp_path, monkeypatch):
+    # a run is given its measuring window and the set-up margin, so a
+    # window longer than the margin alone does not time out
+    _stand_in_trees(tmp_path)
+    pairs = _load_pairs()
+    timeouts, real_run = [], subprocess.run
+
+    def recording_run(*args, **kwargs):
+        timeouts.append(kwargs["timeout"])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(pairs.subprocess, "run", recording_run)
+    assert pairs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "wide_2d",
+                       "--seeds", "1", "--seconds", "300"]) == 0
+    assert timeouts == [300.0 + pairs.SETUP_MARGIN_S] * 2

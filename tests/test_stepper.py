@@ -705,6 +705,7 @@ class TestObservedRun:
         # to the recorded trajectory; the velocity is that of the memory row
         # d_{n-1}, the initial velocity at n = 1
         mesh, problem, tau, n_steps = self._case(dim)
+        assert n_steps > stepper._MEMORY_BLOCK  # the rows cross a block turn
         kernel, damping = KernelSpec(0.5, 3.0, 3.0), DampingSpec("sqrt")
         seen = []
         run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping,

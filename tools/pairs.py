@@ -6,11 +6,13 @@ For each seed, `perfbench/run.py --workload W --seed s --seconds S --trace 0`
 runs once in each tree, from that tree's root and with that tree's own
 perfbench: tree A first on odd seeds, tree B first on even ones, so that a
 drift in the machine's load falls on both trees alike.  Seeds are '1-8' or
-'1,4,7'.  Each run prints one line as it finishes; then, per end-to-end
-metric, the median and quartiles of each tree, the relative change of the
-median from A to B, how many pairs read lower in B than in A, and whether
-the gap between the medians is wider than A's interquartile range; and last
-the failed operations of each tree.  Exit status 1 if a run failed to start.
+'1,4,7'; a range that holds no seed is refused.  A run may take
+SETUP_MARGIN_S beyond --seconds before it counts as hung.  Each run prints
+one line as it finishes; then, per end-to-end metric, the median and
+quartiles of each tree, the relative change of the median from A to B, how
+many pairs read lower in B than in A, and whether the gap between the
+medians is wider than A's interquartile range; and last the failed
+operations of each tree.  Exit status 1 if a run failed to start.
 """
 
 from __future__ import annotations
@@ -22,13 +24,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+#: what a run may take beyond --seconds: its set-up starts and warm-up
+SETUP_MARGIN_S = 240.0
+
 
 def seeds(text: str) -> list[int]:
-    """'1-8' or '1,4,7' as a list of seeds."""
+    """'1-8' or '1,4,7' as a list of seeds; a range that holds no seed, such
+    as '8-1', is refused."""
     if "-" in text:
         lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",")]
+        found = list(range(int(lo), int(hi) + 1))
+    else:
+        found = [int(tok) for tok in text.split(",")]
+    if not found:
+        raise argparse.ArgumentTypeError(f"{text!r} holds no seed")
+    return found
 
 
 def order(seed: int) -> tuple[str, str]:
@@ -42,9 +52,11 @@ def parse(stdout: str) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One run in `tree`, given SETUP_MARGIN_S beyond its measuring window."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=240)
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          timeout=seconds + SETUP_MARGIN_S)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
     return parse(done.stdout)
@@ -82,13 +94,13 @@ def main(argv=None) -> int:
     parser.add_argument("tree_a", type=Path)
     parser.add_argument("tree_b", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", default="1-8", help="'1-8' or '1,4,7'")
+    parser.add_argument("--seeds", type=seeds, default="1-8", help="'1-8' or '1,4,7'")
     parser.add_argument("--seconds", type=float, default=15.0)
     args = parser.parse_args(argv)
     trees = {"A": args.tree_a.resolve(), "B": args.tree_b.resolve()}
     pairs = []
     try:
-        for seed in seeds(args.seeds):
+        for seed in args.seeds:
             results = {}
             for side in order(seed):
                 results[side] = run_once(trees[side], args.workload, seed, args.seconds)

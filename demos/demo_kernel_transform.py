@@ -4,8 +4,8 @@ The kernel beta changes sign and may blow up at t = 0, so the solver never
 touches it directly: everything runs through the tail integral
 K(t) = int_t^inf beta(s) ds, which is bounded, decays exponentially, and
 starts strictly inside (0, 1).  This script evaluates both, then shows the
-closed forms agreeing with an independent adaptive quadrature to near
-machine precision.
+closed forms agreeing with an independent QUADPACK quadrature
+(scipy.integrate.quad) to near machine precision.
 """
 
 import numpy as np
@@ -43,7 +43,7 @@ print("rules for monotone kernels do not apply, which is why the scheme is")
 print("built on K and interpolatory weights instead.")
 
 print("\n" + "=" * 72)
-print("Closed form vs adaptive quadrature")
+print("Closed form vs QUADPACK quadrature")
 print("=" * 72)
 for spec, label in ((smooth, "smooth exponent: exponential"),
                     (singular, "singular exponent: complex erfc")):

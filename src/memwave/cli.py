@@ -416,10 +416,10 @@ def run_convergence(config: RunConfig, mode: str, ladder) -> list[tuple]:
     return rows
 
 
-def dump_weights(config: RunConfig, path, n_max: Optional[int] = None):
-    """Write the weight table to `path` as CSV, one row per step n
-    (n, edge_left, body, edge_right, running edge sum, bound flag); returns
-    (table, row count, final flag).
+def dump_weights(config: RunConfig, path):
+    """Write the weight table of `config.n` steps to `path` as CSV, one row
+    per step n (n, edge_left, body, edge_right, running edge sum, bound
+    flag); returns (table, row count, final flag).
 
     Every weight of Q_n is in its row's table: w(n, 0) = edge_left[n],
     w(n, p) = body[n - p] for 0 < p < n, found in row n - p, and
@@ -429,16 +429,15 @@ def dump_weights(config: RunConfig, path, n_max: Optional[int] = None):
     """
     if config.kernel is None:
         raise ConfigError("missing section [kernel]: the weights dump requires it")
-    n_max = config.n if n_max is None else int(n_max)
-    table = build_weight_table(config.kernel, config.tau, n_max)
+    table = build_weight_table(config.kernel, config.tau, config.n)
     running = np.cumsum(table.edge_left[1:])
     flags = running <= RUNNING_SUM_BOUND
-    rows = zip(range(1, n_max + 1), table.edge_left[1:].tolist(), table.body[1:].tolist(),
+    rows = zip(range(1, config.n + 1), table.edge_left[1:].tolist(), table.body[1:].tolist(),
                repeat(float(table.edge_right)), running.tolist(),
                np.where(flags, "true", "false").tolist())
     write_csv(path, "n,edge_left,body,edge_right,edge_running_sum,sum_le_one",
               f"%d,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT},%s", rows, "\n")
-    return table, n_max, bool(flags[-1])
+    return table, config.n, bool(flags[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ exp(-sigma*t).  Both exponents have closed forms, which `kernel_transform`
 evaluates: an exponential for alpha = 1, and for alpha = 1/2 an identity in
 terms of the complex-argument complementary error function.  Both are also
 sums of complex exponentials, which `exponential_modes` returns, as few as
-the memory tail's numerical rank allows.  Adaptive
-composite Gauss quadrature, with the square-root singularity removed by the
-substitution s = r**2, is kept as the independent oracle for both.
+the memory tail's numerical rank allows.  `transform_by_quadrature`
+integrates beta by QUADPACK (`scipy.integrate.quad`), with the square-root
+singularity removed by the substitution s = r**2; it is the independent
+oracle for both closed forms, and no run calls it.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ __all__ = [
     "exponential_modes",
 ]
 
-#: absolute accuracy target for tail-transform values; the quadrature
-#: weights built on top of them inherit this tolerance
+#: absolute accuracy target of the quadrature oracle's tail-transform values
+#: (the weight table holds its own targets, quadweights.WEIGHT_TOL and
+#: _MOMENT_TOL)
 TRANSFORM_TOL = 1.0e-12
 
-# dropping the integral beyond t_cut contributes less than this
-_TAIL_TOL = 1.0e-14
-
-# break point below which weakly singular integrands are mapped to r = sqrt(s)
+# the oracle integrates in r = sqrt(s) below this break point
 _KNEE = 1.0
 
 _BOUND_SLACK = 1.0 + 1.0e-9
@@ -65,7 +64,9 @@ _FIT_TOL = 1.0e-13
 
 
 class QuadratureError(RuntimeError):
-    """An adaptive quadrature failed to reach its accuracy target."""
+    """A quadrature of the memory cannot be trusted: the weight table's step
+    has tau |z| past the verified range, or an exponential mode of the
+    memory does not decay or misses the table's weights."""
 
 
 @dataclass(frozen=True)
@@ -131,84 +132,24 @@ def beta(spec: KernelSpec, t):
     return out if arr.ndim else float(out)
 
 
-# ---------------------------------------------------------------------------
-# composite Gauss-Legendre machinery
-# ---------------------------------------------------------------------------
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
-
-
-def _composite_gl(f, a: float, b: float, panels: int, order: int = 20) -> float:
-    x, w = _gauss_rule(order)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return float(np.sum(half * w[None, :] * f(mid + half * x[None, :])))
-
-
-def _adaptive_gl(f, a: float, b: float, tol: float, panels0: int = 8) -> float:
-    """Double the panel count until two successive composite rules agree."""
-    if b <= a:
-        return 0.0
-    panels = max(2, panels0)
-    prev = _composite_gl(f, a, b, panels)
-    for _ in range(12):
-        panels *= 2
-        cur = _composite_gl(f, a, b, panels)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"composite quadrature on [{a}, {b}] did not converge to {tol}"
-    )
-
-
-def _tail_cut(sigma: float, t: float) -> float:
-    # exp(-sigma*s) tail beyond the cut is below _TAIL_TOL
-    return t + (-math.log(_TAIL_TOL)) / sigma + 1.0
-
-
 def transform_by_quadrature(spec: KernelSpec, t: float) -> float:
-    """Tail integral K(t) by adaptive composite Gauss quadrature.
+    """Tail integral K(t) by QUADPACK (`scipy.integrate.quad`).
 
     The independent oracle for both closed forms in `kernel_transform`; it
-    shares nothing with them but the kernel itself.  The integration range is
-    truncated where the exponential tail drops below the accuracy target;
-    for alpha = 1/2 the portion below t = 1 is integrated in r = sqrt(s) so
-    the integrand is analytic all the way to t = 0.
+    shares nothing with them but `beta`.  Below the knee max(t, 1) the
+    integral is taken in r = sqrt(s), where 2 r beta(r**2) is analytic for
+    alpha = 1/2 down to t = 0; beyond it, in s up to infinity.  Each part
+    is held to TRANSFORM_TOL / 4 absolute.
     """
+    from scipy.integrate import quad
+
     t = float(t)
     if t < 0.0:
         raise ValueError("transform requires t >= 0")
-    sigma, gamma = spec.sigma, spec.gamma
-    t_cut = _tail_cut(sigma, t)
-    scale = sigma + gamma + 1.0
-    tol = TRANSFORM_TOL / 4.0
-    f = partial(beta, spec)
-    if spec.alpha == 1.0:
-        panels0 = max(4, int((t_cut - t) * scale / 4.0) + 1)
-        return _adaptive_gl(f, t, t_cut, tol, panels0)
-
-    knee = min(_KNEE, t_cut)
-    total = 0.0
-    if t < knee:
-        def g(r):
-            rr = r * r
-            return 2.0 * np.exp(-sigma * rr) * np.cos(gamma * rr) / math.sqrt(math.pi)
-
-        a, b = math.sqrt(t), math.sqrt(knee)
-        total += _adaptive_gl(g, a, b, tol, max(4, int((b - a) * scale) + 1))
-    lo = max(t, knee)
-    if lo < t_cut:
-        panels0 = max(4, int((t_cut - lo) * scale / 4.0) + 1)
-        total += _adaptive_gl(f, lo, t_cut, tol, panels0)
-    return total
+    knee = max(t, _KNEE)
+    tol = dict(epsabs=TRANSFORM_TOL / 4.0, epsrel=0.0)
+    near = quad(lambda r: 2.0 * r * beta(spec, r * r), math.sqrt(t), math.sqrt(knee), **tol)[0]
+    return near + quad(partial(beta, spec), knee, math.inf, **tol)[0]
 
 
 def kernel_transform(kernel: KernelLike, t):
@@ -314,7 +255,8 @@ def exponential_modes(spec: KernelSpec, delta: float, t_final: float):
     x0 = min(1.0 / t_final, abs(z))
     lo, hi = math.log(x0), math.log(30.0 / delta)
     panels = max(1, math.ceil((hi - lo) / 2.5))
-    (u, u_w), (g, g_w) = _gauss_rule(12), _gauss_rule(14)
+    u, u_w = np.polynomial.legendre.leggauss(12)
+    g, g_w = np.polynomial.legendre.leggauss(14)
     half = 0.5 * (hi - lo) / panels
     y = (np.linspace(lo + half, hi - half, panels)[:, None] + half * g).ravel()  # y = ln x
     x = np.concatenate([0.25 * x0 * (u + 1.0) ** 2, np.exp(y)])

@@ -592,7 +592,7 @@ def step(history: SimulationHistory, damping: DampingSpec, problem: Problem) -> 
 
 
 def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
-        kernel: Optional[KernelLike] = None, damping: Optional[DampingSpec] = None,
+        kernel: Optional[KernelLike] = None, *, damping: DampingSpec,
         ops: Optional[DiscreteOperators] = None,
         table: Optional[WeightTable] = None,
         observe: Optional[Observer] = None) -> SimulationHistory:
@@ -607,8 +607,6 @@ def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
     """
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    if damping is None:
-        raise ValueError("a damping spec is required")
     if table is None:
         if kernel is None:
             raise ValueError("either a kernel or a prebuilt weight table is required")

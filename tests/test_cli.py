@@ -459,9 +459,9 @@ class TestConvergence:
 
 class TestWeightsDump:
     def test_rows_and_flag(self, tmp_path):
-        cfg = parse_config(BENCH_1D)
+        cfg = replace(parse_config(BENCH_1D), n=12)
         path = tmp_path / "weights.csv"
-        table, count, flag = dump_weights(cfg, path, n_max=12)
+        table, count, flag = dump_weights(cfg, path)
         with open(path) as handle:
             rows = list(csv.reader(handle))[1:]
         assert count == len(rows) == 12
@@ -478,7 +478,7 @@ class TestWeightsDump:
     def test_weights_csv_bytes(self, tmp_path):
         # values in 17 significant digits, the flag in lower case, rows ended in LF
         path = tmp_path / "weights.csv"
-        table, _, _ = dump_weights(parse_config(BENCH_1D), path, n_max=4)
+        table, _, _ = dump_weights(replace(parse_config(BENCH_1D), n=4), path)
         running = np.cumsum(table.edge_left[1:]).tolist()
         expected = "n,edge_left,body,edge_right,edge_running_sum,sum_le_one\n" + "".join(
             "%d,%.17g,%.17g,%.17g,%.17g,true\n"
@@ -492,7 +492,7 @@ class TestWeightsDump:
         cfg = parse_config(ZERO_CFG)
         assert cfg.kernel is None
         with pytest.raises(ConfigError):
-            dump_weights(cfg, tmp_path / "weights.csv", 4)
+            dump_weights(cfg, tmp_path / "weights.csv")
         assert not (tmp_path / "weights.csv").exists()
 
     def test_long_1d_dump_has_n_rows(self, tmp_path):

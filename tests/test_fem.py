@@ -198,6 +198,7 @@ class TestModalBasis:
         assert after_import == after_exponential == []
         assert "scipy.special" in after_erfc
         assert not [n for n in after_erfc if n.startswith("scipy.linalg")]
+        assert not [n for n in after_erfc if n.startswith("scipy.integrate")]
 
     def test_2d_lumped_mass_has_no_basis(self):
         # kron(L1, L1) shares no per-axis basis with the 2d stiffness

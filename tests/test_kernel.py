@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memwave.kernel import (
     KernelSpec,
@@ -143,6 +145,23 @@ class TestTransform:
                 kernel_transform(spec, -0.5)
             with pytest.raises(ValueError):
                 kernel_transform(spec, np.array([0.0, 1.0, -1e-9]))
+            with pytest.raises(ValueError, match="t >= 0"):
+                transform_by_quadrature(spec, -1e-9)
+
+
+class TestQuadratureOracle:
+    """`transform_by_quadrature` (QUADPACK) over the admissible box."""
+
+    @given(alpha=st.sampled_from([1.0, 0.5]),
+           sigma=st.floats(min_value=1.0, max_value=50.0, exclude_min=True),
+           ratio=st.floats(min_value=0.0, max_value=ROOT3),
+           t=st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=40.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_closed_forms(self, alpha, sigma, ratio, t):
+        # pytest turns warnings into errors, so this also pins that QUADPACK
+        # raises no IntegrationWarning inside the box
+        spec = KernelSpec(alpha, sigma, ratio * sigma)
+        assert abs(transform_by_quadrature(spec, t) - kernel_transform(spec, t)) <= 1e-12
 
 
 class TestKZero:

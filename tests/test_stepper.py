@@ -312,8 +312,8 @@ class TestStepping:
         mesh = Mesh(1, 8)
         with pytest.raises(ValueError):
             run(SINE_PROBLEM, mesh, 0.1, 0, kernel=ZERO_KERNEL, damping=DampingSpec("sqrt"))
-        with pytest.raises(ValueError):
-            run(SINE_PROBLEM, mesh, 0.1, 2, kernel=ZERO_KERNEL, damping=None)
+        with pytest.raises(TypeError, match="damping"):
+            run(SINE_PROBLEM, mesh, 0.1, 2, kernel=ZERO_KERNEL)
         with pytest.raises(ValueError):
             run(SINE_PROBLEM, mesh, 0.1, 2, damping=DampingSpec("sqrt"))
         table = build_weight_table(ZERO_KERNEL, 0.1, 2)

@@ -1,6 +1,7 @@
 """Quadrature weight table: hat-function integrals, structure, convolution,
 the admissible kernel box and the exponential modes of the memory sum."""
 
+import cmath
 import math
 
 import numpy as np
@@ -218,6 +219,16 @@ def _needed_points(a, j):
     raise AssertionError(f"no order up to 40 holds the bound at tau |z| = {a}")
 
 
+def _tau_at(sigma, gamma, step):
+    """The step tau with tau |z| = step, z = sigma - i gamma, rounded down
+    into the verified range: step / |z| * |z| can round above step."""
+    z = abs(complex(sigma, -gamma))
+    tau = step / z
+    while tau * z > quadweights._MAX_TAU_Z:
+        tau = np.nextafter(tau, 0.0)
+    return tau
+
+
 class TestGaussPasses:
     """Gauss passes at the orders the Bernstein-ellipse bound gives for tau |z|."""
 
@@ -229,11 +240,7 @@ class TestGaussPasses:
     @settings(max_examples=80, deadline=None)
     def test_matches_order_56(self, alpha, sigma, ratio, step):
         spec = KernelSpec(alpha, sigma, ratio * sigma)
-        z = abs(complex(sigma, -ratio * sigma))
-        tau = step / z
-        while tau * z > quadweights._MAX_TAU_Z:
-            # step / z * z can round above step: keep tau |z| in the contract
-            tau = np.nextafter(tau, 0.0)
+        tau = _tau_at(sigma, ratio * sigma, step)
         n_max = 40
         body, edge_left, edge_right = _order_56_table(spec, tau, n_max)
         if edge_right <= 0.0:
@@ -290,6 +297,58 @@ class TestGaussPasses:
         with pytest.raises(quadweights.QuadratureError,
                            match=r"tau \|z\| = 6\.0600000000000005 exceeds 6\.0,"):
             build_weight_table(spec, tau, 8)
+
+
+def _quotients(x):
+    """(e^x - 1 - x)/x**2 and (x - 1 + e^-x)/x**2, summed by their series
+    sum_k (+-x)**k/(k + 2)! where |x| < 1, so neither cancels."""
+    if abs(x) < 1.0:
+        return tuple(sum(y**k / math.factorial(k + 2) for k in range(20)) for y in (x, -x))
+    return (cmath.exp(x) - 1.0 - x) / x**2, (x - 1.0 + cmath.exp(-x)) / x**2
+
+
+def _alpha_one_table(sigma, gamma, tau, n_max):
+    """(body[1:], edge_left[1:], edge_right) of K(t) = Re[e^{-zt}/z], z = sigma
+    - i gamma, in closed form: the hat integrals of e^{-zt}, with x = z tau,
+
+        body[j]      = Re[(c_b/z) e^{-x j}],  c_b = tau (sinh(x/2)/(x/2))**2
+        edge_left[n] = Re[(c_e/z) e^{-x n}],  c_e = (e^x - 1 - x)/(z**2 tau)
+        edge_right   = Re[(1/z)(x - 1 + e^{-x})/(z**2 tau)]."""
+    z = complex(sigma, -gamma)
+    x = z * tau
+    rise, fall = _quotients(x)
+    decay = np.exp(-x * np.arange(1, n_max + 1)) / z
+    c_b = tau * (cmath.sinh(0.5 * x) / (0.5 * x)) ** 2
+    return (c_b * decay).real, (tau * rise * decay).real, (tau * fall / z).real
+
+
+class TestAlphaOneClosedForms:
+    """alpha = 1 tables against their closed forms, an oracle that shares
+    neither Gauss points nor kernel evaluations with the build."""
+
+    @given(sigma=st.floats(min_value=1.0, max_value=10.0, exclude_min=True),
+           ratio=st.floats(min_value=0.0, max_value=ROOT3),
+           step=st.floats(min_value=1e-3, max_value=quadweights._MAX_TAU_Z))
+    @example(sigma=2.0, ratio=1.0, step=0.5)
+    @example(sigma=3.0, ratio=ROOT3, step=2.0)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_closed_forms(self, sigma, ratio, step):
+        spec = KernelSpec(1.0, sigma, ratio * sigma)
+        tau = _tau_at(sigma, ratio * sigma, step)
+        n_max = 200
+        body, edge_left, edge_right = _alpha_one_table(sigma, ratio * sigma, tau, n_max)
+        if edge_right <= 0.0:
+            with pytest.raises(ArithmeticError, match="diagonal weight"):
+                build_weight_table(spec, tau, n_max)
+            return
+        table = build_weight_table(spec, tau, n_max)
+        envelope = tau * np.exp(-sigma * tau * np.arange(n_max))  # tau e^(-sigma (j-1) tau)
+        # below the smallest normal float both sides are subnormal
+        normal = envelope >= np.finfo(float).tiny
+        bound = 1e-13 * envelope[normal]
+        assert np.all(np.abs(table.body[1:] - body)[normal] <= bound)
+        assert np.all(np.abs(table.edge_left[1:] - edge_left)[normal] <= bound)
+        assert abs(table.edge_right - edge_right) <= 1e-13 * tau
 
 
 class TestAdmissibleBox:

@@ -165,10 +165,11 @@ class RunDiagnostics(TerminalGradient):
     U^{n-1}, U^n and U^{n+1}, so a run of n_steps steps gives n_steps
     entries.  Each level arrives with its `LevelNorms`; level k gives the
     elastic norm of U^k, the velocity of step k - 1 (the initial velocity
-    at k = 1) and the increment U^k - U^{k-1}.  When the last level
-    arrives, one vectorized pass turns the kept norms into `energy` and
-    `a_norms` and checks that they are nonnegative numbers; until then both
-    are None, as `gradient` is.  The nodal u0 of `problem` is checkpoint 0,
+    at k = 1) and the increment U^k - U^{k-1}, which are stored one by
+    one.  When the last level arrives, one vectorized pass turns the kept
+    norms into `energy` and `a_norms` and checks that they are nonnegative
+    numbers, and its terminal `gradient` is formed; until then all three
+    are None.  The nodal u0 of `problem` is checkpoint 0,
     and the run's weight table gives tau and mu0.
     """
 
@@ -188,7 +189,8 @@ class RunDiagnostics(TerminalGradient):
     def __call__(self, n: int, coeffs: np.ndarray, norms: LevelNorms) -> None:
         self._elastic[n] = norms.elastic
         if n:
-            self._velocity[n - 1], self._increment[n - 1] = norms.velocity, norms.increment
+            self._velocity[n - 1] = norms.velocity
+            self._increment[n - 1] = norms.increment
         if n in self._wanted:
             self.checkpoints[n] = self._u0.copy() if n == 0 else self.ops.to_nodal(coeffs)
         if n == self.n_last:
@@ -199,7 +201,7 @@ class RunDiagnostics(TerminalGradient):
             if not (np.all(energy >= 0.0) and np.all(a_norms >= 0.0)):
                 raise ValueError("recorded norms must be nonnegative numbers")
             self.energy, self.a_norms = energy, a_norms
-        super().__call__(n, coeffs, norms)
+            self.gradient = gradient_array(self.mesh, self.ops.to_nodal(coeffs))
 
 
 def write_csv(path, header: str, row_format: str, rows, end: str) -> None:

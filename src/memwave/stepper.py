@@ -33,7 +33,8 @@ problem.  The history always steps at its own last level n = n_last.
 The history term of step n weights the whole velocity history and the
 initial state.  For a KernelSpec, `_Memory` forms it from the initial
 velocity, U^0, an exact window of recent rows and a few exponential modes
-that hold all older ones, in storage that does not grow with the run; its
+that hold all older ones, in storage that does not grow with the run, and
+a step's own GEMV reads at most 8 rows beside the sum parked for it; its
 docstring says how.  A table whose weights and kernel samples are all 0, as
 the zero kernel hook's are, gets a memory that keeps nothing and sums to 0;
 a history refuses any other kernel hook.
@@ -70,6 +71,9 @@ _DAMPING_KINDS = ("affine", "sqrt", "constant")
 # L0: the steps whose memory sums the GEMMs of one block form together, and
 # the lags below which the memory sum weights rows with the table's weights
 _MEMORY_BLOCK = 32
+# the rows of a block that one refresh folds into the parked sums of the
+# block's later steps, so that a step's GEMV reads at most this many rows
+_MEMORY_SUBBLOCK = 8
 # mode weights may differ from the table's by this much of tau*exp(-sigma*(j-1)*tau)
 _MODE_TOL = 1.0e-12
 
@@ -273,14 +277,22 @@ class _Memory:
     body[31 + i - c]] @ [d_0; U^0; states; those 31 rows], parked in the
     slots, which a row overwrites only after step s' + i has read slot i;
     then the buffers swap.  Row i of the weights holds a 1 at lag 0, the
-    column of slot i, so step s' + i reads its parked sum and adds its
-    rows p >= s' in one GEMV.  The first turn finds no rows, and no row is
-    written to slot 0 of the first block, as d_0 has its own row: the turn
-    parks K(0) U^0 there, the sum of step 0, which no step reads, and the
-    memory sets that slot to 0 so that the GEMVs of steps 1 .. 31 and the
-    next advance read it as a zero row.  So a block costs a
-    (2K) x (2K + 32) and a 32 x (2K + 65) GEMM against buffers of
-    (2K + 65) x ndof.
+    column of slot i, so step s' + i reads its parked sum.  The block's
+    own rows join the parked sums by sub-blocks of L1 = _MEMORY_SUBBLOCK
+    = 8 slots, the refresh: when the last row of a sub-block arrives, at
+    i = 7, 15 or 23, one small GEMM weights those 8 rows c with
+    body[j - c] for each later step j of the block that the run reaches,
+    and adds the result to their parked sums.  It forms the result in the
+    slots of `_back` that match theirs, which are free between turns:
+    the next turn writes all of `_back` before it reads it.  So step
+    s' + i adds to its parked sum the rows s' + L1 floor(i / L1) ..
+    s' + i - 1 of its own sub-block in one GEMV, at most 8 rows.  The
+    first turn finds no rows, and no row is written to slot 0 of the
+    first block, as d_0 has its own row: the turn parks K(0) U^0 there,
+    the sum of step 0, which no step reads, and the memory sets that
+    slot to 0 so that the GEMVs of steps 1 .. 7, the first refresh and
+    the next advance read it as a zero row.  So a block costs a (2K) x (2K + 32) and a 32 x (2K + 65) GEMM
+    against buffers of (2K + 65) x ndof, plus three (<= 24) x 8 GEMMs.
 
     Building the memory raises QuadratureError naming the mode if a rate
     is not finite with Re w > 0, since that mode would not decay.  It
@@ -329,8 +341,21 @@ class _Memory:
 
     def push(self, p: int) -> None:
         """Take row p >= 1, written into row(p), once rows 1..p-1 are in."""
-        if p % _MEMORY_BLOCK == _MEMORY_BLOCK - 1 and p < self._last:
-            self._turn(p + 1)
+        i = p % _MEMORY_BLOCK
+        if i % _MEMORY_SUBBLOCK == _MEMORY_SUBBLOCK - 1 and p < self._last:
+            if i == _MEMORY_BLOCK - 1:
+                self._turn(p + 1)
+            else:
+                self._refresh(i, min(_MEMORY_BLOCK, self._last + 1 + i - p))
+
+    def _refresh(self, i: int, stop: int) -> None:
+        """Add the rows of slots i - 7 .. i, the sub-block that slot i
+        closes, to the parked sums of slots i + 1 .. stop - 1."""
+        o = self._offset
+        lo, hi = o + i + 1 - _MEMORY_SUBBLOCK, o + i + 1
+        scratch = self._back[hi:o + stop]
+        np.matmul(self._weights[i + 1:stop, lo:hi], self._front[lo:hi], out=scratch)
+        self._front[hi:o + stop] += scratch
 
     def _turn(self, start: int) -> None:
         front, back, o, k2 = self._front, self._back, self._offset, self._advance.shape[0]
@@ -345,7 +370,8 @@ class _Memory:
     def __call__(self, n: int) -> np.ndarray:
         """The history term of step n, once rows 1..n-1 are pushed."""
         o, i = self._offset, n % _MEMORY_BLOCK
-        return self._weights[i, o:o + i + 1] @ self._front[o:o + i + 1]
+        lo = o + i - i % _MEMORY_SUBBLOCK
+        return self._weights[i, lo:o + i + 1] @ self._front[lo:o + i + 1]
 
 
 def _check_modes(table: WeightTable, body: np.ndarray, rates: np.ndarray,
@@ -404,7 +430,8 @@ class SimulationHistory:
     are all 0, as the zero kernel hook's are, and otherwise a `_Memory` of
     O(ndof) rows, which needs a KernelSpec table.  A table of any other
     kernel hook raises ValueError.  The nodal initial data u0 and u1h are
-    kept as given.
+    kept as given.  n_last, the largest stored step index, is the level
+    the next step is taken from, and push advances it.
 
     observe(n, coeffs, norms) is called with U^0 here and with every pushed
     level; `norms` holds the `LevelNorms` of U^n_last, which the next step
@@ -436,7 +463,7 @@ class SimulationHistory:
         self.previous = self.current = self.initial
         self.norms = LevelNorms(*_state_norms(ops.eigenvalues, self.initial), math.nan, math.nan)
         self.constants = _StepConstants.build(ops, table)
-        self._count = 1
+        self.n_last = 0
         if not (table.body.any() or table.edge_left.any() or table.k_values.any()):
             self._memory = _NoMemory(self.u0.size)
         elif isinstance(table.kernel, KernelSpec):
@@ -447,11 +474,6 @@ class SimulationHistory:
         self._trajectory = Trajectory(n_steps, self.u0.size) if observe is None else None
         self._observe = self._trajectory if observe is None else observe
         self._observe(0, self.initial, self.norms)
-
-    @property
-    def n_last(self) -> int:
-        """Largest stored step index."""
-        return self._count - 1
 
     @property
     def nbytes(self) -> int:
@@ -467,7 +489,7 @@ class SimulationHistory:
         """View of the recorded modal coefficients of U^0..U^n, shape (n+1, ndof)."""
         if self._trajectory is None:
             raise ValueError("an observed history keeps only U^0, U^{n-1} and U^n")
-        return self._trajectory.coefficients[: self._count]
+        return self._trajectory.coefficients[: self.n_last + 1]
 
     def state(self, n: int) -> np.ndarray:
         """Nodal values of U^n; an observed history serves n = 0 and n = n_last."""
@@ -502,7 +524,7 @@ class SimulationHistory:
         finite are the entries themselves tested, so a finite level whose
         squared norm overflows is let through, and its step raises
         SolverError."""
-        k = self._count
+        k = self.n_last + 1
         if k > self.n_steps:
             raise IndexError(f"the history was sized for {self.n_steps} steps")
         mass, elastic = _state_norms(self.ops.eigenvalues, coeffs)
@@ -519,7 +541,7 @@ class SimulationHistory:
         increment = coeffs - self.current
         self.norms = LevelNorms(mass, elastic, velocity, float(increment @ increment))
         self.previous, self.current = self.current, coeffs
-        self._count = k + 1
+        self.n_last = k
         self._observe(k, coeffs, self.norms)
 
 

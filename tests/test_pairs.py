@@ -133,3 +133,33 @@ def test_timeout_grows_with_the_window(tmp_path, monkeypatch):
     assert pairs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "wide_2d",
                        "--seeds", "1", "--seconds", "300"]) == 0
     assert timeouts == [300.0 + pairs.SETUP_MARGIN_S] * 2
+
+
+def test_json_records_every_run_and_the_summary(tmp_path):
+    # two workloads go to one file; each keeps every run of both trees, with
+    # its place in the pair, and the summary as numbers
+    _stand_in_trees(tmp_path)
+    pairs, out = _load_pairs(), tmp_path / "bench.json"
+    for workload, chosen in (("wide_2d", "1-2"), ("long_1d", "3")):
+        assert pairs.main([str(tmp_path / "a"), str(tmp_path / "b"), "--workload", workload,
+                           "--seeds", chosen, "--seconds", "1", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert sorted(data["workloads"]) == ["long_1d", "wide_2d"]
+    wide = data["workloads"]["wide_2d"]
+    assert wide["seconds"] == 1.0
+    assert [(r["seed"], r["tree"], r["order"]) for r in wide["runs"]] == [
+        (1, "A", 1), (1, "B", 2), (2, "A", 2), (2, "B", 1)]
+    assert wide["runs"][0] == {"seed": 1, "tree": "A", "order": 1, "provenance": {},
+                               "correct": True, "attempted": 10, "failed": 0,
+                               "metrics": {"wall_s": 0.3, "peak_rss_mb": 80.0}}
+    assert wide["runs"][3]["metrics"]["wall_s"] == 0.2
+    summary = wide["summary"]
+    assert summary["pairs"] == 2
+    assert summary["metrics"]["wall_s"] == {
+        "unit": "s", "A": {"median": 0.3, "q1": 0.3, "q3": 0.3},
+        "B": {"median": 0.2, "q1": 0.2, "q3": 0.2}, "change": pytest.approx(-1.0 / 3.0),
+        "b_lower": 2, "gap_wider_than_a_iqr": True}
+    assert summary["metrics"]["peak_rss_mb"]["b_lower"] == 0
+    assert summary["failed"] == {"A": 0, "B": 0}
+    assert summary["attempted"] == {"A": 20, "B": 20}
+    assert data["workloads"]["long_1d"]["summary"]["pairs"] == 1

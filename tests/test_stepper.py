@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import memwave.stepper as stepper
@@ -15,6 +15,7 @@ from memwave.kernel import KernelSpec, QuadratureError, constant_transform
 from memwave.quadweights import build_weight_table
 from memwave.stepper import (
     _MEMORY_BLOCK,
+    _MEMORY_SUBBLOCK,
     DampingSpec,
     LevelNorms,
     Problem,
@@ -443,20 +444,47 @@ class TestBlockedMemorySum:
     """history_term against the direct term table.coefficients(n)[:n] @ rows
     + K(t_n) U^0 at every step, the rows derived from the recorded
     trajectory: entrywise within 1e-13 * (|weights| @ |rows| + |K(t_n)| |U^0|),
-    before and after the modes take over the lags of L0 and more."""
+    before and after the modes take over the lags of L0 and more.  The
+    memory holds the same arrays, of the same sizes, at every step."""
 
     @staticmethod
     def _step_and_compare(mesh, problem, damping, table, n_steps):
         hist = SimulationHistory(mesh, assemble(mesh), table, interpolate(mesh, problem.u0),
                                  interpolate(mesh, problem.u1), n_steps)
         taylor_start(hist, damping, problem)
+        # held alive here, so that no new array can take the id of a built one
+        built = [v for v in vars(hist._memory).values() if isinstance(v, np.ndarray)]
+        held = {id(v): v.nbytes for v in built}
         for n in range(1, n_steps):
             weights, rows = hist.table.coefficients(n)[:n], _velocity_rows(hist)
             scale = np.abs(weights) @ np.abs(rows) + abs(table.k_values[n]) * np.abs(hist.initial)
             off = np.abs(hist.history_term() - _direct_history_term(hist))
             assert np.all(off <= 1e-13 * scale), n
             step(hist, damping, problem)
+            assert {id(v): v.nbytes for v in vars(hist._memory).values()
+                    if isinstance(v, np.ndarray)} == held, n
         return hist
+
+    @given(n_steps=st.integers(min_value=2, max_value=3 * _MEMORY_BLOCK + 9),
+           dim=st.sampled_from([1, 2]), alpha=st.sampled_from([0.5, 1.0]))
+    @example(n_steps=_MEMORY_SUBBLOCK, dim=1, alpha=0.5)
+    @example(n_steps=_MEMORY_SUBBLOCK + 1, dim=2, alpha=1.0)
+    @example(n_steps=_MEMORY_SUBBLOCK + 2, dim=1, alpha=1.0)
+    @example(n_steps=3 * _MEMORY_SUBBLOCK + 4, dim=2, alpha=0.5)
+    @example(n_steps=_MEMORY_BLOCK, dim=2, alpha=0.5)
+    @example(n_steps=_MEMORY_BLOCK + 1, dim=1, alpha=0.5)
+    @example(n_steps=3 * _MEMORY_BLOCK + 2, dim=2, alpha=1.0)
+    @settings(max_examples=30, deadline=None)
+    def test_window_edges(self, n_steps, dim, alpha):
+        # runs whose last step, n_steps - 1, lies inside the first
+        # sub-block, on a sub-block's last slot, just past one, inside a
+        # later sub-block, on a block's last slot, on the first slot of the
+        # next block or one slot past it
+        tau = 0.02
+        table = build_weight_table(KernelSpec(alpha, 3.0, 3.0 * math.sqrt(3.0)), tau,
+                                   n_steps - 1)
+        mesh, problem = (Mesh(1, 16), SINE_PROBLEM) if dim == 1 else (Mesh(2, 8), BUMP_PROBLEM)
+        self._step_and_compare(mesh, problem, DampingSpec("sqrt"), table, n_steps)
 
     def test_1d_clipped_last_block(self):
         # the step count is no multiple of the block, so the run's last step

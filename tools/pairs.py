@@ -1,6 +1,7 @@
 """Run the benchmark in two source trees, alternating seed by seed, and compare.
 
     python tools/pairs.py TREE_A TREE_B --workload W [--seeds 1-8] [--seconds S]
+                          [--json PATH]
 
 For each seed, `perfbench/run.py --workload W --seed s --seconds S --trace 0`
 runs once in each tree, from that tree's root and with that tree's own
@@ -12,7 +13,11 @@ one line as it finishes; then, per end-to-end metric, the median and
 quartiles of each tree, the relative change of the median from A to B, how
 many pairs read lower in B than in A, and whether the gap between the
 medians is wider than A's interquartile range; and last the failed
-operations of each tree.  Exit status 1 if a run failed to start.
+operations of each tree.  With --json, the workload's record is written
+to PATH under "workloads" -> W, beside the other workloads a file already
+there holds: every run of both trees (seed, tree, its order in the pair,
+provenance, end-to-end metrics, attempted and failed operations) and the
+summary above as numbers.  Exit status 1 if a run failed to start.
 """
 
 from __future__ import annotations
@@ -52,14 +57,19 @@ def parse(stdout: str) -> dict:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One run in `tree`, given SETUP_MARGIN_S beyond its measuring window."""
+    """One run in `tree`, given SETUP_MARGIN_S beyond its measuring window:
+    its result object, with the provenance run.py printed under "provenance"."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=seconds + SETUP_MARGIN_S)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {done.returncode}:\n{done.stderr}")
-    return parse(done.stdout)
+    result = parse(done.stdout)
+    for line in done.stdout.splitlines():
+        if line.startswith("provenance "):
+            result["provenance"] = json.loads(line.removeprefix("provenance "))
+    return result
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -70,23 +80,58 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summary(pairs: list[tuple[dict, dict]]) -> list[str]:
-    """One line per metric of the (A, B) result pairs, and one of failures."""
-    lines = []
-    for name in pairs[0][0]["metrics"]:
+def compare(pairs: list[tuple[dict, dict]]) -> dict:
+    """Per metric of the (A, B) result pairs: its unit, each tree's median and
+    quartiles, the relative change of the median, the pairs that read lower
+    in B and whether the gap is wider than A's interquartile range; and the
+    failed and attempted operations of each tree."""
+    metrics = {}
+    for name, first in pairs[0][0]["metrics"].items():
         a = [pa["metrics"][name]["value"] for pa, _ in pairs]
         b = [pb["metrics"][name]["value"] for _, pb in pairs]
         (a1, am, a3), (b1, bm, b3) = _quartiles(a), _quartiles(b)
-        lower = sum(vb < va for va, vb in zip(a, b))
-        change = bm / am - 1.0 if am else 0.0
-        wider = "yes" if abs(bm - am) > a3 - a1 else "no"
-        lines.append(f"{name:12s} A {am:.6g} ({a1:.6g}, {a3:.6g})  B {bm:.6g} ({b1:.6g}, "
-                     f"{b3:.6g})  {change:+.2%}  B lower {lower}/{len(pairs)}  "
-                     f"gap > A's IQR: {wider}")
-    failed = [sum(result["failed"] for result in side) for side in zip(*pairs)]
-    attempted = [sum(result["attempted"] for result in side) for side in zip(*pairs)]
-    lines.append(f"failed: A {failed[0]} of {attempted[0]}, B {failed[1]} of {attempted[1]}")
+        metrics[name] = {"unit": first["unit"],
+                         "A": {"median": am, "q1": a1, "q3": a3},
+                         "B": {"median": bm, "q1": b1, "q3": b3},
+                         "change": bm / am - 1.0 if am else 0.0,
+                         "b_lower": sum(vb < va for va, vb in zip(a, b)),
+                         "gap_wider_than_a_iqr": abs(bm - am) > a3 - a1}
+    sides = {"A": [pa for pa, _ in pairs], "B": [pb for _, pb in pairs]}
+    return {"pairs": len(pairs), "metrics": metrics,
+            "failed": {side: sum(r["failed"] for r in rs) for side, rs in sides.items()},
+            "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in sides.items()}}
+
+
+def summary(pairs: list[tuple[dict, dict]]) -> list[str]:
+    """One line per metric of the (A, B) result pairs, and one of failures."""
+    found = compare(pairs)
+    lines = []
+    for name, m in found["metrics"].items():
+        a, b = m["A"], m["B"]
+        lines.append(f"{name:12s} A {a['median']:.6g} ({a['q1']:.6g}, {a['q3']:.6g})  "
+                     f"B {b['median']:.6g} ({b['q1']:.6g}, {b['q3']:.6g})  "
+                     f"{m['change']:+.2%}  B lower {m['b_lower']}/{found['pairs']}  "
+                     f"gap > A's IQR: {'yes' if m['gap_wider_than_a_iqr'] else 'no'}")
+    failed, attempted = found["failed"], found["attempted"]
+    lines.append(f"failed: A {failed['A']} of {attempted['A']}, "
+                 f"B {failed['B']} of {attempted['B']}")
     return lines
+
+
+def record(pairs: list[tuple[dict, dict]], seeds: list[int], seconds: float) -> dict:
+    """The JSON record of one workload's pairs: every run and `compare`."""
+    runs = [{"seed": seed, "tree": side, "order": order(seed).index(side) + 1, **result,
+             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+            for seed, pair in zip(seeds, pairs) for side, result in zip("AB", pair)]
+    return {"seconds": seconds, "runs": runs, "summary": compare(pairs)}
+
+
+def write_json(path: Path, workload: str, entry: dict) -> None:
+    """Put `entry` under "workloads" -> `workload` of the JSON file at path,
+    keeping what else the file holds."""
+    data = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
+    data["workloads"][workload] = entry
+    path.write_text(json.dumps(data, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
@@ -96,6 +141,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seeds, default="1-8", help="'1-8' or '1,4,7'")
     parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--json", type=Path, help="add the workload's record to this file")
     args = parser.parse_args(argv)
     trees = {"A": args.tree_a.resolve(), "B": args.tree_b.resolve()}
     pairs = []
@@ -111,6 +157,8 @@ def main(argv=None) -> int:
         print(f"pairs: {exc}", file=sys.stderr)
         return 1
     print("\n".join(summary(pairs)))
+    if args.json:
+        write_json(args.json, args.workload, record(pairs, args.seeds, args.seconds))
     return 0
 
 

@@ -22,7 +22,6 @@ from .fem import (
 )
 from .stepper import (
     DampingSpec,
-    LevelNorms,
     Problem,
     SimulationHistory,
     SolverError,
@@ -38,6 +37,7 @@ from .diagnostics import (
     TerminalGradient,
     a_norm,
     discrete_energy,
+    energy_series,
     rate,
     self_error_space,
     self_error_time,

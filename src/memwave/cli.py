@@ -14,11 +14,12 @@ Subcommands:
     weights      dump of the memory quadrature weights with the running
                  edge-column sum and its bound flag
 
-`run_single` returns the run's `RunDiagnostics` observer, which holds the
-series, checkpoints and terminal gradient the files are written from; every
-file goes through `diagnostics.write_csv`.  `main` reports a bad config on
-stderr with exit code 2, and a failed run or an output path it cannot
-write (say, an `--out` that is a regular file) with exit code 1.
+`run_single` returns the run's history, whose norm table the energy series
+is formed from, and the `RunDiagnostics` observer that holds the nodal
+checkpoints; every file goes through `diagnostics.write_csv`.  `main`
+reports a bad config on stderr with exit code 2, and a failed run or an
+output path it cannot write (say, an `--out` that is a regular file) with
+exit code 1.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .diagnostics import (
     FLOAT_FMT,
     RunDiagnostics,
     TerminalGradient,
+    energy_series,
     rate,
     self_error_space,
     self_error_time,
@@ -316,11 +318,12 @@ def preset_uses_lumped_mass(preset: str) -> bool:
 
 def run_single(config: RunConfig, zero_forcing: bool = False):
     """Execute one run and write its diagnostics; returns the run's
-    `RunDiagnostics` and the paths written.
+    `SimulationHistory`, its `RunDiagnostics` and the paths written.
 
     When the energy series is requested the run is extended one step past
     the final time so the centered velocity exists at the terminal index.
-    The diagnostics are computed as the steps arrive, so the run keeps no
+    The energy series is formed from the history's norm table and the
+    checkpoints are mapped as their steps arrive, so the run keeps no
     trajectory.
     """
     problem, kernel, damping = preset_problem(config, zero_forcing=zero_forcing)
@@ -331,24 +334,24 @@ def run_single(config: RunConfig, zero_forcing: bool = False):
     # the OpenBLAS worker they wake then spins once, not through the table
     table = build_weight_table(kernel, config.tau, max(1, n_steps - 1))
     ops = assemble(mesh, lumped_mass=preset_uses_lumped_mass(config.preset))
-    diagnostics = RunDiagnostics(mesh, ops, problem, table, n_steps, config.checkpoints)
-    run(problem, mesh, config.tau, n_steps, damping=damping, ops=ops, table=table,
-        observe=diagnostics)
+    diagnostics = RunDiagnostics(config.checkpoints)
+    history = run(problem, mesh, config.tau, n_steps, damping=damping, ops=ops, table=table,
+                  observe=diagnostics)
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     if config.energy:
         energy_path = out / "energy.csv"
-        write_energy_csv(energy_path, diagnostics.tau, diagnostics.energy,
-                         diagnostics.a_norms)
+        write_energy_csv(energy_path, history.tau,
+                         *energy_series(history.norms, history.tau, history.mu0))
         paths.append(energy_path)
     for c in config.checkpoints:
         cp_path = out / f"checkpoint_{c:06d}.csv"
         write_csv(cp_path, "node,value", f"%d,{FLOAT_FMT}",
                   enumerate(diagnostics.checkpoints[c].tolist()), "\n")
         paths.append(cp_path)
-    return diagnostics, paths
+    return history, diagnostics, paths
 
 
 def _validate_ladder(ladder, mode: str) -> tuple[int, ...]:
@@ -387,7 +390,7 @@ def run_convergence(config: RunConfig, mode: str, ladder) -> list[tuple]:
     lumped = preset_uses_lumped_mass(config.preset)
 
     def terminal(mesh, ops, tau, n_steps, **given) -> TerminalGradient:
-        kept = TerminalGradient(mesh, ops, tau, n_steps)
+        kept = TerminalGradient()
         run(problem, mesh, tau, n_steps, damping=damping, ops=ops, observe=kept, **given)
         return kept
 
@@ -477,15 +480,16 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
 
         if args.command == "run":
-            diagnostics, paths = run_single(config)
-            print(f"run {config.preset}: {diagnostics.n_last} steps completed")
+            history, _, paths = run_single(config)
+            print(f"run {config.preset}: {history.n_last} steps completed")
             for p in paths:
                 print(f"wrote {p}")
         elif args.command == "energy":
             config = replace(config, energy=True)
-            diagnostics, paths = run_single(config, zero_forcing=True)
-            print(f"energy study {config.preset}: start {FLOAT_FMT % diagnostics.energy[0]}, "
-                  f"end {FLOAT_FMT % diagnostics.energy[-1]}")
+            history, _, paths = run_single(config, zero_forcing=True)
+            energy, _ = energy_series(history.norms, history.tau, history.mu0)
+            print(f"energy study {config.preset}: start {FLOAT_FMT % energy[0]}, "
+                  f"end {FLOAT_FMT % energy[-1]}")
             for p in paths:
                 print(f"wrote {p}")
         elif args.command == "convergence":

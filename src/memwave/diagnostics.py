@@ -1,21 +1,20 @@
 """Measured quantities: discrete energy, stability norm, self-convergence.
 
-A run's diagnostics are computed as its levels arrive.  `RunDiagnostics` is
-an observer for `stepper.run` and, once the run is done, its record: it
-keeps the squared norms each level arrives with (`stepper.LevelNorms`),
-forms the energy and stability series from them in one vectorized pass when
-the last level arrives, maps checkpoints to nodal values when their step is
-reached and keeps the terminal gradient, so it holds no state buffer and
-reads no level a second time.  `discrete_energy` and `a_norm` evaluate one
-step of a recorded trajectory.
+A run's diagnostics need no second pass over its levels.  The history of
+a run holds four squared norms per level (`SimulationHistory.norms`), and
+`energy_series` forms the energy and stability series from that table in
+one vectorized pass.  `RunDiagnostics` is an observer for `stepper.run`
+that maps checkpoints to nodal values when their step is reached, so no
+trajectory is kept.  `discrete_energy` and `a_norm` evaluate one step of a
+recorded trajectory.
 
-The model problems have no closed-form solutions, so convergence is measured
-by comparing runs on successive refinements: `self_error_time` contrasts the
-terminal gradient fields of an N-step and a 2N-step run on one mesh, and
-`self_error_space` contrasts runs on meshes with M and 2M cells at matched
-nodes.  A ladder keeps each rung's terminal gradient through the
-`TerminalGradient` observer.  Rates are base-2 logarithms of successive
-error ratios.
+The benchmark presets have no closed-form solutions, so their convergence
+is measured by comparing runs on successive refinements: `self_error_time`
+contrasts the terminal gradient fields of an N-step and a 2N-step run on
+one mesh, and `self_error_space` contrasts runs on meshes with M and 2M
+cells at matched nodes.  A ladder keeps each rung's terminal gradient
+through the `TerminalGradient` observer.  Rates are base-2 logarithms of
+successive error ratios.
 
 Every CSV file of the program is written by `write_csv`: a header, then
 one %-formatted line per row, with floats in `FLOAT_FMT`.  The energy and
@@ -30,13 +29,13 @@ from typing import Optional
 
 import numpy as np
 
-from .fem import DiscreteOperators, Mesh, gradient_array, interpolate
-from .quadweights import WeightTable
-from .stepper import LevelNorms, Problem, SimulationHistory
+from .fem import DiscreteOperators, gradient_array
+from .stepper import SimulationHistory
 
 __all__ = [
     "RunDiagnostics",
     "TerminalGradient",
+    "energy_series",
     "discrete_energy",
     "a_norm",
     "self_error_time",
@@ -85,23 +84,40 @@ def a_norm(history: SimulationHistory, ops: DiscreteOperators, m: int) -> float:
     return math.sqrt(val)
 
 
+def energy_series(norms: np.ndarray, tau: float, mu0: float) -> tuple[np.ndarray, np.ndarray]:
+    """The energy and a_norm series of a whole run, from the table of squared
+    norms its history holds (`SimulationHistory.norms`, one row per level).
+
+    Entry n of the series is `discrete_energy` and `a_norm` at n; it needs
+    U^{n-1}, U^n and U^{n+1}, so a table of N + 1 levels gives N entries:
+    row n + 1 gives the velocity of step n (the initial velocity at n = 0)
+    and the increment U^{n+1} - U^n.  ValueError unless both series are
+    nonnegative numbers, as they are not when a row was never filled.
+    """
+    _, elastic, velocity, increment = norms.T
+    energy = 0.5 * velocity[1:] + 0.5 * elastic[:-1]
+    a_norms = np.sqrt(increment[1:] / tau**2 + 0.5 * mu0 * (elastic[1:] + elastic[:-1]))
+    if not (np.all(energy >= 0.0) and np.all(a_norms >= 0.0)):
+        raise ValueError("recorded norms must be nonnegative numbers")
+    return energy, a_norms
+
+
 class TerminalGradient:
     """Observer that keeps the gradient field of a run's last level.
 
-    Beside it, it holds the mesh, step size and step count: all that
-    `self_error_time` and `self_error_space` compare.
+    Beside it, it holds the mesh, step size and step count, which it takes
+    from the history at the last level: all that `self_error_time` and
+    `self_error_space` compare.  All four are None until then.
     """
 
-    def __init__(self, mesh: Mesh, ops: DiscreteOperators, tau: float, n_steps: int):
-        self.mesh = mesh
-        self.ops = ops
-        self.tau = float(tau)
-        self.n_last = int(n_steps)
+    def __init__(self):
+        self.mesh = self.tau = self.n_last = None
         self.gradient: Optional[np.ndarray] = None
 
-    def __call__(self, n: int, coeffs: np.ndarray, norms: LevelNorms) -> None:
-        if n == self.n_last:
-            self.gradient = gradient_array(self.mesh, self.ops.to_nodal(coeffs))
+    def __call__(self, history: SimulationHistory) -> None:
+        if history.n_last == history.n_steps:
+            self.mesh, self.tau, self.n_last = history.mesh, history.tau, history.n_last
+            self.gradient = gradient_array(history.mesh, history.state(history.n_last))
 
 
 def _terminal_gradients(run) -> np.ndarray:
@@ -157,51 +173,19 @@ def rate(e_coarse: float, e_fine: float) -> float:
     return math.log2(e_coarse / e_fine)
 
 
-class RunDiagnostics(TerminalGradient):
-    """Observer that computes a run's energy and stability series, nodal
-    checkpoints and terminal gradient as the levels arrive: the run's record.
+class RunDiagnostics:
+    """Observer that maps the levels of the steps in `checkpoints` to nodal
+    values as they arrive, into the dict `checkpoints` from step to values,
+    through `SimulationHistory.state`: checkpoint 0 is the nodal u0 as given."""
 
-    Step n of the series is `discrete_energy` and `a_norm` at n; it needs
-    U^{n-1}, U^n and U^{n+1}, so a run of n_steps steps gives n_steps
-    entries.  Each level arrives with its `LevelNorms`; level k gives the
-    elastic norm of U^k, the velocity of step k - 1 (the initial velocity
-    at k = 1) and the increment U^k - U^{k-1}, which are stored one by
-    one.  When the last level arrives, one vectorized pass turns the kept
-    norms into `energy` and `a_norms` and checks that they are nonnegative
-    numbers, and its terminal `gradient` is formed; until then all three
-    are None.  The nodal u0 of `problem` is checkpoint 0,
-    and the run's weight table gives tau and mu0.
-    """
-
-    def __init__(self, mesh: Mesh, ops: DiscreteOperators, problem: Problem,
-                 table: WeightTable, n_steps: int, checkpoints=()):
-        super().__init__(mesh, ops, table.tau, n_steps)
-        self.mu0 = table.mu0
-        self.energy: Optional[np.ndarray] = None
-        self.a_norms: Optional[np.ndarray] = None
+    def __init__(self, checkpoints=()):
         self.checkpoints: dict[int, np.ndarray] = {}
         self._wanted = frozenset(checkpoints)
-        self._u0 = interpolate(mesh, problem.u0)
-        self._elastic = np.empty(self.n_last + 1)
-        self._velocity = np.empty(self.n_last)
-        self._increment = np.empty(self.n_last)
 
-    def __call__(self, n: int, coeffs: np.ndarray, norms: LevelNorms) -> None:
-        self._elastic[n] = norms.elastic
-        if n:
-            self._velocity[n - 1] = norms.velocity
-            self._increment[n - 1] = norms.increment
+    def __call__(self, history: SimulationHistory) -> None:
+        n = history.n_last
         if n in self._wanted:
-            self.checkpoints[n] = self._u0.copy() if n == 0 else self.ops.to_nodal(coeffs)
-        if n == self.n_last:
-            elastic = self._elastic
-            energy = 0.5 * self._velocity + 0.5 * elastic[:-1]
-            a_norms = np.sqrt(self._increment / self.tau**2
-                              + 0.5 * self.mu0 * (elastic[1:] + elastic[:-1]))
-            if not (np.all(energy >= 0.0) and np.all(a_norms >= 0.0)):
-                raise ValueError("recorded norms must be nonnegative numbers")
-            self.energy, self.a_norms = energy, a_norms
-            self.gradient = gradient_array(self.mesh, self.ops.to_nodal(coeffs))
+            self.checkpoints[n] = history.state(n)
 
 
 def write_csv(path, header: str, row_format: str, rows, end: str) -> None:

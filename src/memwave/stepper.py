@@ -16,14 +16,14 @@ states a caller reads back.
 
 A run streams: a step reads U^{n-1}, U^n and the history term, the memory
 sum over the velocity differences plus K(t_n) U^0, and the history keeps
-only those and what the history term needs.  Every new level goes to an
-observer, a callable observe(n, coeffs, norms), with the `LevelNorms` that
-push forms from the arrays it already holds: the squared mass and elastic
-norms of the level, which also give the damping coefficient of the next
-step, the squared norm of the memory row it writes and that of the
-increment.  Without an
-observer the history records the whole trajectory through the `Trajectory`
-observer.
+only those and what the history term needs, beside one table of four
+squared norms per level, `SimulationHistory.norms`, that push fills from
+the arrays it already holds: the mass and elastic norms of the level,
+which also give the damping coefficient of the next step, the norm of the
+memory row it writes and that of the increment.  Every new level goes to
+an observer, a callable observe(history), which reads the level from the
+history.  Without an observer the history records the whole trajectory
+through the `Trajectory` observer.
 
 The step size is fixed for the whole run, so one modal basis and one weight
 table serve every step.  The history binds both when it is built, and
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .quadweights import WeightTable, build_weight_table, hat_weights
 
 __all__ = [
     "DampingSpec",
-    "LevelNorms",
     "Problem",
     "SimulationHistory",
     "SolverError",
@@ -154,34 +153,16 @@ class Problem:
     f: Optional[Callable] = None
 
 
-class LevelNorms(NamedTuple):
-    """Squared norms of the level U^k, formed by `SimulationHistory.push`
-    from arrays it holds anyway, in the modal basis where ||v||_M^2 =
-    sum(v^2) and ||v||_A^2 = sum(eigenvalues * v^2).
-
-    mass      : ||U^k||_M^2
-    elastic   : ||U^k||_A^2
-    velocity  : ||d_{k-1}||_M^2 of the memory row handed over with U^k, the
-                initial velocity at k = 1 and (U^k - U^{k-2}) / (2 tau)
-                after, so it lags the level by one; nan at k = 0
-    increment : ||U^k - U^{k-1}||_M^2; nan at k = 0
-    """
-
-    mass: float
-    elastic: float
-    velocity: float
-    increment: float
-
-
 def _state_norms(eigenvalues: np.ndarray, coeffs: np.ndarray) -> tuple[float, float]:
     """||u||_M^2 and ||u||_A^2 of the modal coefficients of u."""
     return float(coeffs @ coeffs), float((eigenvalues * coeffs) @ coeffs)
 
 
-def damping_value(spec: DampingSpec, norms: LevelNorms) -> float:
+def damping_value(spec: DampingSpec, row: np.ndarray) -> float:
     """q = G(mu1 * ||u||_M^2 + mu2 * ||u||_A^2) for a state whose squared
-    norms are norms.mass and norms.elastic."""
-    z = spec.mu1 * norms.mass + spec.mu2 * norms.elastic
+    norms lead `row`, a row of `SimulationHistory.norms`: row[0] = ||u||_M^2
+    and row[1] = ||u||_A^2."""
+    z = spec.mu1 * row.item(0) + spec.mu2 * row.item(1)
     q = spec.value(z)
     if not q >= spec.g0:
         raise StepError(
@@ -190,10 +171,11 @@ def damping_value(spec: DampingSpec, norms: LevelNorms) -> float:
     return q
 
 
-# observe(n, coeffs, norms) receives the modal coefficients of U^n, which the
-# stepper goes on reading (an observer copies what it keeps and writes
-# nothing), and their LevelNorms
-Observer = Callable[[int, np.ndarray, LevelNorms], None]
+# observe(history) reads the new level U^n, n = history.n_last, from the
+# history: its modal coefficients `current`, which the stepper goes on
+# reading, and row n of `norms`; an observer copies what it keeps and
+# writes nothing
+Observer = Callable[["SimulationHistory"], None]
 
 
 class Trajectory:
@@ -202,8 +184,8 @@ class Trajectory:
     def __init__(self, n_steps: int, ndof: int):
         self.coefficients = np.zeros((int(n_steps) + 1, ndof))
 
-    def __call__(self, n: int, coeffs: np.ndarray, norms: LevelNorms) -> None:
-        self.coefficients[n] = coeffs
+    def __call__(self, history: SimulationHistory) -> None:
+        self.coefficients[history.n_last] = history.current
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,11 +415,18 @@ class SimulationHistory:
     kept as given.  n_last, the largest stored step index, is the level
     the next step is taken from, and push advances it.
 
-    observe(n, coeffs, norms) is called with U^0 here and with every pushed
-    level; `norms` holds the `LevelNorms` of U^n_last, which the next step
-    reads for its damping coefficient.  Without an observer the history
-    records the whole trajectory, which `coefficients`, `states` and
-    `state` then read.
+    `norms`, of shape (n_steps + 1, 4), holds in row k the squared norms of
+    the level U^k, in the modal basis where ||v||_M^2 = sum(v^2) and
+    ||v||_A^2 = sum(eigenvalues * v^2): ||U^k||_M^2, ||U^k||_A^2, the norm
+    ||d_{k-1}||_M^2 of the memory row handed over with U^k (the initial
+    velocity at k = 1, so it lags the level by one) and ||U^k - U^{k-1}||_M^2.
+    Row 0 is filled here, with nan in the last two columns, and push fills
+    each next row; rows not reached yet are nan.  The next step reads its
+    damping coefficient from row n_last.
+
+    observe(history) is called with the history once U^0 is set here and
+    after every push.  Without an observer the history records the whole
+    trajectory, which `coefficients`, `states` and `state` then read.
 
     The terms of a step that do not change with n are formed here once, as
     `constants`: w(n, n) is the same for every n >= 1.  Building a history
@@ -461,7 +450,6 @@ class SimulationHistory:
         self.initial = ops.to_modal(self.u0)
         self.initial_velocity = ops.to_modal(self.u1h)
         self.previous = self.current = self.initial
-        self.norms = LevelNorms(*_state_norms(ops.eigenvalues, self.initial), math.nan, math.nan)
         self.constants = _StepConstants.build(ops, table)
         self.n_last = 0
         if not (table.body.any() or table.edge_left.any() or table.k_values.any()):
@@ -471,9 +459,13 @@ class SimulationHistory:
         else:
             raise ValueError("the memory of a kernel hook with nonzero weights has no "
                              "exponential modes; give a KernelSpec")
+        # allocated after the memory, so that the table is not resident
+        # through the mode fit and check, the peak of the build
+        self.norms = np.full((self.n_steps + 1, 4), math.nan)
+        self.norms[0, :2] = _state_norms(ops.eigenvalues, self.initial)
         self._trajectory = Trajectory(n_steps, self.u0.size) if observe is None else None
         self._observe = self._trajectory if observe is None else observe
-        self._observe(0, self.initial, self.norms)
+        self._observe(self)
 
     @property
     def nbytes(self) -> int:
@@ -515,10 +507,10 @@ class SimulationHistory:
 
     def push(self, coeffs: np.ndarray) -> None:
         """Append the modal coefficients of U^{n+1}, write its memory row d_n
-        into the memory and pass the level with its `LevelNorms` to the
-        observer.  The velocity norm is read from the row's slot before the
-        memory takes the row, since taking it may turn the block.  The
-        history keeps `coeffs` itself as U^{n+1}, not a copy;
+        into the memory, store the level's row of `norms` in one write and
+        call the observer.  The velocity norm is read from the row's slot
+        before the memory takes the row, since taking it may turn the block.
+        The history keeps `coeffs` itself as U^{n+1}, not a copy;
         a level that is not finite raises StepError before anything is
         written.  The check reads the squared norm: only when that is not
         finite are the entries themselves tested, so a finite level whose
@@ -534,15 +526,15 @@ class SimulationHistory:
             row = self._memory.row(k - 1)
             np.subtract(coeffs, self.previous, out=row)
             row /= self.constants.two_tau
-            velocity = float(row @ row)
+            velocity = row @ row
             self._memory.push(k - 1)
         else:
-            velocity = float(self.initial_velocity @ self.initial_velocity)
+            velocity = self.initial_velocity @ self.initial_velocity
         increment = coeffs - self.current
-        self.norms = LevelNorms(mass, elastic, velocity, float(increment @ increment))
+        self.norms[k] = mass, elastic, velocity, increment @ increment
         self.previous, self.current = self.current, coeffs
         self.n_last = k
-        self._observe(k, coeffs, self.norms)
+        self._observe(self)
 
 
 def taylor_start(history: SimulationHistory, damping: DampingSpec,
@@ -561,7 +553,7 @@ def taylor_start(history: SimulationHistory, damping: DampingSpec,
         )
     ops, tau = history.ops, history.tau
     c0, v1 = history.initial, history.initial_velocity
-    q0 = damping_value(damping, history.norms)
+    q0 = damping_value(damping, history.norms[0])
     a0 = -q0 * v1 - ops.eigenvalues * c0
     if problem.f is not None:
         a0 += ops.project(load_vector(history.mesh, problem.f, 0.0))
@@ -579,7 +571,7 @@ def step(history: SimulationHistory, damping: DampingSpec, problem: Problem) -> 
     and the right-hand side collects the two known levels, the history
     term (the accumulated memory sum and the initial state weighted by
     K(t_n)) and the forcing.  In the modal basis S is diagonal.  Only q_n
-    changes from step to step, formed from the history's `norms` of U^n;
+    changes from step to step, formed from row n of the history's `norms`;
     the rest is the history's `constants`.  The right-hand side is summed
     in place, in the order of the terms above, and divided in place.
     """
@@ -592,7 +584,7 @@ def step(history: SimulationHistory, damping: DampingSpec, problem: Problem) -> 
 
     ops, consts = history.ops, history.constants
 
-    half_q = damping_value(damping, history.norms) / consts.two_tau
+    half_q = damping_value(damping, history.norms[n]) / consts.two_tau
     smallest = consts.smallest + half_q
     if not (smallest > 0.0 and math.isfinite(smallest)):
         raise SolverError(
@@ -618,11 +610,10 @@ def run(problem: Problem, mesh: Mesh, tau: float, n_steps: int,
         ops: Optional[DiscreteOperators] = None,
         table: Optional[WeightTable] = None,
         observe: Optional[Observer] = None) -> SimulationHistory:
-    """Step U^0..U^{n_steps}, passing each level to observe(n, coeffs, norms).
+    """Step U^0..U^{n_steps}, calling observe(history) as each level arrives.
 
-    observe sees the modal coefficients of U^n for n = 0..n_steps in order,
-    with their `LevelNorms`; without it the returned history records the
-    whole trajectory.
+    observe sees the history at n_last = 0..n_steps in order; without it the
+    returned history records the whole trajectory.
     Prebuilt operators and weight tables may be passed in so refinement
     ladders can share them; otherwise they are assembled here (the table
     then requires a kernel).

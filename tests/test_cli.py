@@ -25,10 +25,18 @@ from memwave.cli import (
     run_single,
     serialize_config,
 )
-from memwave.diagnostics import a_norm, discrete_energy, self_error_space, self_error_time
-from memwave.fem import Mesh, assemble, interpolate
+from memwave.diagnostics import (
+    a_norm,
+    discrete_energy,
+    energy_series,
+    self_error_space,
+    self_error_time,
+)
+from memwave.fem import Mesh, assemble, gradient_array, interpolate
 from memwave.kernel import KernelSpec
 from memwave.stepper import DampingSpec, run
+
+from closed_forms import assert_matches_alpha_one
 
 BENCH_1D = """
 [run]
@@ -325,8 +333,8 @@ class TestRunSingle:
     def test_zero_preset_produces_zero_series(self, tmp_path):
         cfg = parse_config(ZERO_CFG)
         cfg = cfg.__class__(**{**cfg.__dict__, "out_dir": str(tmp_path)})
-        diagnostics, paths = run_single(cfg)
-        assert np.all(diagnostics.energy == 0.0)
+        hist, _, paths = run_single(cfg)
+        assert np.all(energy_series(hist.norms, hist.tau, hist.mu0)[0] == 0.0)
         names = {p.name for p in paths}
         assert "energy.csv" in names and "checkpoint_000000.csv" in names
         with open(tmp_path / "checkpoint_000008.csv") as handle:
@@ -337,12 +345,13 @@ class TestRunSingle:
     def test_benchmark_energy_decreases(self, tmp_path):
         cfg = parse_config(BENCH_1D)
         cfg = cfg.__class__(**{**cfg.__dict__, "out_dir": str(tmp_path)})
-        diagnostics, _ = run_single(cfg, zero_forcing=True)
-        assert diagnostics.energy[-1] < diagnostics.energy[0]
+        hist, _, _ = run_single(cfg, zero_forcing=True)
+        energy, _ = energy_series(hist.norms, hist.tau, hist.mu0)
+        assert energy[-1] < energy[0]
 
     def test_repeated_checkpoints_are_written_once(self, tmp_path):
         cfg = parse_config(ZERO_CFG.replace("0, 8", "4, 4, 0"))
-        _, paths = run_single(replace(cfg, out_dir=str(tmp_path)))
+        _, _, paths = run_single(replace(cfg, out_dir=str(tmp_path)))
         assert [p.name for p in paths] == [
             "energy.csv", "checkpoint_000000.csv", "checkpoint_000004.csv"]
 
@@ -378,13 +387,16 @@ class TestRunSingle:
         run_single(replace(parse_config(BENCH_1D), out_dir=str(tmp_path)))
         assert calls == ["build_weight_table", "assemble"]
 
-    def test_manufactured_tracks_exact_solution(self):
+    def test_manufactured_tracks_exact_solution(self, tmp_path):
+        # U^N is read through the checkpoint at step n
         cfg = parse_config(MANUFACTURED_CFG)
-        diagnostics, _ = run_single(cfg)
+        cfg = replace(cfg, out_dir=str(tmp_path), checkpoints=(cfg.n,))
+        hist, diagnostics, _ = run_single(cfg)
         mesh_h = 1.0 / cfg.m
         xs = mesh_h * np.arange(1, cfg.m)
         exact_grad = np.pi * math.exp(-1.0) * np.cos(np.pi * (xs - mesh_h / 2.0))
-        err = math.sqrt(mesh_h * float(np.sum((diagnostics.gradient - exact_grad) ** 2)))
+        gradient = gradient_array(hist.mesh, diagnostics.checkpoints[cfg.n])
+        err = math.sqrt(mesh_h * float(np.sum((gradient - exact_grad) ** 2)))
         assert err < 0.05
 
 
@@ -487,6 +499,24 @@ class TestWeightsDump:
         written = path.read_bytes()
         assert written == expected.encode()
         assert b"\r" not in written and written.endswith(b",true\n")
+
+    def test_weights_csv_matches_alpha_one_closed_forms(self, tmp_path):
+        # `memwave weights` on an alpha = 1 config: the weight columns
+        # against the closed forms, within the bound the table itself meets,
+        # and the running sum against the cumulative sum of edge_left
+        sigma, gamma = 3.0, 3.0 * math.sqrt(3.0)
+        config = tmp_path / "weights.ini"
+        config.write_text(BENCH_1D.replace("n = 16", "n = 200").replace("t = 1.0", "t = 2.0")
+                          .replace("sigma = 2.0", f"sigma = {sigma!r}")
+                          .replace("gamma = 2.0", f"gamma = {gamma!r}"))
+        assert main(["weights", "--config", str(config), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "weights.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [int(r["n"]) for r in rows] == list(range(1, 201))
+        left, body, right, running = (np.array([float(r[key]) for r in rows]) for key in
+                                      ("edge_left", "body", "edge_right", "edge_running_sum"))
+        assert_matches_alpha_one(body, left, right, sigma, gamma, 2.0 / 200)
+        assert np.array_equal(running, np.cumsum(left))
 
     def test_requires_kernel(self, tmp_path):
         cfg = parse_config(ZERO_CFG)

@@ -13,6 +13,7 @@ from memwave.diagnostics import (
     TerminalGradient,
     a_norm,
     discrete_energy,
+    energy_series,
     rate,
     self_error_space,
     self_error_time,
@@ -22,7 +23,7 @@ from memwave.diagnostics import (
 from memwave.fem import Mesh, assemble, gradient_array, interpolate
 from memwave.kernel import KernelSpec, constant_transform
 from memwave.quadweights import build_weight_table
-from memwave.stepper import DampingSpec, LevelNorms, Problem, SimulationHistory, run
+from memwave.stepper import DampingSpec, Problem, SimulationHistory, run
 
 SINE_PROBLEM = Problem(
     u0=lambda x: np.sin(np.pi * x),
@@ -41,19 +42,20 @@ def _stationary_history(mesh, ops, state, tau=0.1, mu0=0.75, steps=3):
 
 
 def _observed_and_recorded(problem, mesh, ops, kernel, damping, tau, steps, checkpoints=()):
-    """A RunDiagnostics observer fed by one run, and the recorded history of the same run."""
+    """One run observed by a RunDiagnostics, that observer, and the recorded
+    history of the same run."""
     table = build_weight_table(kernel, tau, max(1, steps - 1))
-    observer = RunDiagnostics(mesh, ops, problem, table, steps, checkpoints)
-    run(problem, mesh, tau, steps, damping=damping, ops=ops, table=table, observe=observer)
-    return observer, run(problem, mesh, tau, steps, damping=damping, ops=ops, table=table)
+    observer = RunDiagnostics(checkpoints)
+    observed = run(problem, mesh, tau, steps, damping=damping, ops=ops, table=table,
+                   observe=observer)
+    return observed, observer, run(problem, mesh, tau, steps, damping=damping, ops=ops,
+                                   table=table)
 
 
-def _observer_by_hand(steps):
-    """A RunDiagnostics on a 1d mesh of 8 cells, tau = 0.1 and mu0 = 0.5, to be
-    called level by level with made-up norms."""
-    mesh = Mesh(1, 8)
-    table = build_weight_table(constant_transform(0.5), 0.1, steps)
-    return RunDiagnostics(mesh, assemble(mesh), SINE_PROBLEM, table, steps)
+def _series_by_hand(*rows):
+    """energy_series, at tau = 0.1 and mu0 = 0.5, of a hand-filled norm table
+    whose rows are (mass, elastic, velocity, increment)."""
+    return energy_series(np.array(rows, dtype=float), 0.1, 0.5)
 
 
 class TestEnergy:
@@ -185,8 +187,10 @@ class TestSelfErrors:
         # coarse node j is fine node 2j, entry 2j - 1 of the fine gradient
         # along each axis; fields not symmetric in the axes show a swap
         mesh_c, mesh_f = Mesh(dim, 4), Mesh(dim, 8)
-        coarse = TerminalGradient(mesh_c, None, 0.1, 2)
-        fine = TerminalGradient(mesh_f, None, 0.1, 2)
+        coarse, fine = TerminalGradient(), TerminalGradient()
+        coarse.mesh, fine.mesh = mesh_c, mesh_f
+        coarse.tau = fine.tau = 0.1
+        coarse.n_last = fine.n_last = 2
         rng = np.random.default_rng(dim)
         coarse.gradient = rng.standard_normal((3,) * dim)
         fine.gradient = rng.standard_normal((7,) * dim)
@@ -199,8 +203,8 @@ class TestSelfErrors:
 
 
 class TestRunDiagnostics:
-    """The streamed series, checkpoints and terminal gradient against the
-    recorded trajectory of the same run."""
+    """The series of the norm table, the streamed checkpoints and the terminal
+    gradient against the recorded trajectory of the same run."""
 
     @pytest.mark.parametrize("case", ["1d_lumped_half", "1d_consistent_one", "2d_consistent_half"])
     def test_matches_recorded_trajectory(self, case):
@@ -219,43 +223,49 @@ class TestRunDiagnostics:
                               u1=lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
         ops = assemble(mesh, lumped_mass=lumped)
         marks = (0, 1, 4, 5, 6, steps - 1, steps)
-        observer, hist = _observed_and_recorded(problem, mesh, ops, kernel, damping, tau,
-                                                steps, marks)
+        observed, observer, hist = _observed_and_recorded(problem, mesh, ops, kernel, damping,
+                                                          tau, steps, marks)
+        energy, a_norms = energy_series(observed.norms, observed.tau, observed.mu0)
 
         # the per-step formulas add in another order
         per_step = [discrete_energy(hist, ops, n) for n in range(steps)]
-        assert observer.energy == pytest.approx(per_step, rel=1e-13, abs=0.0)
+        assert energy == pytest.approx(per_step, rel=1e-13, abs=0.0)
         per_step = [a_norm(hist, ops, m) for m in range(steps)]
-        assert observer.a_norms == pytest.approx(per_step, rel=1e-13, abs=0.0)
+        assert a_norms == pytest.approx(per_step, rel=1e-13, abs=0.0)
 
         assert sorted(observer.checkpoints) == sorted(set(marks))
         for c in marks:
             assert np.array_equal(observer.checkpoints[c], hist.state(c))
-        assert np.array_equal(observer.gradient, gradient_array(mesh, hist.state(steps)))
+        # the observer keeps only the checkpoints
+        assert [name for name, v in vars(observer).items()
+                if isinstance(v, np.ndarray)] == []
 
     def test_record_needs_the_last_step(self):
-        # the series and the gradient read None until the last level arrives
-        observer = _observer_by_hand(steps=4)
-        for n in range(4):
-            observer(n, np.zeros(7), LevelNorms(1.0, 2.0, 3.0, 4.0))
-            assert observer.energy is None and observer.a_norms is None
-            assert observer.gradient is None
-        observer(4, np.zeros(7), LevelNorms(1.0, 2.0, 3.0, 4.0))
-        assert observer.energy.tolist() == [0.5 * 3.0 + 0.5 * 2.0] * 4
-        assert observer.a_norms.tolist() == [math.sqrt(4.0 / 0.1**2 + 0.5 * 0.5 * 4.0)] * 4
-        assert observer.gradient is not None
+        # a row the run has not reached is nan, and the series refuse it
+        filled = (1.0, 2.0, 3.0, 4.0)
+        for missing in range(1, 5):
+            rows = [filled] * missing + [(math.nan,) * 4] * (5 - missing)
+            with pytest.raises(ValueError, match="nonnegative numbers"):
+                _series_by_hand(*rows)
+        energy, a_norms = _series_by_hand(*[filled] * 5)
+        assert energy.tolist() == [0.5 * 3.0 + 0.5 * 2.0] * 4
+        assert a_norms.tolist() == [math.sqrt(4.0 / 0.1**2 + 0.5 * 0.5 * 4.0)] * 4
 
     def test_terminal_gradient_stands_in_for_the_history(self):
         mesh = Mesh(1, 16)
         ops = assemble(mesh)
         kern = KernelSpec(1.0, 2.0, 1.0)
         damp = DampingSpec("sqrt")
-        kept = {n: TerminalGradient(mesh, ops, 1.0 / n, n) for n in (10, 20)}
+        kept = {n: TerminalGradient() for n in (10, 20)}
         for n, observer in kept.items():
             run(SINE_PROBLEM, mesh, 1.0 / n, n, kernel=kern, damping=damp, ops=ops,
                 observe=observer)
         coarse = run(SINE_PROBLEM, mesh, 0.1, 10, kernel=kern, damping=damp, ops=ops)
         fine = run(SINE_PROBLEM, mesh, 0.05, 20, kernel=kern, damping=damp, ops=ops)
+        # the observer takes the mesh, step size and step count from the history
+        for observer, hist in ((kept[10], coarse), (kept[20], fine)):
+            assert (observer.mesh, observer.tau, observer.n_last) == (mesh, hist.tau, hist.n_last)
+            assert np.array_equal(observer.gradient, gradient_array(mesh, hist.state(hist.n_last)))
         assert self_error_time(kept[10], kept[20]) == self_error_time(coarse, fine)
         assert self_error_time(kept[10], fine) == self_error_time(coarse, kept[20])
         with pytest.raises(ValueError):
@@ -290,18 +300,18 @@ class TestRate:
 
 class TestRecordAndCsv:
     def test_record_validation(self):
-        # the last level's pass checks the series it forms; LevelNorms fields
-        # are (mass, elastic, velocity, increment)
-        for last in (LevelNorms(0.0, 0.0, math.nan, 0.0),     # energy nan
-                     LevelNorms(0.0, 0.0, 0.0, math.nan),     # a_norm nan
-                     LevelNorms(0.0, math.nan, 0.0, 0.0),     # a_norm nan, by U^2
-                     LevelNorms(0.0, 0.0, -9.0, 0.0)):        # energy negative
-            observer = _observer_by_hand(steps=2)
-            observer(0, np.zeros(7), LevelNorms(0.0, 1.0, math.nan, math.nan))
-            observer(1, np.zeros(7), LevelNorms(0.0, 1.0, 1.0, 1.0))
+        # the pass checks the series it forms; the columns of the table are
+        # (mass, elastic, velocity, increment)
+        for last in ((0.0, 0.0, math.nan, 0.0),     # energy nan
+                     (0.0, 0.0, 0.0, math.nan),     # a_norm nan
+                     (0.0, math.nan, 0.0, 0.0),     # a_norm nan, by U^2
+                     (0.0, 0.0, -9.0, 0.0)):        # energy negative
             with pytest.raises(ValueError, match="recorded norms must be nonnegative numbers"):
-                observer(2, np.zeros(7), last)
-            assert observer.energy is None and observer.a_norms is None
+                _series_by_hand((0.0, 1.0, math.nan, math.nan), (0.0, 1.0, 1.0, 1.0), last)
+        # the nan of row 0 is never read
+        energy, a_norms = _series_by_hand((0.0, 1.0, math.nan, math.nan), (0.0, 1.0, 1.0, 1.0),
+                                          (0.0, 0.0, 0.0, 0.0))
+        assert energy.tolist() == [1.0, 0.5] and np.isfinite(a_norms).all()
 
     def test_series_match_per_step_and_nodal_forms(self):
         mesh = Mesh(2, 8)
@@ -309,12 +319,13 @@ class TestRecordAndCsv:
         tau, steps = 0.05, 11
         prob = Problem(u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
                        u1=lambda x, y: np.sin(2 * np.pi * x) * y * (1.0 - y), f=None)
-        observer, hist = _observed_and_recorded(prob, mesh, ops, KernelSpec(0.5, 3.0, 3.0),
-                                                DampingSpec("sqrt"), tau, steps)
+        observed, _, hist = _observed_and_recorded(prob, mesh, ops, KernelSpec(0.5, 3.0, 3.0),
+                                                   DampingSpec("sqrt"), tau, steps)
         energy = [discrete_energy(hist, ops, n) for n in range(steps)]
         norms = [a_norm(hist, ops, m) for m in range(steps)]
-        assert observer.energy == pytest.approx(energy, rel=1e-13, abs=0.0)
-        assert observer.a_norms == pytest.approx(norms, rel=1e-13, abs=0.0)
+        series = energy_series(observed.norms, tau, observed.mu0)
+        assert series[0] == pytest.approx(energy, rel=1e-13, abs=0.0)
+        assert series[1] == pytest.approx(norms, rel=1e-13, abs=0.0)
 
         states = hist.states
         mass, stiff = ops.mass, ops.stiffness
@@ -354,18 +365,20 @@ class TestRecordAndCsv:
     def test_collect_and_write(self, tmp_path):
         mesh = Mesh(1, 16)
         ops = assemble(mesh)
-        observer, _ = _observed_and_recorded(SINE_PROBLEM, mesh, ops, KernelSpec(1.0, 2.0, 1.0),
-                                             DampingSpec("sqrt"), 0.05, 11)
-        assert observer.energy.shape == (11,)
-        assert np.all(observer.a_norms >= 0.0)
+        observed, _, _ = _observed_and_recorded(SINE_PROBLEM, mesh, ops,
+                                                KernelSpec(1.0, 2.0, 1.0), DampingSpec("sqrt"),
+                                                0.05, 11)
+        energy, a_norms = energy_series(observed.norms, observed.tau, observed.mu0)
+        assert energy.shape == (11,)
+        assert np.all(a_norms >= 0.0)
 
         energy_path = tmp_path / "energy.csv"
-        write_energy_csv(energy_path, observer.tau, observer.energy, observer.a_norms)
+        write_energy_csv(energy_path, observed.tau, energy, a_norms)
         with open(energy_path) as handle:
             rows = list(csv.reader(handle))
         assert rows[0] == ["n", "t", "energy", "a_norm"]
         assert len(rows) == 12
-        assert float(rows[1][2]) == pytest.approx(observer.energy[0])
+        assert float(rows[1][2]) == pytest.approx(energy[0])
 
         table_path = tmp_path / "table.csv"
         write_convergence_csv(table_path, [(32, 16, 1.25e-2, None), (32, 32, 3.1e-3, 2.01)])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import memwave.stepper as stepper
 from memwave.cli import RunConfig, preset_problem
+from memwave.diagnostics import a_norm, discrete_energy, energy_series
 from memwave.fem import Mesh, assemble, interpolate, load_vector
 from memwave.kernel import KernelSpec, QuadratureError, constant_transform
 from memwave.quadweights import build_weight_table
@@ -17,7 +18,6 @@ from memwave.stepper import (
     _MEMORY_BLOCK,
     _MEMORY_SUBBLOCK,
     DampingSpec,
-    LevelNorms,
     Problem,
     SimulationHistory,
     SolverError,
@@ -50,9 +50,9 @@ def _direct_history_term(hist):
 
 
 def _norms(ops, coeffs):
-    """LevelNorms of a state with its mass and elastic norms only."""
-    return LevelNorms(float(coeffs @ coeffs), float((ops.eigenvalues * coeffs) @ coeffs),
-                      math.nan, math.nan)
+    """A row of `SimulationHistory.norms` for a state: its mass and elastic
+    norms, nan in the velocity and increment columns."""
+    return np.array([coeffs @ coeffs, (ops.eigenvalues * coeffs) @ coeffs, math.nan, math.nan])
 
 
 def _memory_arrays(hist):
@@ -719,7 +719,7 @@ class TestObservedRun:
         kernel, damping = KernelSpec(0.5, 3.0, 3.0), DampingSpec("sqrt")
         seen = []
         hist = run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping,
-                   observe=lambda n, coeffs, norms: seen.append((n, coeffs.copy())))
+                   observe=lambda h: seen.append((h.n_last, h.current.copy())))
         recorded = run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping)
         assert [n for n, _ in seen] == list(range(n_steps + 1))
         assert np.array_equal(np.array([c for _, c in seen]), recorded.coefficients)
@@ -729,53 +729,61 @@ class TestObservedRun:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_norms_match_recorded_trajectory(self, dim):
-        # each level's norms are, bit for bit, the same expressions applied
-        # to the recorded trajectory; the velocity is that of the memory row
-        # d_{n-1}, the initial velocity at n = 1
+        # each row of the norm table is, bit for bit, the same expressions
+        # applied to the recorded trajectory; the velocity is that of the
+        # memory row d_{n-1}, the initial velocity at n = 1.  The observer
+        # of level n finds row n filled and the rows after it nan
         mesh, problem, tau, n_steps = self._case(dim)
         assert n_steps > stepper._MEMORY_BLOCK  # the rows cross a block turn
         kernel, damping = KernelSpec(0.5, 3.0, 3.0), DampingSpec("sqrt")
         seen = []
-        run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping,
-            observe=lambda n, coeffs, norms: seen.append(norms))
+        hist = run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping,
+                   observe=lambda h: seen.append(h.norms.copy()))
         recorded = run(problem, mesh, tau, n_steps, kernel=kernel, damping=damping)
         lam, c = recorded.ops.eigenvalues, recorded.coefficients
         rows = _velocity_rows(recorded)
-        expected = [LevelNorms(float(c[n] @ c[n]), float((lam * c[n]) @ c[n]),
-                               float(rows[n - 1] @ rows[n - 1]),
-                               float((c[n] - c[n - 1]) @ (c[n] - c[n - 1])))
-                    for n in range(1, n_steps + 1)]
-        assert seen[1:] == expected
-        assert seen[0][:2] == (float(c[0] @ c[0]), float((lam * c[0]) @ c[0]))
-        assert math.isnan(seen[0].velocity) and math.isnan(seen[0].increment)
+        expected = np.array([[c[n] @ c[n], (lam * c[n]) @ c[n], rows[n - 1] @ rows[n - 1],
+                              (c[n] - c[n - 1]) @ (c[n] - c[n - 1])]
+                             for n in range(1, n_steps + 1)])
+        assert hist.norms.shape == (n_steps + 1, 4)
+        assert np.array_equal(hist.norms[1:], expected)
+        assert np.array_equal(recorded.norms, hist.norms, equal_nan=True)
+        assert hist.norms[0, :2].tolist() == [c[0] @ c[0], (lam * c[0]) @ c[0]]
+        assert np.isnan(hist.norms[0, 2:]).all()
+        assert len(seen) == n_steps + 1
+        for n, table in enumerate(seen):
+            assert np.array_equal(table[:n + 1], hist.norms[:n + 1], equal_nan=True)
+            assert np.isnan(table[n + 1:]).all()
 
     def test_damping_value_once_per_step(self, monkeypatch):
         # taylor_start and each step read q through the module's damping_value
         calls = []
 
-        def counted(spec, norms):
-            calls.append(norms)
-            return damping_value(spec, norms)
+        def counted(spec, row):
+            calls.append(row.copy())
+            return damping_value(spec, row)
 
         monkeypatch.setattr(stepper, "damping_value", counted)
         mesh, problem, tau, n_steps = self._case(1)
-        run(problem, mesh, tau, n_steps, kernel=KernelSpec(0.5, 3.0, 3.0),
-            damping=DampingSpec("sqrt"), observe=lambda n, coeffs, norms: None)
-        assert len(calls) == n_steps
+        hist = run(problem, mesh, tau, n_steps, kernel=KernelSpec(0.5, 3.0, 3.0),
+                   damping=DampingSpec("sqrt"), observe=lambda h: None)
+        # step n reads row n of the table: the norms of U^n
+        assert np.array_equal(calls, hist.norms[:n_steps], equal_nan=True)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_observed_history_holds_one_row_buffer(self, dim):
-        # no array of an observed KernelSpec run grows with the step count:
+        # no state array of an observed KernelSpec run grows with the step
+        # count: beside the norm table of n_steps + 1 rows of four floats,
         # none has more rows than the memory's buffer of the d_0 and U^0
-        # rows, 2K state rows and 2 L0 - 1 window rows, and nbytes at 8192
-        # steps is below twice that at 1024 on the same mesh, although the
-        # modes grow with log T; row i of the block operand weights its own
-        # slot with 1
+        # rows, 2K state rows and 2 L0 - 1 window rows, and the bytes of the
+        # rest at 8192 steps are below twice those at 1024 on the same mesh,
+        # although the modes grow with log T; row i of the block operand
+        # weights its own slot with 1
         mesh, problem, tau, _ = self._case(dim)
         held = {}
         for n_steps in (1024, 8192):
             hist = run(problem, mesh, tau, n_steps, kernel=KernelSpec(0.5, 3.0, 3.0),
-                       damping=DampingSpec("sqrt"), observe=lambda n, coeffs, norms: None)
+                       damping=DampingSpec("sqrt"), observe=lambda h: None)
             memory = hist._memory
             arrays = [v for owner in (hist, hist.constants, memory) for v in vars(owner).values()
                       if isinstance(v, np.ndarray)]
@@ -786,9 +794,10 @@ class TestObservedRun:
                 assert np.array_equal(buffer[1], hist.initial)
             slots = np.arange(_MEMORY_BLOCK)
             assert np.all(memory._weights[slots, memory._offset + slots] == 1.0)
-            assert all(a.shape[0] <= limit for a in arrays)
+            assert hist.norms.shape == (n_steps + 1, 4)
+            assert all(a.shape[0] <= limit for a in arrays if a is not hist.norms)
             assert hist.nbytes == sum(a.nbytes for a in arrays)
-            held[n_steps] = hist.nbytes
+            held[n_steps] = hist.nbytes - hist.norms.nbytes
         assert held[8192] < 2 * held[1024]
         with pytest.raises(ValueError, match="observed history"):
             hist.coefficients
@@ -798,7 +807,7 @@ class TestObservedRun:
     def test_zero_hook_keeps_no_rows(self):
         # the zero hook's weights are all 0: every step's memory sum is
         # exactly 0, and the memory holds one ndof vector whatever the
-        # step count
+        # step count; only the norm table grows with it
         mesh, damping = Mesh(1, 16), DampingSpec("sqrt")
         held = {}
         for n_steps in (64, 4096):
@@ -806,13 +815,13 @@ class TestObservedRun:
                                      build_weight_table(ZERO_KERNEL, 1.0 / 64, n_steps - 1),
                                      interpolate(mesh, SINE_PROBLEM.u0),
                                      interpolate(mesh, SINE_PROBLEM.u1), n_steps,
-                                     observe=lambda n, coeffs, norms: None)
+                                     observe=lambda h: None)
             taylor_start(hist, damping, SINE_PROBLEM)
             for _ in range(1, n_steps):
                 assert np.array_equal(hist.history_term(), np.zeros(mesh.n_interior))
                 step(hist, damping, SINE_PROBLEM)
             assert [a.shape for a in _memory_arrays(hist)] == [(mesh.n_interior,)]
-            held[n_steps] = hist.nbytes
+            held[n_steps] = hist.nbytes - hist.norms.nbytes
         assert held[4096] == held[64]
 
 
@@ -885,8 +894,6 @@ class TestLongRunStability:
         hist = run(SINE_PROBLEM, mesh, 0.05, 400, kernel=KernelSpec(1.0, 2.0, 2.0),
                    damping=DampingSpec("sqrt"))
         ops = assemble(mesh)
-        from memwave.diagnostics import a_norm
-
         norms = np.array([a_norm(hist, ops, m) for m in range(400)])
         assert norms.max() <= norms[0] * 1.05
 
@@ -904,9 +911,16 @@ class TestAdmissibleRuns:
     @settings(max_examples=40, deadline=None)
     def test_short_runs_stay_finite(self, alpha, sigma, ratio, dim, kind):
         # three blocks and a clipped fourth, so the modes take over; push
-        # raises StepError on a level that is not finite
+        # raises StepError on a level that is not finite.  The series of the
+        # norm table match the per-step forms of the recorded trajectory,
+        # which add in another order
         mesh, problem = (Mesh(1, 16), SINE_PROBLEM) if dim == 1 else (Mesh(2, 8), BUMP_PROBLEM)
         tau, n_steps = 0.01, 3 * _MEMORY_BLOCK + 5
         hist = run(problem, mesh, tau, n_steps, kernel=KernelSpec(alpha, sigma, ratio * sigma),
                    damping=DampingSpec(kind))
         assert np.isfinite(hist.coefficients).all()
+        energy, a_norms = energy_series(hist.norms, hist.tau, hist.mu0)
+        per_step = [discrete_energy(hist, hist.ops, n) for n in range(n_steps)]
+        assert energy == pytest.approx(per_step, rel=1e-13, abs=0.0)
+        per_step = [a_norm(hist, hist.ops, m) for m in range(n_steps)]
+        assert a_norms == pytest.approx(per_step, rel=1e-13, abs=0.0)

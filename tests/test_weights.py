@@ -1,7 +1,6 @@
 """Quadrature weight table: hat-function integrals, structure, convolution,
 the admissible kernel box and the exponential modes of the memory sum."""
 
-import cmath
 import math
 
 import numpy as np
@@ -22,6 +21,8 @@ from memwave.quadweights import (
     hat_weights,
 )
 from memwave.stepper import SimulationHistory
+
+from closed_forms import alpha_one_table, assert_matches_alpha_one
 
 ROOT3 = math.sqrt(3.0)
 
@@ -299,29 +300,6 @@ class TestGaussPasses:
             build_weight_table(spec, tau, 8)
 
 
-def _quotients(x):
-    """(e^x - 1 - x)/x**2 and (x - 1 + e^-x)/x**2, summed by their series
-    sum_k (+-x)**k/(k + 2)! where |x| < 1, so neither cancels."""
-    if abs(x) < 1.0:
-        return tuple(sum(y**k / math.factorial(k + 2) for k in range(20)) for y in (x, -x))
-    return (cmath.exp(x) - 1.0 - x) / x**2, (x - 1.0 + cmath.exp(-x)) / x**2
-
-
-def _alpha_one_table(sigma, gamma, tau, n_max):
-    """(body[1:], edge_left[1:], edge_right) of K(t) = Re[e^{-zt}/z], z = sigma
-    - i gamma, in closed form: the hat integrals of e^{-zt}, with x = z tau,
-
-        body[j]      = Re[(c_b/z) e^{-x j}],  c_b = tau (sinh(x/2)/(x/2))**2
-        edge_left[n] = Re[(c_e/z) e^{-x n}],  c_e = (e^x - 1 - x)/(z**2 tau)
-        edge_right   = Re[(1/z)(x - 1 + e^{-x})/(z**2 tau)]."""
-    z = complex(sigma, -gamma)
-    x = z * tau
-    rise, fall = _quotients(x)
-    decay = np.exp(-x * np.arange(1, n_max + 1)) / z
-    c_b = tau * (cmath.sinh(0.5 * x) / (0.5 * x)) ** 2
-    return (c_b * decay).real, (tau * rise * decay).real, (tau * fall / z).real
-
-
 class TestAlphaOneClosedForms:
     """alpha = 1 tables against their closed forms, an oracle that shares
     neither Gauss points nor kernel evaluations with the build."""
@@ -336,19 +314,13 @@ class TestAlphaOneClosedForms:
         spec = KernelSpec(1.0, sigma, ratio * sigma)
         tau = _tau_at(sigma, ratio * sigma, step)
         n_max = 200
-        body, edge_left, edge_right = _alpha_one_table(sigma, ratio * sigma, tau, n_max)
-        if edge_right <= 0.0:
+        if alpha_one_table(sigma, ratio * sigma, tau, n_max)[2] <= 0.0:
             with pytest.raises(ArithmeticError, match="diagonal weight"):
                 build_weight_table(spec, tau, n_max)
             return
         table = build_weight_table(spec, tau, n_max)
-        envelope = tau * np.exp(-sigma * tau * np.arange(n_max))  # tau e^(-sigma (j-1) tau)
-        # below the smallest normal float both sides are subnormal
-        normal = envelope >= np.finfo(float).tiny
-        bound = 1e-13 * envelope[normal]
-        assert np.all(np.abs(table.body[1:] - body)[normal] <= bound)
-        assert np.all(np.abs(table.edge_left[1:] - edge_left)[normal] <= bound)
-        assert abs(table.edge_right - edge_right) <= 1e-13 * tau
+        assert_matches_alpha_one(table.body[1:], table.edge_left[1:], table.edge_right,
+                                 sigma, ratio * sigma, tau)
 
 
 class TestAdmissibleBox:

@@ -190,10 +190,12 @@ class RunDiagnostics:
 
 def write_csv(path, header: str, row_format: str, rows, end: str) -> None:
     """Write `header` and each row rendered by `row_format` (a %-format over
-    the row's tuple), every line ended in `end`."""
+    the row's tuple), every line ended in `end`.  The lines are handed to
+    the file one by one, so the text of the whole file is never held."""
     line = row_format + end
     with open(path, "w", newline="") as handle:
-        handle.write(header + end + "".join([line % row for row in rows]))
+        handle.write(header + end)
+        handle.writelines(line % row for row in rows)
 
 
 def write_energy_csv(path, tau: float, energy: np.ndarray, a_norms: np.ndarray) -> None:

@@ -32,12 +32,15 @@ problem.  The history always steps at its own last level n = n_last.
 
 The history term of step n weights the whole velocity history and the
 initial state.  For a KernelSpec, `_Memory` forms it from the initial
-velocity, U^0, an exact window of recent rows and a few exponential modes
-that hold all older ones, in storage that does not grow with the run, and
-a step's own GEMV reads at most 8 rows beside the sum parked for it; its
-docstring says how.  A table whose weights and kernel samples are all 0, as
-the zero kernel hook's are, gets a memory that keeps nothing and sums to 0;
-a history refuses any other kernel hook.
+velocity, U^0, the rows of the current and the previous block of 32 steps
+with the exact weights, and a few exponential modes that hold all older
+rows and serve the lags 33 and more.  They share one buffer that does not
+grow with the run, a ring of two block regions around the fixed rows: a
+block turn copies only the modes' 2K state rows, and a step's own GEMV
+reads at most 8 rows beside the sum parked for it; its docstring says
+how.  A table whose weights and kernel samples are all 0, as the zero
+kernel hook's are, gets a memory that keeps nothing and sums to 0; a
+history refuses any other kernel hook.
 """
 
 from __future__ import annotations
@@ -234,47 +237,58 @@ class _Memory:
     Steps are taken in blocks of L0 = _MEMORY_BLOCK, aligned to multiples
     of L0; step n = s + i of the block starting at s weights d_0 with
     edge_left[n], U^0 with k_values[n] = K(t_n), and the rows
-    p > max(0, s - L0), at lags below L0 + i, with the table's exact body
-    weights.  Every older row p >= 1 lives on in 2K real state rows, the
-    real and imaginary parts of the K complex modes
-    H_k = sum_{1 <= p <= s - L0} a_k c_k rho_k**(s - p) d_p, with
+    p >= s - L0 of this block and the one before it, at lags below
+    L0 + i + 1, with the table's exact body weights.  Every older row
+    p >= 1 lives on in 2K real state rows, the real and imaginary parts of
+    the K complex modes
+    H_k = sum_{1 <= p < s - L0} a_k c_k rho_k**(s - p) d_p, with
     rho_k = exp(-w_k tau), K(t) = Re sum_k a_k exp(-w_k t) as
     `kernel.exponential_modes` gives it and c_k the full-hat weight of
     `hat_weights`.  Step n adds Re sum_k rho_k**i H_k for them, so the
-    storage does not grow with the run.  For alpha = 1/2 the modes are
-    compressed to the tail's numerical rank: K = 18 on the 2d benchmark
-    and 27 on the 1d one, where the quadrature alone gives 54 and 68, and
-    every cost of a block below scales with K.
+    modes serve the lags L0 + 1 and more, and the storage does not grow
+    with the run.  For alpha = 1/2 the modes are compressed to the tail's
+    numerical rank: K = 18 on the 2d benchmark and 27 on the 1d one, where
+    the quadrature alone gives 54 and 68, and every cost of a block below
+    scales with K.
 
-    Both buffers hold [d_0 | U^0 | states | ring]: d_0 and U^0, fixed
-    rows, the 2K state rows, then the rows s - 31 .. s - 1 of the previous
-    block and the L0 slots of the current block, where row p is written
-    to slot p - s.  Two GEMMs and a copy, the turn, serve each block s' in
-    `_back`: once when the memory is built, for s' = 0, and then when the
-    last row of the block s = s' - L0 arrives.  They are the advance
-    states <- `_advance` @ [states; rows s - 31 .. s], which absorbs the
-    rows leaving the window and turns each mode by rho**L0; a copy of rows
-    s + 1 .. s + 31; and the far and near sums of all steps of the block,
-    [edge_left[s' + i] | k_values[s' + i] | Re rho**i | -Im rho**i |
-    body[31 + i - c]] @ [d_0; U^0; states; those 31 rows], parked in the
-    slots, which a row overwrites only after step s' + i has read slot i;
-    then the buffers swap.  Row i of the weights holds a 1 at lag 0, the
-    column of slot i, so step s' + i reads its parked sum.  The block's
-    own rows join the parked sums by sub-blocks of L1 = _MEMORY_SUBBLOCK
-    = 8 slots, the refresh: when the last row of a sub-block arrives, at
-    i = 7, 15 or 23, one small GEMM weights those 8 rows c with
-    body[j - c] for each later step j of the block that the run reaches,
-    and adds the result to their parked sums.  It forms the result in the
-    slots of `_back` that match theirs, which are free between turns:
-    the next turn writes all of `_back` before it reads it.  So step
-    s' + i adds to its parked sum the rows s' + L1 floor(i / L1) ..
-    s' + i - 1 of its own sub-block in one GEMV, at most 8 rows.  The
-    first turn finds no rows, and no row is written to slot 0 of the
-    first block, as d_0 has its own row: the turn parks K(0) U^0 there,
-    the sum of step 0, which no step reads, and the memory sets that
-    slot to 0 so that the GEMVs of steps 1 .. 7, the first refresh and
-    the next advance read it as a zero row.  So a block costs a (2K) x (2K + 32) and a 32 x (2K + 65) GEMM
-    against buffers of (2K + 65) x ndof, plus three (<= 24) x 8 GEMMs.
+    One buffer holds [X | d_0 | U^0 | states | Y]: two regions of L0 rows
+    around the fixed rows d_0 and U^0 and the 2K state rows.  Block b
+    writes its rows into X when b is even and into Y when it is odd, row
+    p into slot p - s of its region.  A turn serves each block s': once
+    when the memory is built, for s' = 0, and then when the last row of
+    the block s = s' - L0 arrives.  The advance GEMM
+    states <- rho**L0 states + the region of the block s - L0, each row c
+    of it weighted with a_k c_k rho_k**(2 L0 - c), reads [states | Y] or
+    [X | d_0 | U^0 | states], whose d_0 and U^0 columns are 0, forms the
+    new states in a scratch and copies them into the state rows, the only
+    copy of the turn.  The parked GEMM then forms the far and near sums of
+    all steps of the block, [edge_left[s' + i] | k_values[s' + i] |
+    Re rho**i | -Im rho**i | body[L0 + i - c]] @ [d_0; U^0; states; the
+    rows of the block s], into the region just absorbed, where block s'
+    writes its rows; it reads [X | d_0 | U^0 | states] or
+    [d_0 | U^0 | states | Y].
+    `_advance` and `_parked` are laid out as the buffer, with the region
+    columns of both regions filled, so each GEMM takes one column slice.
+    Slot i holds the parked sum of step s' + i until row s' + i overwrites
+    it, after that step has read it.  The block's own rows join the parked
+    sums by sub-blocks of L1 = _MEMORY_SUBBLOCK = 8 slots, the refresh:
+    when the last row of a sub-block arrives, at i = 7, 15 or 23, one
+    small GEMM weights those 8 rows c with body[j - c] for each later step
+    j of the block that the run reaches, into the scratch, and adds the
+    result to their parked sums.  So step s' + i adds to its parked sum
+    the rows s' + L1 floor(i / L1) .. s' + i - 1 of its own sub-block in
+    one GEMV, at most 8 rows; the GEMV and the refresh read the block's
+    region through `_own`, whose row i holds a 1 at lag 0, the column of
+    slot i, and body[i - c] before it.  The first turn finds no rows, and
+    no row is written to slot 0 of the first block, as d_0 has its own
+    row: the turn parks K(0) U^0 there, the sum of step 0, which no step
+    reads, and the memory sets that slot to 0 so that the GEMVs of steps
+    1 .. 7, the first refresh, the parked GEMM of the second block and
+    the advance of the third read it as a zero row.  So a block costs a
+    (2K) x (2K + L0) GEMM, two zero columns more when it absorbs X, and an
+    L0 x (2K + L0 + 2) GEMM against a buffer of
+    (2K + 2 L0 + 2) x ndof and a scratch of max(2K, L0 - L1) x ndof, a
+    copy of 2K rows and three (<= 24) x 8 GEMMs.
 
     Building the memory raises QuadratureError naming the mode if a rate
     is not finite with Re w > 0, since that mode would not decay.  It
@@ -297,29 +311,37 @@ class _Memory:
             raise QuadratureError(f"exponential mode {k} has rate w = {rates[k]:.6g}; "
                                   f"every mode must decay, with finite Re w > 0")
         body = amplitudes * hat_weights(rates, tau)
-        rho = np.exp(-np.outer(rates * tau, np.arange(2 * block)))  # rho_k**j, j < 2 L0
+        rho = np.exp(-np.outer(rates * tau, np.arange(2 * block + 1)))  # rho_k**j, j <= 2 L0
         _check_modes(table, body, rates, rho[:, :block], self._last)
-        # column r of absorb takes the leaving row s' - 2 L0 + 1 + r at lag 2 L0 - 1 - r
-        absorb, turn = body[:, None] * rho[:, :block - 1:-1], np.diag(rho[:, block])
-        self._advance = np.block([[turn.real, -turn.imag, absorb.real],
-                                  [turn.imag, turn.real, absorb.imag]])
+        k2 = 2 * rates.size
+        # the rows of the buffer: X, then d_0, U^0 and the states, then Y
+        width = 2 * block + 2 + k2
+        # row c of an absorbed region is at lag 2 L0 - c from the new block's start
+        absorb, turn = body[:, None] * rho[:, 2 * block:block:-1], np.diag(rho[:, block])
+        self._advance = np.zeros((k2, width))
+        self._advance[:, :block] = self._advance[:, -block:] = np.vstack([absorb.real,
+                                                                          absorb.imag])
+        self._advance[:, block + 2:block + 2 + k2] = np.block([[turn.real, -turn.imag],
+                                                              [turn.imag, turn.real]])
         # lags beyond the table appear only in rows of steps past the run;
-        # lag 0 takes the step's parked sum; columns 0 and 1, the weights of
-        # d_0 and U^0, are filled by each turn
-        lags = block - 1 + np.arange(block)[:, None] - np.arange(2 * block - 1)
-        near = np.where(lags == 0, 1.0, table.body[np.clip(lags, 0, table.n_max)])
-        self._weights = np.hstack([np.zeros((block, 2)), rho[:, :block].real.T,
-                                   -rho[:, :block].imag.T, near])
-        self._offset = 2 * rates.size + block + 1
-        self._front, self._back = np.zeros((2, self._offset + block, initial_velocity.size))
-        self._front[0] = self._back[0] = initial_velocity
-        self._front[1] = self._back[1] = initial
+        # columns block and block + 1, the weights of d_0 and U^0, are
+        # filled by each turn
+        previous = table.body[np.minimum(block + np.arange(block)[:, None] - np.arange(block),
+                                         table.n_max)]
+        self._parked = np.hstack([previous, np.zeros((block, 2)), rho[:, :block].real.T,
+                                  -rho[:, :block].imag.T, previous])
+        lags = np.arange(block)[:, None] - np.arange(block)
+        self._own = np.where(lags == 0, 1.0, table.body[np.clip(lags, 0, table.n_max)])
+        self._rows = np.zeros((width, initial_velocity.size))
+        self._rows[block], self._rows[block + 1] = initial_velocity, initial
+        self._scratch = np.zeros((max(k2, block - _MEMORY_SUBBLOCK), initial_velocity.size))
+        self._regions = (self._rows[:block], self._rows[-block:])
         self._turn(0)
-        self._front[self._offset] = 0.0  # slot 0 of the first block holds no row
+        self._rows[0] = 0.0  # slot 0 of the first block holds no row
 
     def row(self, p: int) -> np.ndarray:
         """The slot that row p >= 1 is written into, before push(p)."""
-        return self._front[self._offset + p % _MEMORY_BLOCK]
+        return self._regions[p // _MEMORY_BLOCK % 2][p % _MEMORY_BLOCK]
 
     def push(self, p: int) -> None:
         """Take row p >= 1, written into row(p), once rows 1..p-1 are in."""
@@ -328,32 +350,40 @@ class _Memory:
             if i == _MEMORY_BLOCK - 1:
                 self._turn(p + 1)
             else:
-                self._refresh(i, min(_MEMORY_BLOCK, self._last + 1 + i - p))
+                self._refresh(self._regions[p // _MEMORY_BLOCK % 2], i,
+                              min(_MEMORY_BLOCK, self._last + 1 + i - p))
 
-    def _refresh(self, i: int, stop: int) -> None:
-        """Add the rows of slots i - 7 .. i, the sub-block that slot i
-        closes, to the parked sums of slots i + 1 .. stop - 1."""
-        o = self._offset
-        lo, hi = o + i + 1 - _MEMORY_SUBBLOCK, o + i + 1
-        scratch = self._back[hi:o + stop]
-        np.matmul(self._weights[i + 1:stop, lo:hi], self._front[lo:hi], out=scratch)
-        self._front[hi:o + stop] += scratch
+    def _refresh(self, region: np.ndarray, i: int, stop: int) -> None:
+        """Add the rows of slots i - 7 .. i of `region`, the sub-block that
+        slot i closes, to the parked sums of slots i + 1 .. stop - 1."""
+        lo, hi = i + 1 - _MEMORY_SUBBLOCK, i + 1
+        scratch = self._scratch[:stop - hi]
+        np.matmul(self._own[hi:stop, lo:hi], region[lo:hi], out=scratch)
+        region[hi:stop] += scratch
 
     def _turn(self, start: int) -> None:
-        front, back, o, k2 = self._front, self._back, self._offset, self._advance.shape[0]
-        np.matmul(self._advance, front[2:o + 1], out=back[2:k2 + 2])
-        back[k2 + 2:o] = front[o + 1:]
-        stop = min(_MEMORY_BLOCK, self._last + 1 - start)
-        self._weights[:stop, 0] = self._table.edge_left[start:start + stop]
-        self._weights[:stop, 1] = self._table.k_values[start:start + stop]
-        np.matmul(self._weights[:stop, :o], back[:o], out=back[o:o + stop])
-        self._front, self._back = back, front
+        """Serve the block starting at `start`: absorb the region of the
+        block before the last into the states, then park the block's sums
+        in that region."""
+        rows, block, k2 = self._rows, _MEMORY_BLOCK, self._advance.shape[0]
+        odd = start // block % 2
+        region = self._regions[odd]
+        if odd:  # [states | Y] is absorbed, [X | d_0 | U^0 | states] read
+            absorbed, kept = slice(block + 2, None), slice(None, -block)
+        else:    # [X | d_0 | U^0 | states] is absorbed, [d_0 | U^0 | states | Y] read
+            absorbed, kept = slice(None, -block), slice(block, None)
+        np.matmul(self._advance[:, absorbed], rows[absorbed], out=self._scratch[:k2])
+        rows[block + 2:block + 2 + k2] = self._scratch[:k2]
+        stop = min(block, self._last + 1 - start)
+        self._parked[:stop, block] = self._table.edge_left[start:start + stop]
+        self._parked[:stop, block + 1] = self._table.k_values[start:start + stop]
+        np.matmul(self._parked[:stop, kept], rows[kept], out=region[:stop])
 
     def __call__(self, n: int) -> np.ndarray:
         """The history term of step n, once rows 1..n-1 are pushed."""
-        o, i = self._offset, n % _MEMORY_BLOCK
-        lo = o + i - i % _MEMORY_SUBBLOCK
-        return self._weights[i, lo:o + i + 1] @ self._front[lo:o + i + 1]
+        i = n % _MEMORY_BLOCK
+        lo = i - i % _MEMORY_SUBBLOCK
+        return self._own[i, lo:i + 1] @ self._regions[n // _MEMORY_BLOCK % 2][lo:i + 1]
 
 
 def _check_modes(table: WeightTable, body: np.ndarray, rates: np.ndarray,

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from memwave.fem import Mesh
+from memwave.fem import Mesh, assemble
 from memwave.kernel import KernelSpec
 from memwave.stepper import DampingSpec, Problem, run
 
@@ -49,28 +49,33 @@ def _exact_problem(alpha):
     return Problem(u0=sine, u1=lambda x: -sine(x), f=forcing)
 
 
-def _error(alpha, m, n):
-    """The mass-norm error of U^N at T = 1 on a consistent-mass mesh of m cells."""
-    mesh = Mesh(1, m)
+def _error(alpha, mesh, ops, n):
+    """The mass-norm error of U^N at T = 1 on a 1d mesh with its
+    consistent-mass operators `ops`."""
     hist = run(_exact_problem(alpha), mesh, 1.0 / n, n, kernel=KernelSpec(alpha, SIGMA, GAMMA),
-               damping=DampingSpec("sqrt"), observe=lambda history: None)
-    diff = hist.state(n) - math.exp(-1.0) * np.sin(np.pi * np.arange(1, m) / m)
-    return math.sqrt(float(diff @ (hist.ops.mass @ diff)))
+               damping=DampingSpec("sqrt"), ops=ops, observe=lambda history: None)
+    diff = hist.state(n) - math.exp(-1.0) * np.sin(np.pi * mesh.interior_coords())
+    return math.sqrt(float(diff @ (ops.mass @ diff)))
 
 
 class TestExactSolutionWithMemory:
     """Second order in time for both kernel exponents, on a mesh fine enough
     that the space error stays below a tenth of the finest time error."""
 
-    M = 256
+    M = 1024
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5])
     def test_second_order_in_time(self, alpha):
-        # N = 8 .. 64 gives 4.67e-3 .. 7.71e-5 for alpha = 1 and
-        # 3.61e-3 .. 6.33e-5 for alpha = 1/2, at rates 1.92 to 1.98
-        errors = [_error(alpha, self.M, n) for n in (8, 16, 32, 64)]
+        # N = 8 .. 256 gives 4.67e-3 .. 4.84e-6 for alpha = 1 and
+        # 3.61e-3 .. 3.98e-6 for alpha = 1/2, at rates 1.92 to 1.99.  Only
+        # runs of more than 2 L0 = 64 steps put rows into the memory's
+        # exponential modes, so N = 128 and 256 check the modes and the
+        # turns that advance them, not the exact window alone
+        mesh = Mesh(1, self.M)
+        ops = assemble(mesh)  # shared by the runs: it is most of a short run's cost
+        errors = [_error(alpha, mesh, ops, n) for n in (8, 16, 32, 64, 128, 256)]
         rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         assert min(rates) >= 1.85, rates
-        # a run at N = 1024 bounds the space error, and the time error
-        # there, 1/256 of the finest one, adds little: 1.7e-6 and 2.2e-6
-        assert _error(alpha, self.M, 1024) < 0.1 * errors[-1]
+        # a run at N = 2048 bounds the space error, and the time error
+        # there, 1/64 of the finest one, adds little: 1.6e-7 and 1.8e-7
+        assert _error(alpha, mesh, ops, 2048) < 0.1 * errors[-1]

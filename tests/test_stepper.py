@@ -529,31 +529,36 @@ class TestBlockedMemorySum:
         table = build_weight_table(KernelSpec(1.0, 3.0, 3.0 * math.sqrt(3.0)), tau, n_steps - 1)
         mesh, problem = (Mesh(1, 16), SINE_PROBLEM) if dim == 1 else (Mesh(2, 8), BUMP_PROBLEM)
         hist = self._step_and_compare(mesh, problem, DampingSpec("sqrt"), table, n_steps)
-        assert hist._memory._offset == 2 + 2 + _MEMORY_BLOCK - 1
+        assert hist._memory._rows.shape == (2 * _MEMORY_BLOCK + 2 + 2, mesh.n_interior)
 
     def test_block_operand_reads_the_body_weights(self):
-        # the near columns of the block operand: entry [i, c] is
-        # body[L0 - 1 + i - c] at every lag >= 1, 1 at lag 0 (the step's own
-        # parked slot) and 0 below; columns 0 and 1 weight d_0 and U^0 with
-        # edge_left and k_values of the last block; and a run leaves the
-        # table's arrays as built
+        # the parked operand is laid out as the buffer, [X | d_0 | U^0 |
+        # states | Y]: entry [i, c] of either region is body[L0 + i - c],
+        # the weight of row c of the previous block for step i of the next;
+        # the d_0 and U^0 columns hold edge_left and k_values of the last
+        # block.  The own-block operand holds body[i - c] at every lag >= 1,
+        # 1 at lag 0 (the step's own parked slot) and 0 below; and a run
+        # leaves the table's arrays as built
         n_steps = 3 * _MEMORY_BLOCK + 5
         tau = 2.0 / n_steps
         table = build_weight_table(KernelSpec(0.5, 3.0, 3.0), tau, n_steps - 1)
         built = [table.body.copy(), table.edge_left.copy(), table.k_values.copy()]
         hist = self._step_and_compare(Mesh(1, 16), SINE_PROBLEM, DampingSpec("sqrt"),
                                       table, n_steps)
-        memory = hist._memory
-        states = memory._offset - _MEMORY_BLOCK + 1
-        assert memory._weights.shape == (_MEMORY_BLOCK, states + 2 * _MEMORY_BLOCK - 1)
-        near = memory._weights[:, states:]
-        lags = _MEMORY_BLOCK - 1 + np.arange(_MEMORY_BLOCK)[:, None] - np.arange(near.shape[1])
-        assert np.array_equal(near[lags >= 1], table.body[lags[lags >= 1]])
-        assert np.all(near[lags == 0] == 1.0)
-        assert np.all(near[lags < 0] == 0.0)
-        last = 3 * _MEMORY_BLOCK
-        assert np.array_equal(memory._weights[:5, 0], table.edge_left[last:])
-        assert np.array_equal(memory._weights[:5, 1], table.k_values[last:])
+        memory, block = hist._memory, _MEMORY_BLOCK
+        assert memory._parked.shape == (block, memory._rows.shape[0])
+        lags = block + np.arange(block)[:, None] - np.arange(block)
+        for region in (memory._parked[:, :block], memory._parked[:, -block:]):
+            assert np.array_equal(region, table.body[lags])
+        last = 3 * block
+        assert np.array_equal(memory._parked[:5, block], table.edge_left[last:])
+        assert np.array_equal(memory._parked[:5, block + 1], table.k_values[last:])
+        own = memory._own
+        lags = np.arange(block)[:, None] - np.arange(block)
+        assert own.shape == (block, block)
+        assert np.array_equal(own[lags >= 1], table.body[lags[lags >= 1]])
+        assert np.all(own[lags == 0] == 1.0)
+        assert np.all(own[lags < 0] == 0.0)
         for now, then in zip((table.body, table.edge_left, table.k_values), built):
             assert np.array_equal(now, then)
 
@@ -613,20 +618,25 @@ class TestMemoryWindow:
 
     def test_window_does_not_widen(self):
         # the memory holds the same arrays at every step of the run: its
-        # buffer keeps the 2K state rows, the L0 - 1 rows of the previous
-        # block and the L0 slots of the current one
+        # buffer keeps two regions of L0 rows, the d_0 and U^0 rows and the
+        # 2K state rows, and its scratch max(2K, L0 - L1) rows, so its rows
+        # total (2 L0 + 2 + 2K + max(2K, 24)) x ndof floats
         mesh, damping = Mesh(1, 16), DampingSpec("constant", constant=1.0)
         table = build_weight_table(self.KERNEL, self.TAU, self.N_STEPS - 1)
         hist = SimulationHistory(mesh, assemble(mesh), table, interpolate(mesh, SINE_PROBLEM.u0),
                                  interpolate(mesh, SINE_PROBLEM.u1), self.N_STEPS)
         taylor_start(hist, damping, SINE_PROBLEM)
         step(hist, damping, SINE_PROBLEM)  # from here U^0, U^{n-1} and U^n are three arrays
-        memory, held = hist._memory, hist.nbytes
-        states = memory._offset - _MEMORY_BLOCK + 1
+        memory, held, ndof = hist._memory, hist.nbytes, mesh.n_interior
+        k2 = 2 * stepper.exponential_modes(self.KERNEL, (_MEMORY_BLOCK - 1) * self.TAU,
+                                           self.N_STEPS * self.TAU)[1].size
+        floats = (2 * _MEMORY_BLOCK + 2 + k2 + max(k2, 24)) * ndof
         for _ in range(2, self.N_STEPS):
             step(hist, damping, SINE_PROBLEM)
             assert hist.nbytes == held
-            assert memory._front.shape == (states + 2 * _MEMORY_BLOCK - 1, mesh.n_interior)
+            assert memory._rows.shape == (2 * _MEMORY_BLOCK + 2 + k2, ndof)
+            assert sum(v.size for v in vars(memory).values()
+                       if isinstance(v, np.ndarray) and v.shape[1] == ndof) == floats
 
     def test_quiescent_history_drops_no_row(self):
         # zero data long enough for the modes to take over: every level and
@@ -635,7 +645,7 @@ class TestMemoryWindow:
         hist = run(prob, Mesh(1, 8), self.TAU, self.N_STEPS, kernel=self.KERNEL,
                    damping=DampingSpec("sqrt"))
         assert np.all(hist.coefficients == 0.0)
-        assert not hist._memory._front.any() and not hist._memory._back.any()
+        assert not hist._memory._rows.any() and not hist._memory._scratch.any()
 
     @pytest.mark.parametrize("column, lag", [("body", 40)])
     def test_mode_misfit_raises_quadrature_error(self, column, lag):
@@ -774,11 +784,11 @@ class TestObservedRun:
     def test_observed_history_holds_one_row_buffer(self, dim):
         # no state array of an observed KernelSpec run grows with the step
         # count: beside the norm table of n_steps + 1 rows of four floats,
-        # none has more rows than the memory's buffer of the d_0 and U^0
-        # rows, 2K state rows and 2 L0 - 1 window rows, and the bytes of the
+        # none has more rows than the memory's buffer of two regions of L0
+        # rows, the d_0 and U^0 rows and 2K state rows, and the bytes of the
         # rest at 8192 steps are below twice those at 1024 on the same mesh,
-        # although the modes grow with log T; row i of the block operand
-        # weights its own slot with 1
+        # although the modes grow with log T; row i of the own-block
+        # operand weights its own slot with 1
         mesh, problem, tau, _ = self._case(dim)
         held = {}
         for n_steps in (1024, 8192):
@@ -787,13 +797,12 @@ class TestObservedRun:
             memory = hist._memory
             arrays = [v for owner in (hist, hist.constants, memory) for v in vars(owner).values()
                       if isinstance(v, np.ndarray)]
-            limit = memory._offset + _MEMORY_BLOCK
-            assert memory._front.shape == (limit, mesh.n_interior)
-            for buffer in (memory._front, memory._back):
-                assert np.array_equal(buffer[0], hist.initial_velocity)
-                assert np.array_equal(buffer[1], hist.initial)
+            limit = memory._rows.shape[0]
+            assert limit == 2 * _MEMORY_BLOCK + 2 + memory._advance.shape[0]
+            assert np.array_equal(memory._rows[_MEMORY_BLOCK], hist.initial_velocity)
+            assert np.array_equal(memory._rows[_MEMORY_BLOCK + 1], hist.initial)
             slots = np.arange(_MEMORY_BLOCK)
-            assert np.all(memory._weights[slots, memory._offset + slots] == 1.0)
+            assert np.all(memory._own[slots, slots] == 1.0)
             assert hist.norms.shape == (n_steps + 1, 4)
             assert all(a.shape[0] <= limit for a in arrays if a is not hist.norms)
             assert hist.nbytes == sum(a.nbytes for a in arrays)

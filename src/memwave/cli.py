@@ -92,15 +92,6 @@ class RunConfig:
         return self.t_final / self.n
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(raw)
-
-
 def _parse_steps(raw: str) -> tuple[int, ...]:
     return tuple(sorted({int(tok) for tok in raw.split(",") if tok.strip()}))
 
@@ -111,7 +102,8 @@ _TYPES = {
     "str": (str, str, None),
     "int": (int, str, "not an integer:"),
     "float": (float, repr, "not a number:"),
-    "bool": (_parse_bool, lambda v: "true" if v else "false", "expected a boolean, got"),
+    "bool": (lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()],
+             lambda v: "true" if v else "false", "expected a boolean, got"),
     "steps": (_parse_steps, lambda v: ",".join(map(str, v)), "expected comma-separated integers:"),
 }
 
@@ -148,7 +140,7 @@ def _read_section(section, name: str) -> dict:
         parse, _render, complaint = _TYPES[kind]
         try:
             given[key] = parse(section[key])
-        except ValueError as exc:
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"{name}.{key}: {complaint} {section[key]!r}") from exc
     return given
 

@@ -214,8 +214,9 @@ def constant_transform(value: float) -> Callable[[np.ndarray], np.ndarray]:
 
     Test hook: value 0.0 switches the memory term off entirely so the scheme
     reduces to a plain damped wave equation; value 1.0 makes every quadrature
-    weight a hat-function area.  A nonzero value serves weight tables, not
-    runs: a run's memory needs the exponential modes of a KernelSpec.
+    weight a hat-function area.  A hook has no exponential modes, so a
+    run's memory holds its weights to 0 from lag 32 on: with a nonzero
+    value, building a history that reaches lag 32 raises QuadratureError.
     """
 
     def k(t):

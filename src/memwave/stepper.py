@@ -31,16 +31,15 @@ table serve every step.  The history binds both when it is built, and
 problem.  The history always steps at its own last level n = n_last.
 
 The history term of step n weights the whole velocity history and the
-initial state.  For a KernelSpec, `_Memory` forms it from the initial
-velocity, U^0, the rows of the current and the previous block of 32 steps
-with the exact weights, and a few exponential modes that hold all older
-rows and serve the lags 33 and more.  They share one buffer that does not
-grow with the run, a ring of two block regions around the fixed rows: a
-block turn copies only the modes' 2K state rows, and a step's own GEMV
-reads at most 8 rows beside the sum parked for it; its docstring says
-how.  A table whose weights and kernel samples are all 0, as the zero
-kernel hook's are, gets a memory that keeps nothing and sums to 0; a
-history refuses any other kernel hook.
+initial state.  `_Memory` forms it from the initial velocity, U^0, the
+rows of the current and the previous block of 32 steps with the exact
+weights, and a few exponential modes that hold all older rows and serve
+the lags 33 and more.  They share one buffer that does not grow with the
+run, a ring of two block regions around the fixed rows: a block turn
+copies only the modes' 2K state rows, and a step's own GEMV reads at most
+8 rows beside the sum parked for it; its docstring says how.  A kernel
+hook has no modes, so its weights must vanish from lag 32 on, as the
+zero hook's do; building the history checks that for every kernel.
 """
 
 from __future__ import annotations
@@ -96,6 +95,9 @@ class DampingSpec:
     kind 'sqrt'     : G(z) = sqrt(1 + z)    (g0 = 1, Lipschitz bound 1/2)
     kind 'constant' : G(z) = constant       (g0 = constant, bound 0)
 
+    g0 = G(0) is the least value G takes.  The Lipschitz bounds are the
+    theory's constants; no run reads them.
+
     mu1 weights the L2 norm, mu2 the gradient norm; they are nonnegative and
     not both zero.
     """
@@ -105,7 +107,6 @@ class DampingSpec:
     mu2: float = 1.0
     constant: float = 1.0
     g0: float = field(init=False)
-    lipschitz: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _DAMPING_KINDS:
@@ -117,16 +118,9 @@ class DampingSpec:
             raise ValueError("damping weights must be nonnegative")
         if self.mu1 == 0.0 and self.mu2 == 0.0:
             raise ValueError("damping weights must not both vanish")
-        if self.kind == "constant":
-            if not self.constant > 0.0:
-                raise ValueError(f"constant damping must be positive, got {self.constant}")
-            g0, lip = self.constant, 0.0
-        elif self.kind == "affine":
-            g0, lip = 1.0, 1.0
-        else:
-            g0, lip = 1.0, 0.5
-        object.__setattr__(self, "g0", g0)
-        object.__setattr__(self, "lipschitz", lip)
+        if self.kind == "constant" and not self.constant > 0.0:
+            raise ValueError(f"constant damping must be positive, got {self.constant}")
+        object.__setattr__(self, "g0", self.constant if self.kind == "constant" else 1.0)
 
     def value(self, z: float) -> float:
         """G(z) for z >= 0."""
@@ -249,7 +243,9 @@ class _Memory:
     with the run.  For alpha = 1/2 the modes are compressed to the tail's
     numerical rank: K = 18 on the 2d benchmark and 27 on the 1d one, where
     the quadrature alone gives 54 and 68, and every cost of a block below
-    scales with K.
+    scales with K.  A callable kernel hook has no modes, K = 0, so the sum
+    drops every row older than the previous block, and the check below
+    holds the hook's weights to 0 from lag L0 on.
 
     One buffer holds [X | d_0 | U^0 | states | Y]: two regions of L0 rows
     around the fixed rows d_0 and U^0 and the 2K state rows.  Block b
@@ -294,17 +290,22 @@ class _Memory:
     is not finite with Re w > 0, since that mode would not decay.  It
     then checks the mode weights against table.body at every lag j >= L0
     the run reaches, and raises QuadratureError naming the first lag off
-    by more than _MODE_TOL * tau * exp(-sigma (j - 1) tau).  The sum then
-    differs from the direct one by the rounding of its terms and that
-    mismatch.  The memory needs the modes of a KernelSpec table.
+    by more than _MODE_TOL * tau * exp(-sigma (j - 1) tau), with
+    sigma = 0 for a hook.  The sum then differs from the direct one by
+    the rounding of its terms and that mismatch.
     """
 
     def __init__(self, table: WeightTable, n_steps: int, initial_velocity: np.ndarray,
                  initial: np.ndarray):
         tau, self._last, self._table = table.tau, n_steps - 1, table
         block = _MEMORY_BLOCK
-        amplitudes, rates = exponential_modes(table.kernel, (block - 1) * tau,
-                                              max(n_steps, block) * tau)
+        if isinstance(table.kernel, KernelSpec):
+            amplitudes, rates = exponential_modes(table.kernel, (block - 1) * tau,
+                                                  max(n_steps, block) * tau)
+            sigma = table.kernel.sigma
+        else:
+            amplitudes = rates = np.zeros(0, dtype=complex)
+            sigma = 0.0
         decays = np.isfinite(rates) & (rates.real > 0.0)
         if not decays.all():
             k = int(np.argmin(decays))
@@ -312,7 +313,7 @@ class _Memory:
                                   f"every mode must decay, with finite Re w > 0")
         body = amplitudes * hat_weights(rates, tau)
         rho = np.exp(-np.outer(rates * tau, np.arange(2 * block + 1)))  # rho_k**j, j <= 2 L0
-        _check_modes(table, body, rates, rho[:, :block], self._last)
+        _check_modes(table, body, rates, sigma, rho[:, :block], self._last)
         k2 = 2 * rates.size
         # the rows of the buffer: X, then d_0, U^0 and the states, then Y
         width = 2 * block + 2 + k2
@@ -386,7 +387,7 @@ class _Memory:
         return self._own[i, lo:i + 1] @ self._regions[n // _MEMORY_BLOCK % 2][lo:i + 1]
 
 
-def _check_modes(table: WeightTable, body: np.ndarray, rates: np.ndarray,
+def _check_modes(table: WeightTable, body: np.ndarray, rates: np.ndarray, sigma: float,
                  inner: np.ndarray, last: int) -> None:
     """Raise QuadratureError unless Re sum_k body_k rho_k**j matches
     table.body[j] within _MODE_TOL * tau * exp(-sigma (j - 1) tau) at
@@ -395,7 +396,7 @@ def _check_modes(table: WeightTable, body: np.ndarray, rates: np.ndarray,
     tau, block = table.tau, _MEMORY_BLOCK
     lags = np.arange(block, last + 1)
     outer = np.exp(-np.outer(np.arange(1, last // block + 1) * (block * tau), rates))
-    bound = _MODE_TOL * tau * np.exp(-table.kernel.sigma * tau * (lags - 1))
+    bound = _MODE_TOL * tau * np.exp(-sigma * tau * (lags - 1))
     off = np.abs(((outer * body) @ inner).real.ravel()[:lags.size] - table.body[lags])
     ratio = off / np.maximum(bound, np.finfo(float).tiny)
     if lags.size and not ratio.max() <= 1.0:
@@ -403,27 +404,6 @@ def _check_modes(table: WeightTable, body: np.ndarray, rates: np.ndarray,
             f"exponential modes miss the weight at lag {lags[ratio.argmax()]} by "
             f"{ratio.max():.3g} times {_MODE_TOL:g} * tau * exp(-sigma * (lag - 1) * tau)"
         )
-
-
-class _NoMemory:
-    """The memory of a table whose body and edge_left weights and kernel
-    samples k_values are all 0, as the zero kernel hook's are: it keeps no
-    rows, and every history term is 0."""
-
-    def __init__(self, ndof: int):
-        self._zero = np.zeros(ndof)
-        self._zero.flags.writeable = False
-
-    def row(self, p: int) -> np.ndarray:
-        """A new array for row p, which the memory does not keep."""
-        return np.empty_like(self._zero)
-
-    def push(self, p: int) -> None:
-        """Take row p and keep nothing of it."""
-
-    def __call__(self, n: int) -> np.ndarray:
-        """The history term of step n: 0."""
-        return self._zero
 
 
 class SimulationHistory:
@@ -436,12 +416,11 @@ class SimulationHistory:
     memory sum weights the rows d_0 = initial_velocity and, for p >= 1, the
     centered differences d_p = (U^{p+1} - U^{p-1}) / (2 tau), also modal;
     the history term adds K(t_n) U^0 to that sum, and the step scales the
-    result by the eigenvalues.  The run's memory is built with d_0 and U^0,
-    and push writes each new d_p into it; it keeps what later terms need:
-    none (`_NoMemory`) when the table's memory weights and kernel samples
-    are all 0, as the zero kernel hook's are, and otherwise a `_Memory` of
-    O(ndof) rows, which needs a KernelSpec table.  A table of any other
-    kernel hook raises ValueError.  The nodal initial data u0 and u1h are
+    result by the eigenvalues.  The run's memory, a `_Memory` of O(ndof)
+    rows, is built with d_0 and U^0, and push writes each new d_p into it;
+    building it raises QuadratureError when its modes miss the table's
+    weights, as they do for a kernel hook whose weights do not vanish
+    from lag 32 on.  The nodal initial data u0 and u1h are
     kept as given.  n_last, the largest stored step index, is the level
     the next step is taken from, and push advances it.
 
@@ -482,13 +461,7 @@ class SimulationHistory:
         self.previous = self.current = self.initial
         self.constants = _StepConstants.build(ops, table)
         self.n_last = 0
-        if not (table.body.any() or table.edge_left.any() or table.k_values.any()):
-            self._memory = _NoMemory(self.u0.size)
-        elif isinstance(table.kernel, KernelSpec):
-            self._memory = _Memory(table, self.n_steps, self.initial_velocity, self.initial)
-        else:
-            raise ValueError("the memory of a kernel hook with nonzero weights has no "
-                             "exponential modes; give a KernelSpec")
+        self._memory = _Memory(table, self.n_steps, self.initial_velocity, self.initial)
         # allocated after the memory, so that the table is not resident
         # through the mode fit and check, the peak of the build
         self.norms = np.full((self.n_steps + 1, 4), math.nan)
@@ -532,7 +505,7 @@ class SimulationHistory:
 
     def history_term(self) -> np.ndarray:
         """Sum over p < n of w(n, p) * d_p, plus K(t_n) U^0, for the next
-        step, n = n_last; a new array, or the zero memory's read-only 0."""
+        step, n = n_last, as a new array."""
         return self._memory(self.n_last)
 
     def push(self, coeffs: np.ndarray) -> None:

@@ -15,7 +15,6 @@ from memwave import (
     beta,
     k_zero,
     kernel_transform,
-    mu_zero,
     transform_by_quadrature,
 )
 
@@ -30,7 +29,7 @@ singular = KernelSpec(alpha=0.5, sigma=3.0, gamma=3.0 * ROOT3)
 
 print(f"\nsmooth exponent   : K(0) = {k_zero(smooth):.12f}  (exactly 1/12)")
 print(f"singular exponent : K(0) = {k_zero(singular):.12f}  (1/(2 sqrt 2))")
-print(f"elastic coefficients 1 - K(0): {mu_zero(smooth):.6f}, {mu_zero(singular):.6f}")
+print(f"elastic coefficients 1 - K(0): {1 - k_zero(smooth):.6f}, {1 - k_zero(singular):.6f}")
 
 ts = np.array([0.05, 0.2, 0.5, 1.0, 2.0, 4.0])
 print(f"\n{'t':>6} {'beta (smooth)':>15} {'K (smooth)':>15} {'beta (singular)':>16} {'K (singular)':>15}")

@@ -11,7 +11,7 @@ the interpolatory exactness of the resulting convolution.
 import numpy as np
 from scipy.integrate import quad
 
-from memwave import KernelSpec, build_weight_table, convolve, kernel_transform
+from memwave import KernelSpec, build_weight_table, kernel_transform
 from memwave.kernel import constant_transform
 
 print("=" * 72)
@@ -42,7 +42,7 @@ print("Interpolatory exactness")
 print("=" * 72)
 n = 16
 phi = 0.7 - 0.4 * tau * np.arange(n + 1)  # a linear signal is its own interpolant
-approx = convolve(table, n, phi)
+approx = table.coefficients(n) @ phi
 exact, _ = quad(lambda s: kernel_transform(spec, n * tau - s) * (0.7 - 0.4 * s),
                 0.0, n * tau, epsabs=1e-13, limit=200)
 print(f"\nQ_n of a linear signal : {approx:.12e}")
@@ -53,5 +53,5 @@ print("\nUnit test hook (K = 1): the convolution degenerates to the")
 print("composite trapezoid rule.")
 hook = build_weight_table(constant_transform(1.0), 0.1, 8)
 vals = np.sin(np.arange(9.0))
-print(f"  Q_8      = {convolve(hook, 8, vals):.12f}")
+print(f"  Q_8      = {hook.coefficients(8) @ vals:.12f}")
 print(f"  trapezoid = {np.trapezoid(vals, dx=0.1):.12f}")

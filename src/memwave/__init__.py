@@ -8,10 +8,9 @@ from .kernel import (
     constant_transform,
     k_zero,
     kernel_transform,
-    mu_zero,
     transform_by_quadrature,
 )
-from .quadweights import WeightTable, build_weight_table, convolve
+from .quadweights import WeightTable, build_weight_table
 from .fem import (
     DiscreteOperators,
     Mesh,
@@ -34,7 +33,6 @@ from .stepper import (
 )
 from .diagnostics import (
     RunDiagnostics,
-    TerminalGradient,
     a_norm,
     discrete_energy,
     energy_series,

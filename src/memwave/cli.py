@@ -16,10 +16,11 @@ Subcommands:
 
 `run_single` returns the run's history, whose norm table the energy series
 is formed from, and the `RunDiagnostics` observer that holds the nodal
-checkpoints; every file goes through `diagnostics.write_csv`.  `main`
-reports a bad config on stderr with exit code 2, and a failed run or an
-output path it cannot write (say, an `--out` that is a regular file) with
-exit code 1.
+checkpoints; `run_convergence` keeps each rung's last level as the one
+checkpoint of such an observer.  Every file goes through
+`diagnostics.write_csv`.  `main` reports a bad config on stderr with exit
+code 2, and a failed run or an output path it cannot write (say, an
+`--out` that is a regular file) with exit code 1.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 from .diagnostics import (
     FLOAT_FMT,
     RunDiagnostics,
-    TerminalGradient,
     energy_series,
     rate,
     self_error_space,
@@ -370,9 +370,9 @@ def run_convergence(config: RunConfig, mode: str, ladder) -> list[tuple]:
     Each rung's error compares the run at the rung with the run at twice the
     refinement, so one extra run beyond the ladder is executed and shared
     operators/tables are reused across rungs.  Each run keeps only its
-    terminal gradient.  A rung has no rate (None) when it is the first, or
-    when its error or the previous rung's is exactly 0, as quiescent data
-    gives.
+    last level, as the one checkpoint of a `RunDiagnostics`.  A rung has no
+    rate (None) when it is the first, or when its error or the previous
+    rung's is exactly 0, as quiescent data gives.
     """
     if mode not in ("time", "space"):
         raise ConfigError(f"mode must be 'time' or 'space', got {mode!r}")
@@ -381,8 +381,8 @@ def run_convergence(config: RunConfig, mode: str, ladder) -> list[tuple]:
     needed = entries + (2 * entries[-1],)
     lumped = preset_uses_lumped_mass(config.preset)
 
-    def terminal(mesh, ops, tau, n_steps, **given) -> TerminalGradient:
-        kept = TerminalGradient()
+    def terminal(mesh, ops, tau, n_steps, **given) -> RunDiagnostics:
+        kept = RunDiagnostics((n_steps,))
         run(problem, mesh, tau, n_steps, damping=damping, ops=ops, observe=kept, **given)
         return kept
 

@@ -12,9 +12,10 @@ The benchmark presets have no closed-form solutions, so their convergence
 is measured by comparing runs on successive refinements: `self_error_time`
 contrasts the terminal gradient fields of an N-step and a 2N-step run on
 one mesh, and `self_error_space` contrasts runs on meshes with M and 2M
-cells at matched nodes.  A ladder keeps each rung's terminal gradient
-through the `TerminalGradient` observer.  Rates are base-2 logarithms of
-successive error ratios.
+cells at matched nodes.  Each reads a run's mesh, tau, n_last and
+state(n_last), which a history and a `RunDiagnostics` both give, so a
+ladder keeps each rung's last level as that observer's one checkpoint.
+Rates are base-2 logarithms of successive error ratios.
 
 Every CSV file of the program is written by `write_csv`: a header, then
 one %-formatted line per row, with floats in `FLOAT_FMT`.  The energy and
@@ -25,7 +26,6 @@ and the weight dump end them in LF.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .stepper import SimulationHistory
 
 __all__ = [
     "RunDiagnostics",
-    "TerminalGradient",
     "energy_series",
     "discrete_energy",
     "a_norm",
@@ -102,34 +101,15 @@ def energy_series(norms: np.ndarray, tau: float, mu0: float) -> tuple[np.ndarray
     return energy, a_norms
 
 
-class TerminalGradient:
-    """Observer that keeps the gradient field of a run's last level.
-
-    Beside it, it holds the mesh, step size and step count, which it takes
-    from the history at the last level: all that `self_error_time` and
-    `self_error_space` compare.  All four are None until then.
-    """
-
-    def __init__(self):
-        self.mesh = self.tau = self.n_last = None
-        self.gradient: Optional[np.ndarray] = None
-
-    def __call__(self, history: SimulationHistory) -> None:
-        if history.n_last == history.n_steps:
-            self.mesh, self.tau, self.n_last = history.mesh, history.tau, history.n_last
-            self.gradient = gradient_array(history.mesh, history.state(history.n_last))
-
-
-def _terminal_gradients(run) -> np.ndarray:
-    if isinstance(run, TerminalGradient):
-        return run.gradient
+def _terminal_gradient(run) -> np.ndarray:
     return gradient_array(run.mesh, run.state(run.n_last))
 
 
 def self_error_time(run_coarse, run_fine) -> float:
     """Gradient difference at the shared final time of an N- and a 2N-step run.
 
-    Each run is a SimulationHistory or a TerminalGradient observer.
+    Each run is a SimulationHistory or a RunDiagnostics that kept its last
+    level: both give mesh, tau, n_last and state(n_last).
     """
     mc, mf = run_coarse.mesh, run_fine.mesh
     if mc != mf:
@@ -139,17 +119,17 @@ def self_error_time(run_coarse, run_fine) -> float:
         raise ValueError(f"fine run must have twice the steps: {n_c} vs {n_f}")
     if abs(2.0 * run_fine.tau - run_coarse.tau) > 1.0e-12 * run_coarse.tau:
         raise ValueError("fine run must halve the step size")
-    diff = _terminal_gradients(run_coarse) - _terminal_gradients(run_fine)
+    diff = _terminal_gradient(run_coarse) - _terminal_gradient(run_fine)
     return math.sqrt(mc.h**mc.dim * float(np.sum(diff * diff)))
 
 
 def self_error_space(run_coarse, run_fine) -> float:
     """Gradient difference of runs on M and 2M cells at the coarse nodes.
 
-    Each run is a SimulationHistory or a TerminalGradient observer.
-    Coarse node j aligns with fine node 2j (both meshes cover the unit
-    domain), so the fine gradient field is subsampled at the odd entries
-    along each axis.
+    Each run is a SimulationHistory or a RunDiagnostics that kept its last
+    level, as in `self_error_time`.  Coarse node j aligns with fine node 2j
+    (both meshes cover the unit domain), so the fine gradient field is
+    subsampled at the odd entries along each axis.
     """
     mc, mf = run_coarse.mesh, run_fine.mesh
     if mc.dim != mf.dim:
@@ -160,9 +140,8 @@ def self_error_space(run_coarse, run_fine) -> float:
         raise ValueError("runs must share the step count")
     if abs(run_coarse.tau - run_fine.tau) > 1.0e-12 * run_coarse.tau:
         raise ValueError("runs must share the step size")
-    grad_c = _terminal_gradients(run_coarse)
-    grad_f = _terminal_gradients(run_fine)
-    diff = grad_c - grad_f[(slice(1, None, 2),) * mc.dim]
+    odd = (slice(1, None, 2),) * mc.dim
+    diff = _terminal_gradient(run_coarse) - _terminal_gradient(run_fine)[odd]
     return math.sqrt(mc.h**mc.dim * float(np.sum(diff * diff)))
 
 
@@ -176,16 +155,29 @@ def rate(e_coarse: float, e_fine: float) -> float:
 class RunDiagnostics:
     """Observer that maps the levels of the steps in `checkpoints` to nodal
     values as they arrive, into the dict `checkpoints` from step to values,
-    through `SimulationHistory.state`: checkpoint 0 is the nodal u0 as given."""
+    through `SimulationHistory.state`: checkpoint 0 is the nodal u0 as given.
+
+    With each checkpoint it also takes the history's mesh and tau, and the
+    checkpoint's step as n_last (all None before the first), and `state(n)`
+    returns checkpoint n.  So an observer whose last checkpoint is the
+    run's last step stands in for the history in `self_error_time` and
+    `self_error_space`: a ladder keeps each rung's last level this way.
+    """
 
     def __init__(self, checkpoints=()):
         self.checkpoints: dict[int, np.ndarray] = {}
         self._wanted = frozenset(checkpoints)
+        self.mesh = self.tau = self.n_last = None
 
     def __call__(self, history: SimulationHistory) -> None:
         n = history.n_last
         if n in self._wanted:
             self.checkpoints[n] = history.state(n)
+            self.mesh, self.tau, self.n_last = history.mesh, history.tau, n
+
+    def state(self, n: int) -> np.ndarray:
+        """The nodal values of checkpoint n."""
+        return self.checkpoints[n]
 
 
 def write_csv(path, header: str, row_format: str, rows, end: str) -> None:

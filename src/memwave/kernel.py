@@ -39,7 +39,6 @@ __all__ = [
     "kernel_transform",
     "transform_by_quadrature",
     "k_zero",
-    "mu_zero",
     "constant_transform",
     "exponential_modes",
 ]
@@ -202,11 +201,6 @@ def k_zero(spec: KernelSpec) -> float:
             f"K(0) = {k0} is outside (0, 1); kernel spec or transform bug"
         )
     return k0
-
-
-def mu_zero(spec: KernelSpec) -> float:
-    """1 - K(0): the coefficient of the instantaneous elastic term."""
-    return 1.0 - k_zero(spec)
 
 
 def constant_transform(value: float) -> Callable[[np.ndarray], np.ndarray]:

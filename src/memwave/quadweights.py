@@ -38,7 +38,7 @@ import numpy as np
 
 from .kernel import KernelLike, KernelSpec, QuadratureError, kernel_transform
 
-__all__ = ["WeightTable", "build_weight_table", "convolve", "hat_weights", "QuadratureError"]
+__all__ = ["WeightTable", "build_weight_table", "hat_weights", "QuadratureError"]
 
 #: absolute accuracy target for every stored weight
 WEIGHT_TOL = 1.0e-12
@@ -98,7 +98,9 @@ class WeightTable:
         return float(self.body[n - p])
 
     def coefficients(self, n: int) -> np.ndarray:
-        """All weights of Q_n as a length n+1 vector, index p."""
+        """All weights of Q_n as a length n+1 vector, index p, so that
+        Q_n(phi) is coefficients(n) @ samples for samples[p] = phi(t_p)
+        (scalars, or equally sized vectors as rows)."""
         if not 1 <= n <= self.n_max:
             raise IndexError(f"n must be in [1, {self.n_max}], got {n}")
         out = np.empty(n + 1)
@@ -262,19 +264,3 @@ def hat_weights(rates: np.ndarray, tau: float) -> np.ndarray:
     """
     y = np.asarray(rates) * tau
     return tau * (np.sinh(0.5 * y) / (0.5 * y)) ** 2
-
-
-def convolve(table: WeightTable, n: int, samples) -> np.ndarray:
-    """Discrete memory convolution Q_n = sum_p w(n, p) * samples[p].
-
-    `samples` holds phi(t_p) for p = 0..n; entries may be scalars or equally
-    sized vectors.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.shape[0] != n + 1:
-        raise ValueError(
-            f"expected {n + 1} samples for step {n}, got {arr.shape[0]}"
-        )
-    coeff = table.coefficients(n)
-    out = coeff @ arr
-    return float(out) if np.ndim(out) == 0 else out

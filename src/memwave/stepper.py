@@ -391,8 +391,9 @@ def _check_modes(table: WeightTable, body: np.ndarray, rates: np.ndarray, sigma:
                  inner: np.ndarray, last: int) -> None:
     """Raise QuadratureError unless Re sum_k body_k rho_k**j matches
     table.body[j] within _MODE_TOL * tau * exp(-sigma (j - 1) tau) at
-    every lag L0 <= j <= last.  rho**j is formed by its factors
-    rho**(L0 q) and inner = rho**r, j = L0 q + r."""
+    every lag L0 <= j <= last; the message names the mode count and sigma,
+    0 modes and sigma = 0 for a kernel hook.  rho**j is formed by its
+    factors rho**(L0 q) and inner = rho**r, j = L0 q + r."""
     tau, block = table.tau, _MEMORY_BLOCK
     lags = np.arange(block, last + 1)
     outer = np.exp(-np.outer(np.arange(1, last // block + 1) * (block * tau), rates))
@@ -401,8 +402,9 @@ def _check_modes(table: WeightTable, body: np.ndarray, rates: np.ndarray, sigma:
     ratio = off / np.maximum(bound, np.finfo(float).tiny)
     if lags.size and not ratio.max() <= 1.0:
         raise QuadratureError(
-            f"exponential modes miss the weight at lag {lags[ratio.argmax()]} by "
-            f"{ratio.max():.3g} times {_MODE_TOL:g} * tau * exp(-sigma * (lag - 1) * tau)"
+            f"{rates.size} exponential modes (sigma = {sigma:g}) miss the weight at lag "
+            f"{lags[ratio.argmax()]} by {ratio.max():.3g} times "
+            f"{_MODE_TOL:g} * tau * exp(-sigma * (lag - 1) * tau)"
         )
 
 

@@ -246,6 +246,19 @@ class TestConfigMessages:
             parse_config(_with("output", "checkpoints", value))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        (_ini({name: keys for name, keys in FULL_ZERO.items() if name != "run"}),
+         "missing required section [run]"),
+        (_with("run", "preset", "bogus"), f"run.preset must be one of {PRESETS}, got 'bogus'"),
+        (_with("run", "dim", "3"), "run.dim must be 1 or 2, got 3"),
+        (_with("run", "m", "1"), "run.m must be at least 2, got 1"),
+        (_with("run", "n", "0"), "run.n must be at least 1, got 0"),
+    ], ids=["no_run_section", "unknown_preset", "dim_3", "m_1", "n_0"])
+    def test_run_section_message(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
     def test_repeated_checkpoints_collapse(self):
         assert parse_config(_with("output", "checkpoints", "4, 4, 0")).checkpoints == (0, 4)
 
@@ -632,6 +645,12 @@ class TestMainEntry:
         path = self._write(tmp_path, BENCH_1D)
         assert main(["convergence", "--config", path, "--mode", "time",
                      "--ladder", "8,24"]) == 2
+
+    def test_non_integer_ladder_message(self, tmp_path, capsys):
+        path = self._write(tmp_path, BENCH_1D)
+        assert main(["convergence", "--config", path, "--mode", "time",
+                     "--ladder", "8,1.5"]) == 2
+        assert capsys.readouterr().err == "config error: --ladder: expected integers: '8,1.5'\n"
 
     @pytest.mark.parametrize("mode, ladder, message", [
         ("time", "0", "time entries must be at least 1, got 0"),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from memwave.diagnostics import (
     RunDiagnostics,
-    TerminalGradient,
     a_norm,
     discrete_energy,
     energy_series,
@@ -148,6 +147,29 @@ class TestSelfErrors:
         with pytest.raises(ValueError):
             self_error_time(a, other_mesh)
 
+    @pytest.mark.parametrize("error, coarse, fine, message", [
+        (self_error_time, (1, 8, 0.1, 2), (1, 16, 0.05, 4), "runs must share one mesh"),
+        (self_error_time, (1, 8, 0.1, 2), (1, 8, 0.05, 3),
+         "fine run must have twice the steps: 2 vs 3"),
+        (self_error_time, (1, 8, 0.1, 2), (1, 8, 0.06, 4), "fine run must halve the step size"),
+        (self_error_space, (1, 4, 0.1, 2), (2, 8, 0.1, 2), "runs must share the dimension"),
+        (self_error_space, (1, 4, 0.1, 2), (1, 12, 0.1, 2),
+         "fine mesh must halve the cell width: 4 vs 12"),
+        (self_error_space, (1, 4, 0.1, 2), (1, 8, 0.1, 3), "runs must share the step count"),
+        (self_error_space, (1, 4, 0.1, 2), (1, 8, 0.05, 2), "runs must share the step size"),
+    ], ids=["time_mesh", "time_steps", "time_tau", "space_dim", "space_cells", "space_steps",
+            "space_tau"])
+    def test_mismatch_message(self, error, coarse, fine, message):
+        # the checks read mesh, tau and n_last alone, so bare observers do
+        runs = []
+        for dim, m, tau, n_last in (coarse, fine):
+            kept = RunDiagnostics()
+            kept.mesh, kept.tau, kept.n_last = Mesh(dim, m), tau, n_last
+            runs.append(kept)
+        with pytest.raises(ValueError) as info:
+            error(*runs)
+        assert str(info.value) == message
+
     def test_space_mismatch_rejected(self):
         kern = KernelSpec(1.0, 2.0, 1.0)
         damp = DampingSpec("sqrt")
@@ -187,18 +209,26 @@ class TestSelfErrors:
         # coarse node j is fine node 2j, entry 2j - 1 of the fine gradient
         # along each axis; fields not symmetric in the axes show a swap
         mesh_c, mesh_f = Mesh(dim, 4), Mesh(dim, 8)
-        coarse, fine = TerminalGradient(), TerminalGradient()
-        coarse.mesh, fine.mesh = mesh_c, mesh_f
-        coarse.tau = fine.tau = 0.1
-        coarse.n_last = fine.n_last = 2
+        coarse, fine = RunDiagnostics(), RunDiagnostics()
+        for kept, mesh in ((coarse, mesh_c), (fine, mesh_f)):
+            kept.mesh, kept.tau, kept.n_last = mesh, 0.1, 2
         rng = np.random.default_rng(dim)
-        coarse.gradient = rng.standard_normal((3,) * dim)
-        fine.gradient = rng.standard_normal((7,) * dim)
-        sub = fine.gradient[1::2] if dim == 1 else fine.gradient[1::2, 1::2]
-        expected = math.sqrt(mesh_c.h**dim * float(np.sum((coarse.gradient - sub) ** 2)))
+        coarse.checkpoints[2] = rng.integers(-8, 9, 3**dim).astype(float)
+        fine.checkpoints[2] = rng.standard_normal(7**dim)
+        grad_c = gradient_array(mesh_c, coarse.state(2))
+        sub = gradient_array(mesh_f, fine.state(2))[(slice(1, None, 2),) * dim]
+        expected = math.sqrt(mesh_c.h**dim * float(np.sum((grad_c - sub) ** 2)))
         assert self_error_space(coarse, fine) == expected
-        fine.gradient = np.zeros((7,) * dim)
-        fine.gradient[(slice(1, None, 2),) * dim] = coarse.gradient
+        # the coarse field interpolated (bi)linearly onto the fine mesh has
+        # the coarse gradient at the coarse nodes, exactly for integer values
+        prolong = np.zeros((9, 5))
+        prolong[2 * np.arange(5), np.arange(5)] = 1.0
+        prolong[2 * np.arange(4) + 1, np.arange(4)] = 0.5
+        prolong[2 * np.arange(4) + 1, np.arange(1, 5)] = 0.5
+        full = np.zeros((5,) * dim)
+        full[(slice(1, 4),) * dim] = coarse.state(2).reshape((3,) * dim)
+        full = prolong @ full if dim == 1 else prolong @ full @ prolong.T
+        fine.checkpoints[2] = full[(slice(1, 8),) * dim].ravel()
         assert self_error_space(coarse, fine) == 0.0
 
 
@@ -252,11 +282,13 @@ class TestRunDiagnostics:
         assert a_norms.tolist() == [math.sqrt(4.0 / 0.1**2 + 0.5 * 0.5 * 4.0)] * 4
 
     def test_terminal_gradient_stands_in_for_the_history(self):
+        # an observer whose one checkpoint is the last step stands in for
+        # the history in both self-error functions, as a ladder's rungs do
         mesh = Mesh(1, 16)
         ops = assemble(mesh)
         kern = KernelSpec(1.0, 2.0, 1.0)
         damp = DampingSpec("sqrt")
-        kept = {n: TerminalGradient() for n in (10, 20)}
+        kept = {n: RunDiagnostics((n,)) for n in (10, 20)}
         for n, observer in kept.items():
             run(SINE_PROBLEM, mesh, 1.0 / n, n, kernel=kern, damping=damp, ops=ops,
                 observe=observer)
@@ -265,11 +297,18 @@ class TestRunDiagnostics:
         # the observer takes the mesh, step size and step count from the history
         for observer, hist in ((kept[10], coarse), (kept[20], fine)):
             assert (observer.mesh, observer.tau, observer.n_last) == (mesh, hist.tau, hist.n_last)
-            assert np.array_equal(observer.gradient, gradient_array(mesh, hist.state(hist.n_last)))
+            assert np.array_equal(observer.state(hist.n_last), hist.state(hist.n_last))
         assert self_error_time(kept[10], kept[20]) == self_error_time(coarse, fine)
         assert self_error_time(kept[10], fine) == self_error_time(coarse, kept[20])
         with pytest.raises(ValueError):
             self_error_time(kept[20], kept[10])
+        mesh_f = Mesh(1, 32)
+        finer = RunDiagnostics((10,))
+        run(SINE_PROBLEM, mesh_f, 0.1, 10, kernel=kern, damping=damp, ops=assemble(mesh_f),
+            observe=finer)
+        finer_hist = run(SINE_PROBLEM, mesh_f, 0.1, 10, kernel=kern, damping=damp,
+                         ops=assemble(mesh_f))
+        assert self_error_space(kept[10], finer) == self_error_space(coarse, finer_hist)
 
 
 class TestRate:

@@ -13,7 +13,6 @@ from memwave.kernel import (
     constant_transform,
     k_zero,
     kernel_transform,
-    mu_zero,
     transform_by_quadrature,
 )
 
@@ -168,12 +167,12 @@ class TestKZero:
     def test_closed_form_k_zero(self):
         spec = KernelSpec(1.0, 3.0, 3.0 * ROOT3)
         assert k_zero(spec) == pytest.approx(1.0 / 12.0, abs=1e-14)
-        assert mu_zero(spec) == pytest.approx(11.0 / 12.0, abs=1e-14)
+        assert 1.0 - k_zero(spec) == pytest.approx(11.0 / 12.0, abs=1e-14)
 
     def test_elementary_k_zero(self):
         spec = KernelSpec(1.0, 2.0, 0.0)
         assert k_zero(spec) == pytest.approx(0.5, abs=1e-14)
-        assert mu_zero(spec) == pytest.approx(0.5, abs=1e-14)
+        assert 1.0 - k_zero(spec) == pytest.approx(0.5, abs=1e-14)
 
     @pytest.mark.parametrize("spec", SMOOTH_SPECS + SINGULAR_SPECS)
     def test_k_zero_in_unit_interval(self, spec):

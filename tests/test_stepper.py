@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,14 @@ class TestStepping:
         # the buffers are sized once, for the requested steps
         with pytest.raises(IndexError):
             hist.push(coeffs[-1].copy())
+
+    @pytest.mark.parametrize("n", [-1, 7])
+    def test_state_outside_the_run_message(self, n):
+        hist = run(SINE_PROBLEM, Mesh(1, 8), 0.05, 6, kernel=ZERO_KERNEL,
+                   damping=DampingSpec("sqrt"))
+        with pytest.raises(IndexError) as info:
+            hist.state(n)
+        assert str(info.value) == f"step {n} outside [0, 6]"
 
     def test_step_order_enforced(self):
         mesh = Mesh(1, 8)
@@ -657,7 +666,8 @@ class TestMemoryWindow:
             weights[at] += 1e-11 * self.TAU
             bad = dataclasses.replace(table, **{column: weights})
             if fails:
-                with pytest.raises(QuadratureError, match=f"at lag {at} by"):
+                with pytest.raises(QuadratureError, match=rf"\(sigma = {self.KERNEL.sigma:g}\) "
+                                                          rf"miss the weight at lag {at} by"):
                     SimulationHistory(mesh, assemble(mesh), bad, u0, u1, 101)
             else:
                 SimulationHistory(mesh, assemble(mesh), bad, u0, u1, 101)
@@ -693,8 +703,12 @@ class TestMemoryWindow:
         ops, u0, u1 = (assemble(mesh), interpolate(mesh, SINE_PROBLEM.u0),
                        interpolate(mesh, SINE_PROBLEM.u1))
         table = build_weight_table(constant_transform(0.5), tau, _MEMORY_BLOCK)
-        with pytest.raises(QuadratureError, match=f"at lag {_MEMORY_BLOCK} by"):
+        with pytest.raises(QuadratureError) as raised:
             SimulationHistory(mesh, ops, table, u0, u1, _MEMORY_BLOCK + 1)
+        # the message names what the check used: no modes and sigma = 0
+        assert re.fullmatch(rf"0 exponential modes \(sigma = 0\) miss the weight at lag "
+                            rf"{_MEMORY_BLOCK} by \S+ times 1e-12 \* tau \* "
+                            rf"exp\(-sigma \* \(lag - 1\) \* tau\)", str(raised.value))
         hist = SimulationHistory(mesh, ops, table, u0, u1, _MEMORY_BLOCK)
         taylor_start(hist, damping, SINE_PROBLEM)
         for n in range(1, _MEMORY_BLOCK):

@@ -17,7 +17,6 @@ from memwave.quadweights import (
     WEIGHT_TOL,
     WeightTable,
     build_weight_table,
-    convolve,
     hat_weights,
 )
 from memwave.stepper import SimulationHistory
@@ -411,11 +410,11 @@ class TestExponentialModes:
 class TestConvolve:
     def test_zero_samples(self):
         table = _SHARED_TABLE
-        assert convolve(table, 5, np.zeros(6)) == 0.0
+        assert table.coefficients(5) @ np.zeros(6) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            convolve(_SHARED_TABLE, 4, np.zeros(4))
+            _SHARED_TABLE.coefficients(4) @ np.zeros(4)
 
     def test_constant_samples_integrate_kernel(self):
         # hats partition unity: Q_n(1) = int_0^{t_n} K(s) ds
@@ -426,7 +425,7 @@ class TestConvolve:
             expected, _ = quad(
                 lambda s: _k_smooth(2.0, 1.0, s), 0.0, n * tau, epsabs=1e-13, limit=200
             )
-            assert convolve(table, n, np.ones(n + 1)) == pytest.approx(expected, abs=1e-9)
+            assert table.coefficients(n) @ np.ones(n + 1) == pytest.approx(expected, abs=1e-9)
 
     def test_unit_hook_is_trapezoid_rule(self):
         # with K = 1 the convolution is the composite trapezoid rule
@@ -435,7 +434,7 @@ class TestConvolve:
         rng = np.random.default_rng(3)
         phi = rng.standard_normal(13)
         expected = np.trapezoid(phi, dx=tau)
-        assert convolve(table, 12, phi) == pytest.approx(expected, abs=1e-12)
+        assert table.coefficients(12) @ phi == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("n", [4, 16, 32])
     def test_interpolatory_exactness_on_linear_signal(self, n):
@@ -449,11 +448,11 @@ class TestConvolve:
             0.0, n * tau, epsabs=1e-13, limit=400,
         )
         bound = 1e-9 * (1.0 + np.abs(phi).max() * n * tau)
-        assert abs(convolve(table, n, phi) - expected) <= bound
+        assert abs(table.coefficients(n) @ phi - expected) <= bound
 
     def test_vector_samples(self):
-        table = _SHARED_TABLE
+        # vector samples are rows: each component is its own scalar convolution
+        coeff = _SHARED_TABLE.coefficients(3)
         samples = np.outer(np.arange(4.0), np.array([1.0, -2.0]))
-        out = convolve(table, 3, samples)
-        coeff = table.coefficients(3)
-        assert np.allclose(out, coeff @ samples, atol=0.0)
+        scalar = [coeff @ samples[:, k] for k in range(2)]
+        assert (coeff @ samples).tolist() == pytest.approx(scalar, rel=1e-15, abs=0.0)

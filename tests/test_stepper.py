@@ -594,9 +594,13 @@ class TestMemoryWindow:
     @pytest.mark.parametrize("case", ["alpha=0.5", "alpha=1", "2d", "1d_forced_half"])
     def test_trajectory_matches_direct_sum(self, monkeypatch, case):
         # every level against the run with the direct history term over rows
-        # derived from its trajectory, within 1e-12 of its own l2 norm; the
-        # unforced states fall by 13 orders or more, and the forced
-        # benchmark_1d run at alpha = 1/2 does not decay
+        # derived from its trajectory, within 1e-13 of the largest l2 norm of
+        # the level and its two neighbours: an oscillating state can dip far
+        # below both neighbours at one level (130-fold at level 439 of the
+        # alpha = 1/2 run), and there its own norm measures nothing the
+        # rounding of the weights answers to.  The unforced states fall by 13
+        # orders or more, and the forced benchmark_1d run at alpha = 1/2 does
+        # not decay
         mesh, problem, tau, n_steps = Mesh(1, 16), SINE_PROBLEM, self.TAU, self.N_STEPS
         kernel, damping = self.KERNEL, DampingSpec("constant", constant=1.0)
         if case == "alpha=1":
@@ -621,7 +625,8 @@ class TestMemoryWindow:
         if problem.f is None:
             assert np.linalg.norm(theirs[-1]) < 1e-12 * np.linalg.norm(theirs[0])
         errors = np.linalg.norm(ours - theirs, axis=1)
-        assert np.all(errors <= 1e-12 * np.linalg.norm(theirs, axis=1))
+        norms = np.pad(np.linalg.norm(theirs, axis=1), 1)
+        assert np.all(errors <= 1e-13 * np.max([norms[:-2], norms[1:-1], norms[2:]], axis=0))
 
     def test_window_does_not_widen(self):
         # the memory holds the same arrays at every step of the run: its

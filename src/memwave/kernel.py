@@ -12,20 +12,22 @@ consumes is the tail integral
 
 which is of positive type, satisfies 0 < K(0) < 1, and decays like
 exp(-sigma*t).  Both exponents have closed forms, which `kernel_transform`
-evaluates: an exponential for alpha = 1, and for alpha = 1/2 an identity in
-terms of the complex-argument complementary error function.  Both are also
+evaluates in numpy alone: an exponential for alpha = 1, and for alpha = 1/2
+an identity in terms of the complex-argument complementary error function,
+summed by Weideman's rational series for the Faddeeva function.  Both are also
 sums of complex exponentials, which `exponential_modes` returns, as few as
 the memory tail's numerical rank allows.  `transform_by_quadrature`
 integrates beta by QUADPACK (`scipy.integrate.quad`), with the square-root
 singularity removed by the substitution s = r**2; it is the independent
-oracle for both closed forms, and no run calls it.
+oracle for both closed forms, and no run calls it, so a run loads no scipy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Union
 
 import numpy as np
@@ -60,6 +62,10 @@ _FIT_POINTS = 600
 _RANK_TOL = 1.0e-15
 # the compressed modes fit the quadrature's within this much of the envelope
 _FIT_TOL = 1.0e-13
+# terms of the Faddeeva series behind the alpha = 1/2 transform, and the
+# entries it evaluates at a time
+_SERIES_TERMS = 40
+_BLOCK = 8192
 
 
 class QuadratureError(RuntimeError):
@@ -158,10 +164,12 @@ def kernel_transform(kernel: KernelLike, t):
                              / (sigma**2 + gamma**2)
         alpha = 1/2 : K(t) = Re[ z**(-1/2) * erfc(sqrt(z*t)) ],   z = sigma - i*gamma
 
-    the second from writing cos as the real part of a complex exponential.
-    Accepts a scalar or an ndarray of any shape and order; each entry is
-    evaluated on its own, so scalar and array calls agree bit for bit.  A bare
-    callable test hook is evaluated as given.
+    the second from writing cos as the real part of a complex exponential,
+    and evaluated as Re[z**(-1/2) exp(-z t) w(i sqrt(z t))] with the Faddeeva
+    function w(x) = exp(-x**2) erfc(-i x) summed by Weideman's series in
+    numpy alone (`_erfc_transform`).  Accepts a scalar or an ndarray of any
+    shape and order; each entry is evaluated on its own, so scalar and array
+    calls agree bit for bit.  A bare callable test hook is evaluated as given.
     """
     arr = np.asarray(t, dtype=float)
     if callable(kernel):
@@ -177,20 +185,100 @@ def kernel_transform(kernel: KernelLike, t):
             / (sigma**2 + gamma**2)
         )
     else:
-        # imported here: scipy.special would add ~240 ms to CLI start-up,
-        # more than all of `import memwave.cli` (2-core x86 machine)
-        from scipy.special import erfc
-
-        z = complex(sigma, -gamma)
-        # the weight table evaluates K at about 4 nodes per step, 66k for the
-        # long 1d benchmark run (N = 16384), so sqrt and erfc work in place.
-        # A scalar goes through the same 1-d array loops: numpy rounds a
-        # complex product of two scalars differently, and an in-place
-        # product of a 1-element array differently again
-        work = z * arr.ravel()
-        erfc(np.sqrt(work, out=work), out=work)
-        out = (np.sqrt(1.0 / z) * work).real.reshape(arr.shape)
+        # by blocks, which keep the transform's work arrays in cache: the
+        # weight table evaluates K at about 4 nodes per step, 66k for the
+        # long 1d benchmark run (N = 16384)
+        flat = arr.ravel()
+        out = np.empty_like(flat)
+        for lo in range(0, flat.size, _BLOCK):
+            out[lo:lo + _BLOCK] = _erfc_transform(sigma, gamma, flat[lo:lo + _BLOCK])
+        out = out.reshape(arr.shape)
     return out if arr.ndim else float(out)
+
+
+@cache
+def _faddeeva_series() -> tuple[float, tuple[float, ...]]:
+    """(L, c): the Faddeeva function w(i s) = exp(s**2) erfc(s) is
+    sum_n c_n Z**n, Z = (L - s)/(L + s), for Re s >= 0.
+
+    This is Weideman's N-term rational series (SIAM J. Numer. Anal. 31,
+    1994), w = 2 p(Z)/(L + s)**2 + 1/(sqrt(pi) (L + s)) with L = sqrt(N/sqrt(2))
+    and p's coefficients the cosine transform of exp(-x**2) (L**2 + x**2),
+    x = L tan(theta/2), on 4N - 1 points; by 1/(L + s) = (1 + Z)/(2 L) both
+    terms fold into one polynomial of degree N + 1.  Formed on first use.
+    """
+    n = _SERIES_TERMS
+    scale = math.sqrt(n / math.sqrt(2.0))
+    theta = np.arange(1 - 2 * n, 2 * n) * (math.pi / (2 * n))
+    x = scale * np.tan(0.5 * theta)
+    a = np.cos(np.outer(np.arange(1, n + 1), theta)) @ (np.exp(-x * x) * (scale**2 + x * x))
+    inner = np.convolve(a / (8 * n * scale**2), [1.0, 1.0])
+    inner[0] += 0.5 / (scale * math.sqrt(math.pi))
+    return scale, tuple(np.convolve(inner, [1.0, 1.0]).tolist())
+
+
+def _erfc_transform(sigma: float, gamma: float, t: np.ndarray) -> np.ndarray:
+    """Re[z**(-1/2) exp(-z t) w(i s)], s = sqrt(z t), z = sigma - i gamma, on
+    a 1-d array t >= 0, with w by `_faddeeva_series`.
+
+    Everything runs in real float64 arrays, in place, so a scalar and an
+    array entry round alike.  The series sum_n c_n Z**n is Goertzel's
+    recurrence b_k = c_k + 2 Re Z b_{k+1} - |Z|**2 b_{k+2} in Reinsch's
+    differences d_k = b_k - b_{k+1}:
+
+        d_k = c_k + |Z|**2 d_{k+1} - |1 - Z|**2 b_{k+1},   b_k = b_{k+1} + d_k,
+
+    five passes per term, with sum = d_0 + (1 - conj Z) b_1.  Plain
+    Goertzel takes four, but its rounding grows with the term count where
+    Z nears 1 (t -> 0); Horner's scheme in real parts takes seven.  With
+    A = L**2 + |z| t and B = 2 L Re sqrt(z) sqrt(t), every factor is free
+    of cancellation: |Z|**2 = (A - B)/(A + B), |1 - Z|**2 = 4 |z| t/(A + B),
+    1 - Re Z = (2 |z| t + B)/(A + B), Im Z = -2 L Im sqrt(z) sqrt(t)/(A + B).
+    """
+    scale, coeffs = _faddeeva_series()
+    z = complex(sigma, -gamma)
+    root_z = cmath.sqrt(z)
+    inv_root_z = cmath.sqrt(1.0 / z)  # so K(0) = Re sqrt(1/z), below 1 for sigma > 1
+    imag = np.sqrt(t)
+    dist2 = np.multiply(abs(z), t)
+    real = np.multiply(imag, 2.0 * scale * root_z.real)  # B
+    inv = np.add(dist2, scale**2)                        # A
+    abs2 = np.subtract(inv, real)
+    inv += real
+    np.divide(1.0, inv, out=inv)                         # 1/(A + B)
+    abs2 *= inv                                          # |Z|**2
+    real += dist2
+    real += dist2
+    real *= inv                                          # 1 - Re Z
+    dist2 *= 4.0
+    dist2 *= inv                                         # |1 - Z|**2
+    imag *= -2.0 * scale * root_z.imag
+    imag *= inv                                          # Im Z
+    tmp, b, d = inv, np.full_like(t, coeffs[-1]), np.full_like(t, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        d *= abs2
+        np.multiply(dist2, b, out=tmp)
+        d -= tmp
+        d += c
+        b += d
+    b -= d                                               # b_1
+    real *= b
+    real += d                                            # Re w
+    imag *= b                                            # Im w
+    # K = exp(-sigma t) Re[exp(i gamma t) v], v = w / sqrt(z)
+    np.multiply(real, inv_root_z.real, out=b)
+    np.multiply(imag, inv_root_z.imag, out=d)
+    b -= d                                               # Re v
+    real *= inv_root_z.imag
+    imag *= inv_root_z.real
+    imag += real                                         # Im v
+    np.multiply(gamma, t, out=tmp)
+    b *= np.cos(tmp, out=d)
+    imag *= np.sin(tmp, out=d)
+    b -= imag
+    np.multiply(-sigma, t, out=tmp)
+    b *= np.exp(tmp, out=tmp)
+    return b
 
 
 def k_zero(spec: KernelSpec) -> float:

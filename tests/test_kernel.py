@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memwave.kernel import (
+    _BLOCK,
     KernelSpec,
     beta,
     constant_transform,
@@ -163,6 +165,25 @@ class TestQuadratureOracle:
         assert abs(transform_by_quadrature(spec, t) - kernel_transform(spec, t)) <= 1e-12
 
 
+class TestSeriesAccuracy:
+    """The alpha = 1/2 transform against mpmath's erfc at 30 digits."""
+
+    @pytest.mark.parametrize("sigma", [math.nextafter(1.0, 2.0), 1.7, 4.0, 10.0])
+    @pytest.mark.parametrize("ratio", [0.0, 0.6, 1.2, ROOT3])
+    def test_within_5e_15_of_the_envelope(self, sigma, ratio):
+        # the envelope exp(-sigma t) |z|**(-1/2) bounds |K(t)|
+        spec = KernelSpec(0.5, sigma, ratio * sigma)
+        times = np.concatenate(([0.0], np.geomspace(1e-9 / sigma, 30.0 / sigma, 48)))
+        with mpmath.workdps(30):
+            z = mpmath.mpc(spec.sigma, -spec.gamma)
+            exact = [float(mpmath.re(mpmath.erfc(mpmath.sqrt(z * float(t))) / mpmath.sqrt(z)))
+                     for t in times]
+        envelope = np.exp(-sigma * times) / math.sqrt(abs(complex(spec.sigma, spec.gamma)))
+        assert np.all(np.abs(kernel_transform(spec, times) - exact) <= 5e-15 * envelope)
+        # far out exp(-sigma t) underflows and the Faddeeva sum stays bounded
+        assert kernel_transform(spec, 1000.0) == 0.0
+
+
 class TestKZero:
     def test_closed_form_k_zero(self):
         spec = KernelSpec(1.0, 3.0, 3.0 * ROOT3)
@@ -194,6 +215,14 @@ class TestGridEvaluation:
         grid_vals = kernel_transform(spec, times)
         scalar_vals = np.array([kernel_transform(spec, t) for t in times])
         assert np.array_equal(grid_vals, scalar_vals)
+
+    def test_blocks_match_scalar_path(self):
+        # an array of more than one block: the entries on both sides of each seam
+        spec = SINGULAR_SPECS[0]
+        times = np.linspace(0.0, 5.0, 2 * _BLOCK + 3)
+        vals = kernel_transform(spec, times)
+        for i in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, times.size - 1):
+            assert vals[i] == kernel_transform(spec, times[i])
 
     def test_callable_hook_passthrough(self):
         def hook(t):

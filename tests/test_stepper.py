@@ -597,10 +597,9 @@ class TestMemoryWindow:
         # derived from its trajectory, within 1e-13 of the largest l2 norm of
         # the level and its two neighbours: an oscillating state can dip far
         # below both neighbours at one level (130-fold at level 439 of the
-        # alpha = 1/2 run), and there its own norm measures nothing the
-        # rounding of the weights answers to.  The unforced states fall by 13
-        # orders or more, and the forced benchmark_1d run at alpha = 1/2 does
-        # not decay
+        # alpha = 1/2 run), and there a bound on its own norm fails on one-ulp
+        # changes of the weights.  The unforced states fall by 13 orders or
+        # more, and the forced benchmark_1d run at alpha = 1/2 does not decay
         mesh, problem, tau, n_steps = Mesh(1, 16), SINE_PROBLEM, self.TAU, self.N_STEPS
         kernel, damping = self.KERNEL, DampingSpec("constant", constant=1.0)
         if case == "alpha=1":

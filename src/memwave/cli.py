@@ -321,9 +321,6 @@ def run_single(config: RunConfig, zero_forcing: bool = False):
     problem, kernel, damping = preset_problem(config, zero_forcing=zero_forcing)
     mesh = Mesh(config.dim, config.m)
     n_steps = config.n + 1 if config.energy else config.n
-    # the table first, so that the run's multithreaded LAPACK calls, the
-    # lumped eigh in `assemble` and the mode compression, come back to back:
-    # the OpenBLAS worker they wake then spins once, not through the table
     table = build_weight_table(kernel, config.tau, max(1, n_steps - 1))
     ops = assemble(mesh, lumped_mass=preset_uses_lumped_mass(config.preset))
     diagnostics = RunDiagnostics(config.checkpoints)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import one_thread
+
 __all__ = [
     "Mesh",
     "DiscreteOperators",
@@ -155,7 +157,8 @@ def assemble(mesh: Mesh, lumped_mass: bool = False) -> DiscreteOperators:
     reference benchmarks are reproduced with lumping, so the 1d benchmark
     preset enables it.  The 2d lumped mass, kron(L1, L1), would pair with a
     stiffness built on the consistent 1d mass, so no per-axis basis
-    diagonalizes both; it is rejected.
+    diagonalizes both; it is rejected.  The lumped pencil's basis comes from
+    an eigh, which runs on one BLAS thread (`one_thread`).
     """
     if lumped_mass and mesh.dim == 2:
         raise ValueError("the lumped mass is 1d only: in 2d no per-axis basis "
@@ -168,7 +171,8 @@ def assemble(mesh: Mesh, lumped_mass: bool = False) -> DiscreteOperators:
         # with S = diag(M1)^(-1/2), the pencil's eigenvectors are S times
         # those of the symmetric S A1 S
         scale = 1.0 / np.sqrt(np.diag(mass1))
-        values, modes = np.linalg.eigh(scale[:, None] * stiff1 * scale[None, :])
+        with one_thread():
+            values, modes = np.linalg.eigh(scale[:, None] * stiff1 * scale[None, :])
         vectors = scale[:, None] * modes
     else:
         values, vectors = _sine_modes(mesh.m)

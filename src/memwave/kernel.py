@@ -32,6 +32,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+from ._blas import one_thread
+
 __all__ = [
     "KernelSpec",
     "KernelLike",
@@ -347,6 +349,7 @@ def exponential_modes(spec: KernelSpec, delta: float, t_final: float):
     return _compress(spec, h / (math.pi * (z + x)), x, delta, t_final)
 
 
+@one_thread()
 def _compress(spec: KernelSpec, amplitudes: np.ndarray, x: np.ndarray,
               delta: float, t_final: float):
     """Fewer modes for f(t) = sum_k amplitudes_k exp(-x_k t), and so for
@@ -366,7 +369,9 @@ def _compress(spec: KernelSpec, amplitudes: np.ndarray, x: np.ndarray,
     _RANK_TOL of the largest and grows until the fit is within _FIT_TOL of
     the envelope at every t_i; if no rank gets there, the closest fit is
     returned, for the memory's own check of the weights to judge.  The
-    cost is O(K**2) per sample and O(K**3) per rank tried.
+    cost is O(K**2) per sample and O(K**3) per rank tried.  The QR, SVD,
+    least-squares and eigenvalue calls run on one BLAS thread
+    (`one_thread`), so the modes' bits do not depend on the thread count.
     """
     z = complex(spec.sigma, -spec.gamma)
     t = np.geomspace(delta, t_final, _FIT_POINTS)

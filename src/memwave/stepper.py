@@ -50,6 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._blas import one_thread
 from .fem import DiscreteOperators, Mesh, assemble, interpolate, load_vector
 from .kernel import KernelLike, KernelSpec, QuadratureError, exponential_modes
 from .quadweights import WeightTable, build_weight_table, hat_weights
@@ -387,13 +388,15 @@ class _Memory:
         return self._own[i, lo:i + 1] @ self._regions[n // _MEMORY_BLOCK % 2][lo:i + 1]
 
 
+@one_thread()
 def _check_modes(table: WeightTable, body: np.ndarray, rates: np.ndarray, sigma: float,
                  inner: np.ndarray, last: int) -> None:
     """Raise QuadratureError unless Re sum_k body_k rho_k**j matches
     table.body[j] within _MODE_TOL * tau * exp(-sigma (j - 1) tau) at
     every lag L0 <= j <= last; the message names the mode count and sigma,
     0 modes and sigma = 0 for a kernel hook.  rho**j is formed by its
-    factors rho**(L0 q) and inner = rho**r, j = L0 q + r."""
+    factors rho**(L0 q) and inner = rho**r, j = L0 q + r, in one complex
+    product, which runs on one BLAS thread (`one_thread`)."""
     tau, block = table.tau, _MEMORY_BLOCK
     lags = np.arange(block, last + 1)
     outer = np.exp(-np.outer(np.arange(1, last // block + 1) * (block * tau), rates))

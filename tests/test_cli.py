@@ -3,6 +3,9 @@
 import csv
 import math
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import memwave.cli as cli
+from memwave import _blas
 from memwave.cli import (
     PRESETS,
     ConfigError,
@@ -37,6 +40,8 @@ from memwave.kernel import KernelSpec
 from memwave.stepper import DampingSpec, run
 
 from closed_forms import assert_matches_alpha_one
+
+THREADS_TOOL = Path(__file__).resolve().parent.parent / "tools" / "threads.py"
 
 BENCH_1D = """
 [run]
@@ -386,19 +391,32 @@ class TestRunSingle:
         assert text == "node,value\n" + "".join(
             "%d,%.17g\n" % (int(i), float(v)) for i, v in rows)
 
-    def test_table_is_built_before_the_operators(self, tmp_path, monkeypatch):
-        # the lumped eigh in `assemble` wakes OpenBLAS's worker thread, which
-        # then spins for about 0.13 s of CPU; built first, the table keeps
-        # its 40-100 ms out of that spin, and the eigh and the mode
-        # compression run back to back, under one spin
-        calls = []
-        for name in ("build_weight_table", "assemble"):
-            def recorded(*args, _name=name, _call=getattr(cli, name), **kwargs):
-                calls.append(_name)
-                return _call(*args, **kwargs)
-            monkeypatch.setattr(cli, name, recorded)
-        run_single(replace(parse_config(BENCH_1D), out_dir=str(tmp_path)))
-        assert calls == ["build_weight_table", "assemble"]
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or _blas._setter() is None,
+                        reason="needs /proc and numpy's OpenBLAS")
+    def test_run_wakes_no_blas_worker(self, tmp_path):
+        # the set-up's LAPACK calls run on one BLAS thread, and the steps'
+        # products are too small to thread, so no worker wakes and spins; the
+        # probe waits out the spin that `import numpy` starts, and reads the
+        # workers' CPU time once a spin the run started would have ended
+        config = tmp_path / "long.ini"
+        config.write_text("[run]\npreset = benchmark_1d\ndim = 1\nm = 64\nn = 256\n"
+                          "t = 1.5625\n[kernel]\nalpha = 0.5\nsigma = 3.0\n"
+                          f"gamma = {3.0 * math.sqrt(3.0)!r}\n")
+        probe = textwrap.dedent("""
+            import importlib.util, sys, time
+            spec = importlib.util.spec_from_file_location("threads", sys.argv[1])
+            threads = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(threads)
+            time.sleep(0.5)
+            before = threads.cpu_seconds()[1]
+            assert threads.cli.main(["energy", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
+            time.sleep(0.5)
+            print(threads.cpu_seconds()[1] - before)
+        """)
+        proc = subprocess.run([sys.executable, "-c", probe, str(THREADS_TOOL), str(config),
+                               str(tmp_path / "out")], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout.splitlines()[-1]) < 0.02
 
     def test_manufactured_tracks_exact_solution(self, tmp_path):
         # U^N is read through the checkpoint at step n

@@ -1,11 +1,12 @@
-"""One BLAS thread for the set-up's small LAPACK calls.
+"""One BLAS thread for the set-up's small BLAS and LAPACK calls.
 
 numpy's bundled OpenBLAS runs a call above its size threshold on every
 thread, and a worker it wakes then spins idle for about 0.13 s of CPU
-(2-core x86).  The set-up's calls (the mode compression, the mode check
-and the lumped eigh) are small enough that one thread does them as fast,
-so `one_thread` runs them on one, and also makes their bits independent
-of the thread count.  The step loop keeps every thread.
+(2-core x86).  The set-up's calls (the mode compression, the mode check,
+`fem.assemble` and `to_modal` of the initial data) are small enough that
+one thread does them as fast, so `one_thread` runs them on one, and also
+makes their bits independent of the thread count.  The step loop keeps
+every thread.
 """
 
 from __future__ import annotations

@@ -109,8 +109,11 @@ class DiscreteOperators:
         grid = vec.reshape(vec.shape[:-1] + (k, k))
         return (left @ grid @ left.T).reshape(vec.shape)
 
+    @one_thread()
     def to_modal(self, u: np.ndarray) -> np.ndarray:
-        """Coefficients of the nodal vector u."""
+        """Coefficients of the nodal vector u, on one BLAS thread
+        (`one_thread`): only the set-up calls it, for the initial data, and
+        so their coefficients do not depend on the thread count."""
         return self._apply(self.inverse, u)
 
     def to_nodal(self, c: np.ndarray) -> np.ndarray:
@@ -147,6 +150,7 @@ def _sine_modes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+@one_thread()
 def assemble(mesh: Mesh, lumped_mass: bool = False) -> DiscreteOperators:
     """Exact element integrals for linear (1d) / bilinear (2d) elements.
 
@@ -158,7 +162,9 @@ def assemble(mesh: Mesh, lumped_mass: bool = False) -> DiscreteOperators:
     preset enables it.  The 2d lumped mass, kron(L1, L1), would pair with a
     stiffness built on the consistent 1d mass, so no per-axis basis
     diagonalizes both; it is rejected.  The lumped pencil's basis comes from
-    an eigh, which runs on one BLAS thread (`one_thread`).
+    an eigh.  All of it runs on one BLAS thread (`one_thread`): the eigh and
+    the modal mass product V'M1, which from m = 128 on would wake the BLAS
+    worker and whose bits would depend on the thread count.
     """
     if lumped_mass and mesh.dim == 2:
         raise ValueError("the lumped mass is 1d only: in 2d no per-axis basis "
@@ -171,8 +177,7 @@ def assemble(mesh: Mesh, lumped_mass: bool = False) -> DiscreteOperators:
         # with S = diag(M1)^(-1/2), the pencil's eigenvectors are S times
         # those of the symmetric S A1 S
         scale = 1.0 / np.sqrt(np.diag(mass1))
-        with one_thread():
-            values, modes = np.linalg.eigh(scale[:, None] * stiff1 * scale[None, :])
+        values, modes = np.linalg.eigh(scale[:, None] * stiff1 * scale[None, :])
         vectors = scale[:, None] * modes
     else:
         values, vectors = _sine_modes(mesh.m)

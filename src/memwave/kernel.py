@@ -15,8 +15,8 @@ exp(-sigma*t).  Both exponents have closed forms, which `kernel_transform`
 evaluates in numpy alone: an exponential for alpha = 1, and for alpha = 1/2
 an identity in terms of the complex-argument complementary error function,
 summed by Weideman's rational series for the Faddeeva function.  Both are also
-sums of complex exponentials, which `exponential_modes` returns, as few as
-the memory tail's numerical rank allows.  `transform_by_quadrature`
+sums of complex exponentials, which `exponential_modes` returns, compressed
+to the numerical rank of the memory tail.  `transform_by_quadrature`
 integrates beta by QUADPACK (`scipy.integrate.quad`), with the square-root
 singularity removed by the substitution s = r**2; it is the independent
 oracle for both closed forms, and no run calls it, so a run loads no scipy.
@@ -62,8 +62,6 @@ _FIT_POINTS = 600
 # relative cut on the singular values of the mode compression's Hankel core
 # and of its amplitude fit
 _RANK_TOL = 1.0e-15
-# the compressed modes fit the quadrature's within this much of the envelope
-_FIT_TOL = 1.0e-13
 # terms of the Faddeeva series behind the alpha = 1/2 transform, and the
 # entries it evaluates at a time
 _SERIES_TERMS = 40
@@ -327,12 +325,13 @@ def exponential_modes(spec: KernelSpec, delta: float, t_final: float):
     Their sum has a far lower numerical rank on [delta, t_final], and
     `_compress` reduces them to it (sum-of-exponentials reduction, as in
     Beylkin & Monzon, Appl. Comput. Harmon. Anal. 28, 2010): 54 -> 18
-    modes for the 2d benchmark (tau = 1/1024, T = 1) and 68 -> 27 for the
-    1d one (tau = 100/16384, T = 100).  On 500 random admissible kernels,
+    modes for the 2d benchmark (tau = 1/1024, T = 1), 68 -> 27 for the 1d
+    one (tau = 100/16384, T = 100) and 68 -> 28 for that kernel at
+    tau = 1000/16384, T = 1000.  On 500 random admissible kernels,
     1 < sigma < 10, gamma/sigma <= sqrt(3), with delta = 31 tau,
     tau |z| <= 0.2 and 40 to 5000 steps of tau, the compressed modes
-    numbered 7 to 23, stayed within 2.1e-13 of the envelope, passed the
-    memory's check of the weights, and all had Re w > 1.04.
+    numbered 7 to 24, stayed within 5.7e-13 of the envelope, passed the
+    memory's check of the weights, and all had Re w > 1.002.
     """
     z = complex(spec.sigma, -spec.gamma)
     if spec.alpha == 1.0:
@@ -365,11 +364,10 @@ def _compress(spec: KernelSpec, amplitudes: np.ndarray, x: np.ndarray,
     basis from the first block of rows to the second has the eigenvalues
     rho = exp(-y delta/4) of r new rates z + y; their amplitudes are fitted
     jointly by least squares on the same times, weighted by
-    exp(-sigma t)/envelope.  r starts at the count of singular values above
-    _RANK_TOL of the largest and grows until the fit is within _FIT_TOL of
-    the envelope at every t_i; if no rank gets there, the closest fit is
-    returned, for the memory's own check of the weights to judge.  The
-    cost is O(K**2) per sample and O(K**3) per rank tried.  The QR, SVD,
+    exp(-sigma t)/envelope.  r is the count of singular values above
+    _RANK_TOL of the largest, and the modes are judged where the run uses
+    them: the memory's check of every weight (`stepper._check_modes`).
+    The cost is O(K**2) per sample and O(K**3) once.  The QR, SVD,
     least-squares and eigenvalue calls run on one BLAS thread
     (`one_thread`), so the modes' bits do not depend on the thread count.
     """
@@ -383,17 +381,11 @@ def _compress(spec: KernelSpec, amplitudes: np.ndarray, x: np.ndarray,
     core = (r * amplitudes) @ np.linalg.qr(np.exp(-np.outer(t - delta, x)), mode="r").T
     u, s, _ = np.linalg.svd(core)
     target = (amplitudes * np.exp(np.outer(t, 1j * spec.gamma - x))).sum(axis=1).real * weight
-    best = (math.inf,)
-    for rank in range(np.count_nonzero(s > _RANK_TOL * s[0]), s.size + 1):
-        basis = q @ u[:, :rank]
-        turn = np.linalg.lstsq(basis[:_FIT_POINTS], basis[_FIT_POINTS:], rcond=None)[0]
-        rates = z - np.log(np.linalg.eigvals(turn).astype(complex)) / shift
-        # weighted exp(-(w - sigma) t), for the real and imaginary part of each amplitude
-        modes = np.exp(-np.outer(t, rates - spec.sigma)) * weight[:, None]
-        modes = np.hstack([modes.real, -modes.imag])
-        fit = np.linalg.lstsq(modes, target, rcond=_RANK_TOL)[0]
-        best = min(best, (np.abs(modes @ fit - target).max(), fit[:rank] + 1j * fit[rank:], rates),
-                   key=lambda trial: trial[0])
-        if best[0] <= _FIT_TOL:
-            break
-    return best[1:]
+    rank = np.count_nonzero(s > _RANK_TOL * s[0])
+    basis = q @ u[:, :rank]
+    turn = np.linalg.lstsq(basis[:_FIT_POINTS], basis[_FIT_POINTS:], rcond=None)[0]
+    rates = z - np.log(np.linalg.eigvals(turn).astype(complex)) / shift
+    # weighted exp(-(w - sigma) t), for the real and imaginary part of each amplitude
+    modes = np.exp(-np.outer(t, rates - spec.sigma)) * weight[:, None]
+    fit = np.linalg.lstsq(np.hstack([modes.real, -modes.imag]), target, rcond=_RANK_TOL)[0]
+    return fit[:rank] + 1j * fit[rank:], rates

@@ -54,21 +54,42 @@ class TestOneThread:
         assert _count(setter) == 2
 
 
+def _under_each_thread_count(probe: str) -> list[str]:
+    """What `probe` writes to stdout, run under one and under two BLAS threads."""
+    found = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(probe)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        found.append(proc.stdout)
+    return found
+
+
 def test_modes_do_not_depend_on_the_thread_count():
     # long_1d's seed-0 kernel over the window its memory fits, delta = 31 tau
     # and T = 100: with the compression on two threads its bits moved
-    probe = textwrap.dedent("""
+    found = _under_each_thread_count("""
         import math, sys
         from memwave.kernel import KernelSpec, exponential_modes
         tau = 100.0 / 16384
         a, w = exponential_modes(KernelSpec(0.5, 3.0, 3.0 * math.sqrt(3.0)), 31 * tau, 100.0)
         sys.stdout.write((a.tobytes() + w.tobytes()).hex())
     """)
-    found = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(SRC)}
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        found.append(proc.stdout)
+    assert found[0] == found[1] and len(found[0]) > 0
+
+
+def test_modal_data_do_not_depend_on_the_thread_count():
+    # wide_2d's mesh and initial state: on every thread the modal mass
+    # product V'M1 of `assemble` and the two-sided product of `to_modal`
+    # moved their bits
+    found = _under_each_thread_count("""
+        import sys
+        import numpy as np
+        from memwave.fem import Mesh, assemble, interpolate
+        mesh = Mesh(2, 128)
+        ops = assemble(mesh)
+        u0 = interpolate(mesh, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+        sys.stdout.write((ops.inverse.tobytes() + ops.to_modal(u0).tobytes()).hex())
+    """)
     assert found[0] == found[1] and len(found[0]) > 0

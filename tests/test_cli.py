@@ -393,13 +393,15 @@ class TestRunSingle:
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir() or _blas._setter() is None,
                         reason="needs /proc and numpy's OpenBLAS")
-    def test_run_wakes_no_blas_worker(self, tmp_path):
-        # the set-up's LAPACK calls run on one BLAS thread, and the steps'
-        # products are too small to thread, so no worker wakes and spins; the
-        # probe waits out the spin that `import numpy` starts, and reads the
-        # workers' CPU time once a spin the run started would have ended
+    @pytest.mark.parametrize("m", [64, 128])
+    def test_run_wakes_no_blas_worker(self, tmp_path, m):
+        # the set-up's BLAS and LAPACK calls run on one BLAS thread, and the
+        # steps' products are too small to thread, so no worker wakes and
+        # spins; the probe waits out the spin that `import numpy` starts, and
+        # reads the workers' CPU time once a spin the run started would have
+        # ended.  From m = 128 on `assemble`'s modal mass product would wake it
         config = tmp_path / "long.ini"
-        config.write_text("[run]\npreset = benchmark_1d\ndim = 1\nm = 64\nn = 256\n"
+        config.write_text(f"[run]\npreset = benchmark_1d\ndim = 1\nm = {m}\nn = 256\n"
                           "t = 1.5625\n[kernel]\nalpha = 0.5\nsigma = 3.0\n"
                           f"gamma = {3.0 * math.sqrt(3.0)!r}\n")
         probe = textwrap.dedent("""

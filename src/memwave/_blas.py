@@ -5,8 +5,9 @@ thread, and a worker it wakes then spins idle for about 0.13 s of CPU
 (2-core x86).  The set-up's calls (the mode compression, the mode check,
 `fem.assemble` and `to_modal` of the initial data) are small enough that
 one thread does them as fast, so `one_thread` runs them on one, and also
-makes their bits independent of the thread count.  The step loop keeps
-every thread.
+makes their bits independent of the thread count.  So does `to_nodal`, the
+map of the states a caller reads back, such as a run's checkpoints.  The
+step loop keeps every thread.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Configuration lives in a flat INI file with one section per concern; unknown
 sections or keys are rejected so a config is always a complete, auditable
-record of an experiment.  The two benchmark presets hard-code the reference
-initial data, forcing, and damping so the convergence tables are a one-flag
-operation; only the kernel parameters vary between table rows.
+record of an experiment.  The two benchmark presets, one problem on the
+interval and on the square, hard-code the reference initial data, forcing,
+and damping so the convergence tables are a one-flag operation; only the
+kernel parameters vary between table rows.
 
 Subcommands:
     run          single simulation, diagnostics CSV + optional checkpoints
@@ -49,7 +50,7 @@ from .diagnostics import (
     write_energy_csv,
 )
 from .fem import Mesh, assemble
-from .kernel import KernelLike, KernelSpec, constant_transform
+from .kernel import KernelSpec, constant_transform
 from .quadweights import RUNNING_SUM_BOUND, build_weight_table
 from .stepper import DampingSpec, Problem, run
 
@@ -238,54 +239,42 @@ def _zero(*coords):
     return np.zeros(np.broadcast_shapes(*map(np.shape, coords)))
 
 
+def _sines(k: float):
+    """The field prod_i sin(k pi c_i) over the coordinate arrays c_i."""
+    return lambda *coords: math.prod(np.sin(k * np.pi * c) for c in coords)
+
+
 def preset_problem(config: RunConfig, zero_forcing: bool = False):
     """Resolve (problem, kernel-like, damping) for a config.
 
-    The benchmark presets pin initial data sin(pi x)(sin(pi y)), velocity
-    sin(2 pi x)(sin(2 pi y)), square-root damping with unit weights, and a
-    separable forcing tied to the kernel parameters (zero in 2d).  The
-    manufactured preset runs without memory against the exact solution
-    exp(-t) sin(pi x).
+    The benchmark presets are one problem on the interval and the square:
+    initial data sin(pi x)(sin(pi y)), velocity sin(2 pi x)(sin(2 pi y)),
+    square-root damping with unit weights and the config's kernel; only the
+    1d one is forced, by a separable forcing tied to the kernel parameters.
+    The manufactured preset runs without memory against the exact solution
+    exp(-t) sin(pi x).  With `zero_forcing` every preset runs unforced.
     """
     preset = config.preset
-    if preset == "benchmark_1d":
-        spec = config.kernel
-        alpha, sigma, gamma = spec.alpha, spec.sigma, spec.gamma
+    if preset in ("benchmark_1d", "benchmark_2d"):
+        kernel, damping = config.kernel, DampingSpec("sqrt", mu1=1.0, mu2=1.0)
+        alpha, sigma, gamma = kernel.alpha, kernel.sigma, kernel.gamma
 
         def forcing(x, t):
-            return (
-                t**alpha * math.exp(-sigma * t) * math.cos(gamma * t) * np.sin(np.pi * x)
-            )
+            return t**alpha * math.exp(-sigma * t) * math.cos(gamma * t) * np.sin(np.pi * x)
 
-        problem = Problem(
-            u0=lambda x: np.sin(np.pi * x),
-            u1=lambda x: np.sin(2.0 * np.pi * x),
-            f=None if zero_forcing else forcing,
-        )
-        return problem, spec, DampingSpec("sqrt", mu1=1.0, mu2=1.0)
-
-    if preset == "benchmark_2d":
-        problem = Problem(
-            u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
-            u1=lambda x, y: np.sin(2.0 * np.pi * x) * np.sin(2.0 * np.pi * y),
-            f=None,
-        )
-        return problem, config.kernel, DampingSpec("sqrt", mu1=1.0, mu2=1.0)
-
-    if preset == "manufactured":
-        problem = Problem(
-            u0=lambda x: np.sin(np.pi * x),
-            u1=lambda x: -np.sin(np.pi * x),
-            f=None if zero_forcing else (
-                lambda x, t: np.pi**2 * math.exp(-t) * np.sin(np.pi * x)
-            ),
-        )
-        return problem, constant_transform(0.0), DampingSpec("constant", constant=1.0)
-
-    # zero preset: quiescent data, any kernel/damping
-    kernel: KernelLike = config.kernel if config.kernel is not None else KernelSpec(1.0, 2.0, 0.0)
-    damping = config.damping if config.damping is not None else DampingSpec("sqrt")
-    return Problem(u0=_zero, u1=_zero, f=None), kernel, damping
+        problem = Problem(u0=_sines(1.0), u1=_sines(2.0),
+                          f=forcing if preset == "benchmark_1d" else None)
+    elif preset == "manufactured":
+        problem = Problem(u0=_sines(1.0), u1=lambda x: -np.sin(np.pi * x),
+                          f=lambda x, t: np.pi**2 * math.exp(-t) * np.sin(np.pi * x))
+        kernel, damping = constant_transform(0.0), DampingSpec("constant", constant=1.0)
+    else:  # zero preset: quiescent data, any kernel/damping
+        problem = Problem(u0=_zero, u1=_zero)
+        kernel = config.kernel if config.kernel is not None else KernelSpec(1.0, 2.0, 0.0)
+        damping = config.damping if config.damping is not None else DampingSpec("sqrt")
+    if zero_forcing:
+        problem = replace(problem, f=None)
+    return problem, kernel, damping
 
 
 def manufactured_solution(x, t):
@@ -365,47 +354,30 @@ def run_convergence(config: RunConfig, mode: str, ladder) -> list[tuple]:
     """Refinement ladder in time or space; returns rows (M, N, E, CR).
 
     Each rung's error compares the run at the rung with the run at twice the
-    refinement, so one extra run beyond the ladder is executed and shared
-    operators/tables are reused across rungs.  Each run keeps only its
-    last level, as the one checkpoint of a `RunDiagnostics`.  A rung has no
-    rate (None) when it is the first, or when its error or the previous
-    rung's is exactly 0, as quiescent data gives.
+    refinement, so one extra run beyond the ladder is executed.  Every rung
+    is set up on its own: its operators, then its weight table inside
+    `run`.  Each run keeps only its last level, as the
+    one checkpoint of a `RunDiagnostics`.  A rung has no rate (None) when it
+    is the first, or when its error or the previous rung's is exactly 0, as
+    quiescent data gives.
     """
     if mode not in ("time", "space"):
         raise ConfigError(f"mode must be 'time' or 'space', got {mode!r}")
     entries = _validate_ladder(ladder, mode)
     problem, kernel, damping = preset_problem(config)
     needed = entries + (2 * entries[-1],)
-    lumped = preset_uses_lumped_mass(config.preset)
-
-    def terminal(mesh, ops, tau, n_steps, **given) -> RunDiagnostics:
-        kept = RunDiagnostics((n_steps,))
-        run(problem, mesh, tau, n_steps, damping=damping, ops=ops, observe=kept, **given)
-        return kept
-
-    rungs = {}
-    if mode == "time":
-        mesh = Mesh(config.dim, config.m)
-        ops = assemble(mesh, lumped_mass=lumped)
-        for n_val in needed:
-            rungs[n_val] = terminal(mesh, ops, config.t_final / n_val, n_val, kernel=kernel)
-        errors = [self_error_time(rungs[nv], rungs[2 * nv]) for nv in entries]
-        labels = [(config.m, nv) for nv in entries]
-    else:
-        tau = config.tau
-        table = build_weight_table(kernel, tau, max(1, config.n - 1))
-        for m_val in needed:
-            mesh = Mesh(config.dim, m_val)
-            rungs[m_val] = terminal(mesh, assemble(mesh, lumped_mass=lumped), tau, config.n,
-                                    table=table)
-        errors = [self_error_space(rungs[mv], rungs[2 * mv]) for mv in entries]
-        labels = [(mv, config.n) for mv in entries]
-
-    rows = []
-    for i, ((m_val, n_val), err) in enumerate(zip(labels, errors)):
-        cr = rate(errors[i - 1], err) if i > 0 and 0.0 not in (errors[i - 1], err) else None
-        rows.append((m_val, n_val, err, cr))
-    return rows
+    labels = [(config.m, v) if mode == "time" else (v, config.n) for v in needed]
+    rungs = []
+    for m_val, n_val in labels:
+        mesh = Mesh(config.dim, m_val)
+        rungs.append(RunDiagnostics((n_val,)))
+        run(problem, mesh, config.t_final / n_val, n_val, kernel, damping=damping,
+            ops=assemble(mesh, lumped_mass=preset_uses_lumped_mass(config.preset)),
+            observe=rungs[-1])
+    self_error = {"time": self_error_time, "space": self_error_space}[mode]
+    errors = [self_error(coarse, fine) for coarse, fine in zip(rungs, rungs[1:])]
+    rates = [rate(a, b) if 0.0 not in (a, b) else None for a, b in zip(errors, errors[1:])]
+    return [(*label, err, cr) for label, err, cr in zip(labels, errors, [None, *rates])]
 
 
 def dump_weights(config: RunConfig, path):

@@ -116,8 +116,11 @@ class DiscreteOperators:
         so their coefficients do not depend on the thread count."""
         return self._apply(self.inverse, u)
 
+    @one_thread()
     def to_nodal(self, c: np.ndarray) -> np.ndarray:
-        """Nodal values of the state with coefficients c, or of each row of a stack."""
+        """Nodal values of the state with coefficients c, or of each row of a
+        stack, on one BLAS thread (`one_thread`), so that the checkpoints a
+        run writes do not depend on the thread count."""
         return self._apply(self.vectors, c)
 
     def project(self, b: np.ndarray) -> np.ndarray:

@@ -93,3 +93,17 @@ def test_modal_data_do_not_depend_on_the_thread_count():
         sys.stdout.write((ops.inverse.tobytes() + ops.to_modal(u0).tobytes()).hex())
     """)
     assert found[0] == found[1] and len(found[0]) > 0
+
+
+def test_nodal_values_do_not_depend_on_the_thread_count():
+    # wide_2d's mesh: the two-sided product of `to_nodal`, which maps each
+    # checkpoint a run writes, moved its bits on every thread
+    found = _under_each_thread_count("""
+        import sys
+        import numpy as np
+        from memwave.fem import Mesh, assemble
+        ops = assemble(Mesh(2, 128))
+        coeffs = np.random.default_rng(0).standard_normal(127 * 127)
+        sys.stdout.write(ops.to_nodal(coeffs).tobytes().hex())
+    """)
+    assert found[0] == found[1] and len(found[0]) > 0

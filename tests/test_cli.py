@@ -336,6 +336,37 @@ class TestPresets:
         assert isinstance(kernel, KernelSpec)
         assert np.all(problem.u0(np.linspace(0, 1, 5)) == 0.0)
 
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_one_benchmark_problem_and_unforced_presets(self, preset):
+        # benchmark_2d is benchmark_1d on the square: its data are the outer
+        # products of the 1d data, bitwise on interpolate's grid, and only the
+        # 1d one is forced; zero_forcing drops every forcing and nothing else
+        bench = parse_config(BENCH_1D)
+        cfg = {"benchmark_1d": bench,
+               "benchmark_2d": replace(bench, preset="benchmark_2d", dim=2),
+               "manufactured": parse_config(MANUFACTURED_CFG),
+               "zero": parse_config(ZERO_CFG)}[preset]
+        problem, kernel, damping = preset_problem(cfg)
+        unforced, unforced_kernel, unforced_damping = preset_problem(cfg, zero_forcing=True)
+        assert unforced.f is None
+        mesh = Mesh(cfg.dim, cfg.m)
+        for field in ("u0", "u1"):
+            values = interpolate(mesh, getattr(problem, field))
+            assert np.array_equal(interpolate(mesh, getattr(unforced, field)), values)
+            if preset == "benchmark_2d":
+                line = interpolate(Mesh(1, cfg.m), getattr(preset_problem(bench)[0], field))
+                assert np.array_equal(values, np.outer(line, line).ravel())
+        assert (problem.f is None) == (preset in ("benchmark_2d", "zero"))
+        pinned = {"manufactured": DampingSpec("constant", constant=1.0),
+                  "zero": DampingSpec("sqrt")}.get(preset, DampingSpec("sqrt", mu1=1.0, mu2=1.0))
+        assert damping == unforced_damping == pinned
+        if preset == "manufactured":
+            t = np.linspace(0.0, 1.0, 5)
+            assert np.array_equal(kernel(t), np.zeros(5))
+            assert np.array_equal(unforced_kernel(t), np.zeros(5))
+        else:
+            assert kernel == unforced_kernel == (cfg.kernel or KernelSpec(1.0, 2.0, 0.0))
+
     def test_manufactured_consistency(self):
         # the pinned forcing satisfies u'' + u' - u_xx = f for the exact field
         cfg = parse_config(MANUFACTURED_CFG)
@@ -692,6 +723,15 @@ class TestMainEntry:
         path = self._write(tmp_path, text)
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert "config error: malformed config" in capsys.readouterr().err
+
+    def test_step_whose_square_underflows_exit_code(self, tmp_path, capsys):
+        # tau = 1e-300: tau^2 is 0, an error that names tau and not a bare division
+        path = self._write(tmp_path, BENCH_1D.replace("t = 1.0", "t = 1e-300").replace(
+            "n = 16", "n = 1"))
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: step size tau = 1e-300: tau^2 underflows to 0.0, so the system "
+            "diagonal 1/tau^2 + e * lambda is not finite\n")
 
     def test_infinite_final_time_exit_code(self, tmp_path, capsys):
         path = self._write(tmp_path, BENCH_1D.replace("t = 1.0", "t = inf"))

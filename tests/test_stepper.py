@@ -288,6 +288,13 @@ class TestStepping:
             with pytest.raises(SolverError, match="step 1 .* smallest entry inf"):
                 step(hist, DampingSpec("sqrt"), SINE_PROBLEM)
 
+    def test_step_whose_square_underflows_raises_solver_error(self):
+        # tau^2 rounds to 0 below about 1.6e-162, and 1/tau^2 would divide by it
+        mesh = Mesh(1, 8)
+        table = build_weight_table(KernelSpec(1.0, 2.0, 1.0), 1e-200, 4)
+        with pytest.raises(SolverError, match=r"step size tau = 1e-200: tau\^2 underflows to 0"):
+            SimulationHistory(mesh, assemble(mesh), table, np.zeros(7), np.zeros(7), 5)
+
     def test_non_finite_state_raises_step_error(self):
         # constant damping never looks at the state, so only the finiteness
         # check on the new state stops the NaN
